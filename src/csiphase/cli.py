@@ -9,17 +9,11 @@ Three subcommands compose the library for scripts:
 Exit codes are a stable contract: 0 success, 2 usage errors, 3 I/O
 failures, 4 data or format errors. Outputs never embed timestamps, so
 equal inputs and flags give byte-identical files.
-
-The environment variable ``CSIKIT_THREADS`` caps internal parallelism
-(0 or unset = automatic). The pipeline's results are scheduling
-independent either way; the cap is forwarded to the numeric backends
-of any worker processes via their standard thread-count variables.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -373,25 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap(parser: argparse.ArgumentParser) -> None:
-    raw = os.environ.get("CSIKIT_THREADS")
-    if raw is None or raw == "":
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        parser.error(f"CSIKIT_THREADS={raw!r} is not an integer")
-    if cap < 0:
-        parser.error(f"CSIKIT_THREADS={cap} must be >= 0 (0 = auto)")
-    if cap > 0:
-        # Forward the cap to the numeric backends of any children.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    _thread_cap(parser)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

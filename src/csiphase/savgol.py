@@ -14,6 +14,19 @@ every symbol across frequency (the exact transpose of ``sg_time``), and
 ``sg_2d`` fits one bivariate polynomial of total degree <= n over a
 rectangular time-frequency neighborhood. Window lengths default to a
 fraction (0.1) of the filtered dimension, rounded and forced odd.
+
+All three run on one row-correlation engine. Windows shorter than
+``_FFT_MIN_WINDOW`` are correlated by direct sliding-window sums; longer
+ones by real FFT, so a window that grows with S costs O(S log S) per
+track instead of O(S^2). The choice depends on the window alone, which
+keeps ``sg_freq`` and the transposed ``sg_time`` on the same path. The
+1-D edge points are rows of the projection matrix applied to the first
+and last windows. ``sg_2d`` computes its interior as w_c engine calls,
+one per subcarrier offset of the window. Its edge cells take the fit
+coefficients of the windows anchored along the four bands (a matmul for
+the top and bottom, engine calls for the left and right) and evaluate
+them at each cell's (row offset, column offset), with no loop over
+cells and no (w_r*w_c)^2 projection matrix.
 """
 
 from __future__ import annotations
@@ -114,13 +127,44 @@ def sg_design(spec: SgSpec) -> SgKernel:
     return SgKernel(spec=spec, coefficients=proj[half], edge_evaluators=proj)
 
 
+# Shortest window the engine correlates by FFT rather than by direct sums.
+_FFT_MIN_WINDOW = 32
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the real FFT handles quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _correlate_rows(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Valid correlation of every row of a C-contiguous (signals, length)
+    stack with one kernel: out[i, j] = sum_p weights[p] * arr[i, j + p]."""
+    w = weights.size
+    length = arr.shape[1]
+    if w < _FFT_MIN_WINDOW:
+        return sliding_window_view(arr, w, axis=1) @ weights
+    # Circular wrap-around only reaches the first w - 1 outputs of the
+    # full correlation, which the valid part drops, so length suffices.
+    n = _fast_length(length)
+    spectrum = np.fft.rfft(arr, n, axis=1)
+    spectrum *= np.fft.rfft(weights[::-1], n)
+    return np.fft.irfft(spectrum, n, axis=1)[:, w - 1 : length]
+
+
 def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
     """Filter each row of a C-contiguous (signals, length) stack."""
     w = kernel.spec.window
     half = kernel.spec.half
     length = arr.shape[1]
-    windows = sliding_window_view(arr, w, axis=1)
-    interior = windows @ kernel.coefficients
+    interior = _correlate_rows(arr, kernel.coefficients)
     lead = arr[:, :w] @ kernel.edge_evaluators[:half].T
     trail = arr[:, length - w :] @ kernel.edge_evaluators[half + 1 :].T
     return np.concatenate([lead, interior, trail], axis=1)
@@ -257,18 +301,25 @@ def sg_freq(
     return PhaseMatrix(smoothed, phase.stage)
 
 
-def _design_2d(order: int, w_rows: int, w_cols: int) -> np.ndarray:
-    """Projection matrix of the bivariate fit of total degree <= order
-    over a w_rows x w_cols grid, points in row-major order."""
+def _design_2d(
+    order: int, w_rows: int, w_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bivariate fit of total degree <= order over a w_rows x w_cols grid.
+
+    Term t of the basis is tr**i * tc**j. Returns the per-row factors
+    (w_rows, terms) and per-column factors (w_cols, terms) of the basis,
+    and the fit weights (terms, w_rows, w_cols): weights[t] applied to a
+    window gives its coefficient on term t, so the fit at grid point
+    (a, b) is sum_t rows[a, t] * cols[b, t] * coefficient[t].
+    """
     tr = (np.arange(w_rows, dtype=np.float64) - w_rows // 2) / max(w_rows // 2, 1)
     tc = (np.arange(w_cols, dtype=np.float64) - w_cols // 2) / max(w_cols // 2, 1)
-    columns = [
-        np.outer(tr**i, tc**j).ravel()
-        for i in range(order + 1)
-        for j in range(order + 1 - i)
-    ]
-    basis = np.stack(columns, axis=1)
-    return basis @ np.linalg.pinv(basis)
+    i, j = np.array([(i, j) for i in range(order + 1) for j in range(order + 1 - i)]).T
+    rows = tr[:, None] ** i
+    cols = tc[:, None] ** j
+    basis = (rows[:, None, :] * cols[None, :, :]).reshape(w_rows * w_cols, -1)
+    fit = np.linalg.pinv(basis).reshape(-1, w_rows, w_cols)
+    return rows, cols, fit
 
 
 def sg_2d(
@@ -330,19 +381,35 @@ def sg_2d(
     l_r, l_c = row_spec.half, col_spec.half
     u = _unwrap_last_axis(np.ascontiguousarray(phase.values.T)).T
     u = _unwrap_last_axis(np.ascontiguousarray(u))
-    proj = _design_2d(row_spec.order, w_r, w_c)
+    # Time runs along the rows of x, so long time windows reach the FFT path.
+    x = np.ascontiguousarray(u.T)
+    rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
+    nc = k - w_c + 1
 
+    # Each window is a sum over its w_c subcarrier offsets b of time
+    # correlations of subcarrier rows with column b of the weights.
     out = np.empty_like(u)
-    center = proj[l_r * w_c + l_c]
-    blocks = sliding_window_view(u, (w_r, w_c))
-    nr, nc = blocks.shape[:2]
-    out[l_r : s - l_r, l_c : k - l_c] = blocks.reshape(nr, nc, w_r * w_c) @ center
+    center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
+    interior = sum(_correlate_rows(x[b : b + nc], center[:, b]) for b in range(w_c))
+    out[l_r : s - l_r, l_c : k - l_c] = interior.T
 
-    edge = np.ones((s, k), dtype=bool)
-    edge[l_r : s - l_r, l_c : k - l_c] = False
-    for si, ki in np.argwhere(edge):
-        br = min(max(si - l_r, 0), s - w_r)
-        bc = min(max(ki - l_c, 0), k - w_c)
-        row = proj[(si - br) * w_c + (ki - bc)]
-        out[si, ki] = row @ u[br : br + w_r, bc : bc + w_c].ravel()
+    # Edge cells evaluate the fit of the window anchored inside the grid at
+    # their own offset. Top and bottom bands: windows over the first and
+    # last w_r symbols, sliding across subcarriers, clamped at the corners.
+    ends = np.stack([x[:, :w_r], x[:, s - w_r :]])
+    coef = sum(ends[:, b : b + nc] @ fit[:, :, b].T for b in range(w_c))
+    start = np.clip(np.arange(k) - l_c, 0, nc - 1)
+    coef = coef[:, start] * cols[np.arange(k) - start]
+    out[:l_r] = rows[:l_r] @ coef[0].T
+    out[s - l_r :] = rows[l_r + 1 :] @ coef[1].T
+    # Left and right bands: windows over the first and last w_c
+    # subcarriers, sliding down time.
+    ends = np.stack([x[:w_c], x[k - w_c :]], axis=1)
+    coef = np.stack(
+        [sum(_correlate_rows(ends[b], f[:, b]) for b in range(w_c)) for f in fit],
+        axis=-1,
+    )
+    coef *= rows[l_r]
+    out[l_r : s - l_r, :l_c] = coef[0] @ cols[:l_c].T
+    out[l_r : s - l_r, k - l_c :] = coef[1] @ cols[l_c + 1 :].T
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)

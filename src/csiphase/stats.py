@@ -115,11 +115,13 @@ def ds_series(phase: PhaseMatrix, labels=None) -> DsSeries:
             raise ValueError(
                 f"got {len(labels)} labels for {phase.symbols} symbols"
             )
-        groups = {}
-        for label in labels:
-            if label not in groups:
-                mask = np.array([lb == label for lb in labels])
-                groups[label] = float(d[mask].mean())
+        index: dict = {}
+        inverse = np.fromiter(
+            (index.setdefault(lb, len(index)) for lb in labels),
+            dtype=np.intp,
+            count=len(labels),
+        )
+        groups = {label: float(d[inverse == j].mean()) for label, j in index.items()}
     return DsSeries(d=d, group_means=groups)
 
 

@@ -343,32 +343,7 @@ def test_stats_outputs_are_deterministic(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment and entry points
-
-
-def test_thread_cap_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CSIKIT_THREADS", "not-a-number")
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "--symbols", "5", "--subcarriers", "8", "-o", str(tmp_path / "t")])
-    assert exc.value.code == 2
-    assert "CSIKIT_THREADS" in capsys.readouterr().err
-
-    monkeypatch.setenv("CSIKIT_THREADS", "-2")
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "--symbols", "5", "--subcarriers", "8", "-o", str(tmp_path / "t")])
-    assert exc.value.code == 2
-
-
-def test_thread_cap_accepts_auto_and_explicit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CSIKIT_THREADS", "0")
-    code, _, _ = run(capsys, "synth", "--symbols", "5", "--subcarriers", "8",
-                     "-o", str(tmp_path / "t0"))
-    assert code == 0
-    monkeypatch.setenv("CSIKIT_THREADS", "2")
-    code, _, _ = run(capsys, "synth", "--symbols", "5", "--subcarriers", "8",
-                     "-o", str(tmp_path / "t2"))
-    assert code == 0
-    assert (tmp_path / "t0.meas.csif").read_bytes() == (tmp_path / "t2.meas.csif").read_bytes()
+# entry points
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -7,9 +7,11 @@ from scipy.signal import savgol_filter
 
 from csiphase import PhaseMatrix, Stage, unwrap
 from csiphase.savgol import (
+    _FFT_MIN_WINDOW,
     DegenerateWindowWarning,
     SgKernel,
     SgSpec,
+    _correlate_rows,
     _window_from_fraction,
     sg_2d,
     sg_apply,
@@ -141,11 +143,24 @@ def test_apply_interior_is_shift_covariant():
 
 def test_apply_matches_scipy_interp_mode():
     rng = np.random.default_rng(10)
-    v = rng.normal(size=80)
-    for order, window in [(1, 5), (2, 7), (3, 13)]:
+    short = rng.normal(size=80)
+    long = rng.normal(size=3000)
+    cases = [(short, 1, 5), (short, 2, 7), (short, 3, 13)]
+    # long windows take the FFT path
+    cases += [(long, order, window) for order in (1, 2, 3) for window in (101, 301)]
+    for v, order, window in cases:
         ours = sg_apply(v, SgSpec(order, window))
         ref = savgol_filter(v, window, order, mode="interp")
         assert_allclose(ours, ref, rtol=0.0, atol=1e-10)
+
+
+def test_correlation_engine_matches_numpy_on_both_paths():
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(3, 200))
+    for w in (5, _FFT_MIN_WINDOW + 10):
+        weights = rng.normal(size=w)  # asymmetric, so orientation matters
+        want = np.stack([np.correlate(row, weights, mode="valid") for row in stack])
+        assert_allclose(_correlate_rows(stack, weights), want, rtol=0.0, atol=1e-12)
 
 
 def test_apply_short_vector_warns_and_passes_through():
@@ -225,12 +240,14 @@ def test_sg_time_unwraps_each_column_first():
 
 def test_sg_freq_is_exact_transpose_of_sg_time():
     rng = np.random.default_rng(4)
-    values = rng.uniform(-np.pi, np.pi, size=(24, 40))
+    values = rng.uniform(-np.pi, np.pi, size=(24, 80))
     phase = PhaseMatrix(values, Stage.CALIBRATED)
     transposed = PhaseMatrix(values.T, Stage.CALIBRATED)
-    a = sg_freq(phase, SgSpec(2, 7)).values
-    b = sg_time(transposed, SgSpec(2, 7)).values.T
-    assert_array_equal(a, b)
+    # one window on each side of the direct/FFT crossover
+    for spec in (SgSpec(2, 7), SgSpec(2, _FFT_MIN_WINDOW | 1)):
+        a = sg_freq(phase, spec).values
+        b = sg_time(transposed, spec).values.T
+        assert_array_equal(a, b)
 
 
 def test_sg_freq_keeps_stage():
@@ -291,29 +308,30 @@ def test_sg_2d_separable_reproduces_total_degree_polynomials():
 
 
 def test_sg_2d_matches_brute_force_cell_fits():
-    # small-amplitude field so the unwrap passes are bitwise identities
-    rng = np.random.default_rng(33)
-    field = 0.1 * rng.normal(size=(12, 10))
-    out = sg_2d(PhaseMatrix(field, Stage.CALIBRATED), SgSpec(2, 5), freq_spec=SgSpec(2, 5)).values
-
-    def brute(si, ki):
-        br = min(max(si - 2, 0), 12 - 5)
-        bc = min(max(ki - 2, 0), 10 - 5)
-        rows, cols = np.mgrid[0:5, 0:5]
-        cols_list = [
-            (rows.ravel() ** i) * (cols.ravel() ** j)
-            for i in range(3)
-            for j in range(3 - i)
-        ]
-        basis = np.stack(cols_list, axis=1).astype(float)
-        target = field[br : br + 5, bc : bc + 5].ravel()
-        sol, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    def brute(field, w_r, w_c, si, ki):
+        s, k = field.shape
+        br = min(max(si - w_r // 2, 0), s - w_r)
+        bc = min(max(ki - w_c // 2, 0), k - w_c)
+        rows, cols = np.mgrid[0:w_r, 0:w_c]
+        terms = [(i, j) for i in range(3) for j in range(3 - i)]
+        basis = np.stack([rows.ravel() ** i * cols.ravel() ** j for i, j in terms], axis=1)
+        target = field[br : br + w_r, bc : bc + w_c].ravel()
+        sol, *_ = np.linalg.lstsq(basis.astype(float), target, rcond=None)
         pr, pc = si - br, ki - bc
-        probe = np.array([float(pr**i * pc**j) for i in range(3) for j in range(3 - i)])
-        return probe @ sol
+        return np.array([float(pr**i * pc**j) for i, j in terms]) @ sol
 
-    for cell in [(0, 0), (0, 5), (6, 0), (6, 5), (11, 9), (2, 1)]:
-        assert_allclose(out[cell], brute(*cell), rtol=0.0, atol=1e-9)
+    # every cell, so every (row offset, column offset) edge class is hit;
+    # the last grid's time window takes the FFT path
+    grids = [(12, 10, 5, 5), (40, 17, 9, 5), (60, 12, 21, 3), (90, 14, _FFT_MIN_WINDOW | 1, 5)]
+    rng = np.random.default_rng(33)
+    for s, k, w_r, w_c in grids:
+        # small-amplitude field so the unwrap passes are bitwise identities
+        field = 0.1 * rng.normal(size=(s, k))
+        out = sg_2d(
+            PhaseMatrix(field, Stage.CALIBRATED), SgSpec(2, w_r), freq_spec=SgSpec(2, w_c)
+        ).values
+        want = np.array([[brute(field, w_r, w_c, si, ki) for ki in range(k)] for si in range(s)])
+        assert_allclose(out, want, rtol=0.0, atol=1e-9)
 
 
 def test_sg_2d_rectangular_default_windows():

@@ -163,6 +163,21 @@ def test_ds_series_orders_noise_levels():
     assert series.group_means["loud"] > series.group_means["quiet"]
 
 
+def test_ds_series_group_means_match_per_label_masks_bitwise():
+    rng = np.random.default_rng(14)
+    values = rng.normal(size=(300, 20))
+    labels = [3, "walk", 7, "sit", "3", 11] * 50
+    rng.shuffle(labels)
+    series = ds_series(calibrated(values), labels=labels)
+    want = {}
+    for label in labels:
+        if label not in want:
+            mask = np.array([lb == label for lb in labels])
+            want[label] = float(series.d[mask].mean())
+    assert list(series.group_means) == list(want)
+    assert series.group_means == want
+
+
 def test_ds_series_rejects_bad_labels_and_stage():
     with pytest.raises(ValueError, match="labels"):
         ds_series(calibrated(np.zeros((3, 4))), labels=["a", "b"])

@@ -1,5 +1,7 @@
 """Gap thresholds, the symbol rebuild, and the end-to-end method ladder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,6 +403,22 @@ def test_process_separable_toggle_changes_the_2d_route():
     joint = process(csi, "lrr+sg2d", sg_fraction=0.3)
     split = process(csi, "lrr+sg2d", sg_fraction=0.3, separable=True)
     assert np.max(np.abs(joint.output.values - split.output.values)) > 1e-6
+
+
+def test_process_2d_smoothing_of_a_long_capture_stays_linear_in_memory():
+    # 10000x52: the time window (1001) is far past the direct/FFT crossover
+    csi = random_csi(np.random.default_rng(10), s=10000, k=52)
+    peaks = {}
+    for method in ("lrr+sgtime", "lrr+sg2d"):
+        tracemalloc.start()
+        try:
+            result = process(csi, method)
+            peaks[method] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.output.shape == csi.shape
+        assert np.isfinite(result.output.values).all()
+    assert peaks["lrr+sg2d"] <= 2 * peaks["lrr+sgtime"]
 
 
 def test_process_method_tuple_is_the_documented_ladder():
