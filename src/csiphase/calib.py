@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, SubcarrierMap, _unwrap_last_axis, unwrap
+from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _unwrap_last_axis, unwrap
 
 __all__ = [
     "LtFit",
@@ -66,13 +66,6 @@ class RegressionFit:
     r1: float
 
 
-def _require_stage(phase: PhaseMatrix, expected: Stage, op: str) -> None:
-    if phase.stage is not expected:
-        raise ValueError(
-            f"{op} expects a {expected.label}-stage phase matrix, got {phase.stage.label}"
-        )
-
-
 def lt_fit(row: np.ndarray, smap: SubcarrierMap) -> LtFit:
     """Fit the endpoint slope and mean offset of one unwrapped row."""
     row = np.asarray(row, dtype=np.float64)
@@ -98,7 +91,7 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
     Returns:
         Calibrated-stage phase matrix of the same shape.
     """
-    _require_stage(phase, Stage.RAW, "lt_calibrate")
+    _require_stage(phase, "lt_calibrate", Stage.RAW)
     if len(smap) != phase.subcarriers:
         raise ValueError(
             f"subcarrier map length {len(smap)} does not match matrix columns {phase.subcarriers}"
@@ -152,7 +145,7 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
     Returns:
         Calibrated-stage phase matrix of the same shape.
     """
-    _require_stage(phase, Stage.RAW, "lrr_calibrate")
+    _require_stage(phase, "lrr_calibrate", Stage.RAW)
     s, k_count = phase.shape
     if abscissa is None:
         x = np.arange(1, k_count + 1, dtype=np.float64)

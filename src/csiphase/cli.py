@@ -23,7 +23,7 @@ import numpy as np
 from .core import PhaseMatrix, Stage, SubcarrierMap, decompose
 from .io import read_csif, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
-from .synth import ChannelSpec, ImpairmentSpec, demo_channel, gen_dataset
+from .synth import ChannelSpec, ImpairmentSpec, _seeded_impairments, demo_channel, gen_dataset
 from .tsfr import METHODS, process, tsfr
 
 __all__ = ["main"]
@@ -104,13 +104,6 @@ def _parse_range(value: str) -> tuple[float, float]:
     raise ValueError(f"expected a constant or low:high, got {value!r}")
 
 
-def _draw(rng: np.random.Generator, bounds: tuple[float, float], n: int) -> np.ndarray:
-    lo, hi = bounds
-    if lo == hi:
-        return np.full(n, lo)
-    return rng.uniform(lo, hi, size=n)
-
-
 def _build_scenario(args) -> tuple[ChannelSpec, ImpairmentSpec]:
     entries: dict[str, str] = {}
     if args.spec is not None:
@@ -125,37 +118,19 @@ def _build_scenario(args) -> tuple[ChannelSpec, ImpairmentSpec]:
         m = np.arange(1, 31, dtype=np.int64)
     smap = SubcarrierMap(m, n_fft=n_fft)
 
-    if "paths" in entries:
-        channel = ChannelSpec(
-            paths=_parse_paths(entries["paths"]),
-            drift_depth=float(entries.get("gain_drift_depth", "0")),
-            drift_period=float(entries.get("gain_drift_period", "0")),
-        )
-    else:
-        channel = ChannelSpec(
-            paths=demo_channel().paths,
-            drift_depth=float(entries.get("gain_drift_depth", "0")),
-            drift_period=float(entries.get("gain_drift_period", "0")),
-        )
-
-    delta_bounds = _parse_range(entries.get("delta_t", "-2:2"))
-    gamma_bounds = _parse_range(entries.get("gamma", f"{-np.pi}:{np.pi}"))
-    noise_sigma = float(entries.get("noise_sigma", "0.05"))
-
-    # One root seed, two independent streams: the first draws the
-    # per-symbol parameters, the second is saved for the noise.
-    param_seed, noise_seed = np.random.SeedSequence(args.seed).generate_state(
-        2, np.uint64
+    channel = ChannelSpec(
+        paths=_parse_paths(entries["paths"]) if "paths" in entries else demo_channel().paths,
+        drift_depth=float(entries.get("gain_drift_depth", "0")),
+        drift_period=float(entries.get("gain_drift_period", "0")),
     )
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(param_seed))))
-    delta_t = _draw(rng, delta_bounds, args.symbols)
-    gamma = _draw(rng, gamma_bounds, args.symbols)
-    imp = ImpairmentSpec(
-        delta_t=delta_t,
-        gamma=gamma,
-        noise_sigma=noise_sigma,
-        seed=int(noise_seed),
-        smap=smap,
+
+    imp = _seeded_impairments(
+        args.seed,
+        args.symbols,
+        smap,
+        _parse_range(entries.get("delta_t", "-2:2")),
+        _parse_range(entries.get("gamma", f"{-np.pi}:{np.pi}")),
+        float(entries.get("noise_sigma", "0.05")),
     )
     return channel, imp
 
@@ -195,14 +170,19 @@ def _write_report(path: str, args, result, shape) -> None:
         f"abscissa={args.abscissa}",
         f"separable={'true' if args.separable else 'false'}",
     ]
-    if result.report is not None:
-        for s, t in enumerate(result.report.thresholds):
-            lines.append(f"symbol.{s}.mu={_fmt(t.mu)}")
-            lines.append(f"symbol.{s}.sigma={_fmt(t.sigma)}")
-            lines.append(f"symbol.{s}.d={_fmt(t.d)}")
-            lines.append(f"symbol.{s}.down={int(result.report.clamped_down[s])}")
-            lines.append(f"symbol.{s}.up={int(result.report.clamped_up[s])}")
-            lines.append(f"symbol.{s}.frac={_fmt(float(result.report.modified_fraction[s]))}")
+    report = result.report
+    if report is not None:
+        columns = (report.mu, report.sigma, report.d,
+                   report.clamped_down, report.clamped_up, report.modified_fraction)
+        for s, (mu, sigma, d, down, up, frac) in enumerate(zip(*(c.tolist() for c in columns))):
+            lines += (
+                f"symbol.{s}.mu={_fmt(mu)}",
+                f"symbol.{s}.sigma={_fmt(sigma)}",
+                f"symbol.{s}.d={_fmt(d)}",
+                f"symbol.{s}.down={down}",
+                f"symbol.{s}.up={up}",
+                f"symbol.{s}.frac={_fmt(frac)}",
+            )
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -70,14 +70,65 @@ def _check_grid(values: np.ndarray, name: str) -> None:
         )
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, copy=True, order="C")
-    out.setflags(write=False)
-    return out
+def _freeze(values, dtype=None) -> np.ndarray:
+    """Read-only C-contiguous array of ``values``, copied unless immutable.
+
+    An input is kept only when nothing can write to it: read-only,
+    C-contiguous, of the wanted dtype, and viewing (through read-only
+    arrays) memory it owns or immutable ``bytes``, as ``np.frombuffer``
+    over a file gives. A read-only view of a writable array is copied.
+    Callers mark arrays they have just allocated read-only to hand them over.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    base = arr.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if arr.flags.writeable or not arr.flags.c_contiguous or not (
+        base is None or isinstance(base, bytes)
+    ):
+        arr = np.array(arr, order="C")
+        arr.setflags(write=False)
+    return arr
+
+
+def _require_stage(phase: "PhaseMatrix", op: str, *allowed: Stage) -> None:
+    """Raise unless ``phase`` is at one of the ``allowed`` stages."""
+    if phase.stage not in allowed:
+        labels = "/".join(stage.label for stage in allowed)
+        raise ValueError(
+            f"{op} needs a {labels}-stage phase matrix, got a {phase.stage.label}-stage one"
+        )
 
 
 @dataclass(frozen=True)
-class CsiMatrix:
+class _Grid:
+    """Immutable S x K matrix: validated, frozen ``values`` plus their shape."""
+
+    values: np.ndarray
+
+    _dtype = np.float64
+    _what = "matrix"
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=self._dtype)
+        _check_grid(values, self._what)
+        object.__setattr__(self, "values", _freeze(values))
+
+    @property
+    def symbols(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def subcarriers(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+
+@dataclass(frozen=True)
+class CsiMatrix(_Grid):
     """Immutable S x K complex CSI matrix.
 
     ``_amplitude``/``_phase`` are an optional polar cache attached by
@@ -85,59 +136,34 @@ class CsiMatrix:
     pair exactly instead of re-deriving it from the cartesian values.
     """
 
-    values: np.ndarray
     _amplitude: np.ndarray | None = field(default=None, repr=False, compare=False)
     _phase: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    _dtype = np.complex128
+    _what = "CSI matrix"
+
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        _check_grid(values, "CSI matrix")
-        object.__setattr__(self, "values", _freeze(values))
+        super().__post_init__()
         if self._amplitude is not None:
             object.__setattr__(self, "_amplitude", _freeze(self._amplitude))
             object.__setattr__(self, "_phase", _freeze(self._phase))
 
-    @property
-    def symbols(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def subcarriers(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 @dataclass(frozen=True)
-class PhaseMatrix:
+class PhaseMatrix(_Grid):
     """Immutable S x K phase matrix in radians, tagged with its pipeline stage."""
 
-    values: np.ndarray
     stage: Stage = Stage.RAW
 
+    _what = "phase matrix"
+
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        _check_grid(values, "phase matrix")
-        object.__setattr__(self, "values", _freeze(values))
+        super().__post_init__()
         object.__setattr__(self, "stage", Stage(self.stage))
-
-    @property
-    def symbols(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def subcarriers(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
-class AmplitudeMatrix:
+class AmplitudeMatrix(_Grid):
     """Immutable S x K non-negative amplitude matrix.
 
     The amplitude of a CSI record is never altered by any processing method
@@ -145,30 +171,16 @@ class AmplitudeMatrix:
     recomposition.
     """
 
-    values: np.ndarray
+    _what = "amplitude matrix"
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        _check_grid(values, "amplitude matrix")
-        if (values < 0).any():
-            where = np.argwhere(values < 0)[0]
+        super().__post_init__()
+        if (self.values < 0).any():
+            where = np.argwhere(self.values < 0)[0]
             raise ValueError(
                 f"amplitude matrix has a negative value at row {where[0]}, "
                 f"column {where[1]} (0-based)"
             )
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def symbols(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def subcarriers(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -251,6 +263,8 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
         # fold it onto +pi so the (-pi, pi] contract holds.
         phase_values = np.where(phase_values == -np.pi, np.pi, phase_values)
         phase_values = np.where(amp_values == 0.0, 0.0, phase_values)
+        amp_values.setflags(write=False)
+        phase_values.setflags(write=False)
     zero_cells = [(int(s), int(k)) for s, k in np.argwhere(amp_values == 0.0)]
     return (
         AmplitudeMatrix(amp_values),
@@ -275,6 +289,8 @@ def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:
     values = a * np.cos(p) + 1j * (a * np.sin(p))
     principal = _wrap_pi(p)
     principal = np.where(a == 0.0, 0.0, principal)
+    values.setflags(write=False)
+    principal.setflags(write=False)
     return CsiMatrix(values, _amplitude=a, _phase=principal)
 
 

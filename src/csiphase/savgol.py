@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PhaseMatrix, Stage, _unwrap_last_axis
+from .core import PhaseMatrix, Stage, _require_stage, _unwrap_last_axis
 
 __all__ = [
     "SgSpec",
@@ -236,9 +236,7 @@ def _warn_degenerate(what: str, length: int) -> None:
     )
 
 
-def _check_stage_smoothable(phase: PhaseMatrix, op: str) -> None:
-    if phase.stage > Stage.TIME_SMOOTHED:
-        raise ValueError(f"{op} cannot run on a {phase.stage.label}-stage matrix")
+_SMOOTHABLE = (Stage.RAW, Stage.CALIBRATED, Stage.TIME_SMOOTHED)
 
 
 def sg_time(
@@ -263,7 +261,7 @@ def sg_time(
     Returns:
         Time-smoothed-stage matrix of the same shape.
     """
-    _check_stage_smoothable(phase, "sg_time")
+    _require_stage(phase, "sg_time", *_SMOOTHABLE)
     s = phase.symbols
     if s < 3:
         raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
@@ -290,7 +288,7 @@ def sg_freq(
     subcarriers. The stage tag is kept (frequency smoothing is a side
     step, not a position on the time-processing ladder).
     """
-    _check_stage_smoothable(phase, "sg_freq")
+    _require_stage(phase, "sg_freq", *_SMOOTHABLE)
     k = phase.subcarriers
     resolved = _resolve_spec(spec, order, fraction, k)
     if resolved is None:
@@ -354,7 +352,7 @@ def sg_2d(
     Returns:
         Time-smoothed-stage matrix of the same shape.
     """
-    _check_stage_smoothable(phase, "sg_2d")
+    _require_stage(phase, "sg_2d", *_SMOOTHABLE)
     if separable:
         return sg_freq(sg_time(phase, spec, order=order, fraction=fraction),
                        freq_spec, order=order, fraction=fraction)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, _unwrap_last_axis
-from .tsfr import TsfrReport
+from .core import PhaseMatrix, Stage, _freeze, _require_stage, _unwrap_last_axis
+from .tsfr import TsfrReport, _gap_stats
 
 __all__ = ["Histogram", "DsSeries", "diff_histogram", "ds_series", "exceedance_profile"]
 
@@ -35,8 +35,8 @@ class Histogram:
     fitted_std: float
 
     def __post_init__(self) -> None:
-        edges = np.array(self.bin_edges, dtype=np.float64, copy=True)
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
+        edges = _freeze(self.bin_edges, np.float64)
+        counts = _freeze(self.counts, np.int64)
         if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
             raise ValueError(
                 f"need bins+1 edges for bins counts, got {edges.size} edges "
@@ -46,8 +46,6 @@ class Histogram:
             raise ValueError("bin edges must be strictly increasing")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        edges.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
         if not (np.isfinite(self.fitted_mean) and np.isfinite(self.fitted_std)):
@@ -62,14 +60,10 @@ class DsSeries:
     group_means: dict | None = None
 
     def __post_init__(self) -> None:
-        d = np.array(self.d, dtype=np.float64, copy=True)
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _freeze(self.d, np.float64))
 
 
-def _require_calibrated(phase: PhaseMatrix, op: str) -> None:
-    if phase.stage is Stage.RAW:
-        raise ValueError(f"{op} needs calibrated phase, got stage {phase.stage.label!r}")
+_CALIBRATED = (Stage.CALIBRATED, Stage.TIME_SMOOTHED, Stage.REBUILT)
 
 
 def diff_histogram(phase: PhaseMatrix, bins: int = 101) -> Histogram:
@@ -80,7 +74,7 @@ def diff_histogram(phase: PhaseMatrix, bins: int = 101) -> Histogram:
     beyond the span land in the outermost bins, so the counts always
     sum to S*(K-1). The overlay Gaussian is fitted by sample moments.
     """
-    _require_calibrated(phase, "diff_histogram")
+    _require_stage(phase, "diff_histogram", *_CALIBRATED)
     if bins < 1:
         raise ValueError(f"need at least 1 bin, got {bins}")
     diffs = np.diff(phase.values, axis=1).ravel()
@@ -101,12 +95,8 @@ def ds_series(phase: PhaseMatrix, labels=None) -> DsSeries:
     those thresholds bit for bit. Labels (one per symbol, any hashable
     values) add a mean d_s per label, in first-seen order.
     """
-    _require_calibrated(phase, "ds_series")
-    rows = _unwrap_last_axis(phase.values)
-    gaps = np.abs(np.diff(rows, axis=1))
-    mu = gaps.mean(axis=1)
-    sigma = np.sqrt(((gaps - mu[:, None]) ** 2).mean(axis=1))
-    d = mu + sigma
+    _require_stage(phase, "ds_series", *_CALIBRATED)
+    _, _, d = _gap_stats(_unwrap_last_axis(phase.values))
 
     groups = None
     if labels is not None:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CsiMatrix, PhaseMatrix, Stage, SubcarrierMap, decompose, recompose
+from .core import CsiMatrix, PhaseMatrix, Stage, SubcarrierMap, _freeze, decompose, recompose
 from .io import write_csif
 
 __all__ = [
@@ -101,8 +101,8 @@ class ImpairmentSpec:
     smap: SubcarrierMap
 
     def __post_init__(self) -> None:
-        delta_t = np.array(self.delta_t, dtype=np.float64, copy=True)
-        gamma = np.array(self.gamma, dtype=np.float64, copy=True)
+        delta_t = _freeze(self.delta_t, np.float64)
+        gamma = _freeze(self.gamma, np.float64)
         if delta_t.ndim != 1 or gamma.ndim != 1 or delta_t.size != gamma.size:
             raise ValueError(
                 f"delta_t and gamma must be 1-D and equally long, got shapes "
@@ -112,8 +112,6 @@ class ImpairmentSpec:
             raise ValueError("need at least one symbol of impairments")
         if not (np.isfinite(delta_t).all() and np.isfinite(gamma).all()):
             raise ValueError("delta_t and gamma must be finite")
-        delta_t.setflags(write=False)
-        gamma.setflags(write=False)
         object.__setattr__(self, "delta_t", delta_t)
         object.__setattr__(self, "gamma", gamma)
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
@@ -237,6 +235,40 @@ def demo_channel() -> ChannelSpec:
     )
 
 
+def _draw(rng: np.random.Generator, bounds: tuple[float, float], n: int) -> np.ndarray:
+    """n uniform draws from [low, high); a constant range draws nothing."""
+    lo, hi = bounds
+    if lo == hi:
+        return np.full(n, lo)
+    return rng.uniform(lo, hi, size=n)
+
+
+def _seeded_impairments(
+    seed: int,
+    symbols: int,
+    smap: SubcarrierMap,
+    delta_bounds: tuple[float, float],
+    gamma_bounds: tuple[float, float],
+    noise_sigma: float,
+) -> ImpairmentSpec:
+    """Impairments from one root seed split into two PCG64 streams.
+
+    The first draws delta_t, then gamma; the second, its seed stored on
+    the spec, feeds the noise injection, so the two never share a stream.
+    """
+    param_seed, noise_seed = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(param_seed))))
+    delta_t = _draw(rng, delta_bounds, symbols)
+    gamma = _draw(rng, gamma_bounds, symbols)
+    return ImpairmentSpec(
+        delta_t=delta_t,
+        gamma=gamma,
+        noise_sigma=noise_sigma,
+        seed=int(noise_seed),
+        smap=smap,
+    )
+
+
 def demo_impairments(
     symbols: int = 1000,
     smap: SubcarrierMap | None = None,
@@ -246,21 +278,8 @@ def demo_impairments(
 ) -> ImpairmentSpec:
     """Per-symbol lags in [-2, 2] samples and offsets in (-pi, pi].
 
-    One root seed drives two separate PCG64 streams: the first draws
-    the per-symbol parameters here, the second (its seed stored on the
-    spec) is consumed later by the noise injection, so parameter draws
-    and noise never share a stream.
+    Parameters and noise come from two streams split off one root seed.
     """
     if smap is None:
         smap = SubcarrierMap.contiguous(52, n_fft=64)
-    param_seed, noise_seed = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(param_seed))))
-    delta_t = rng.uniform(-2.0, 2.0, size=symbols)
-    gamma = rng.uniform(-np.pi, np.pi, size=symbols)
-    return ImpairmentSpec(
-        delta_t=delta_t,
-        gamma=gamma,
-        noise_sigma=noise_sigma,
-        seed=int(noise_seed),
-        smap=smap,
-    )
+    return _seeded_impairments(seed, symbols, smap, (-2.0, 2.0), (-np.pi, np.pi), noise_sigma)

@@ -37,11 +37,12 @@ from .core import (
     PhaseMatrix,
     Stage,
     SubcarrierMap,
+    _freeze,
     _unwrap_last_axis,
     decompose,
     recompose,
 )
-from .savgol import SgSpec, sg_2d, sg_freq, sg_time
+from .savgol import sg_2d, sg_freq, sg_time
 
 __all__ = [
     "GapThreshold",
@@ -66,18 +67,20 @@ class GapThreshold:
     d: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise ValueError("gap statistics must be finite")
-        if self.mu < 0 or self.sigma < 0:
-            raise ValueError("gap statistics are non-negative by construction")
-        if self.d != self.mu + self.sigma:
-            raise ValueError(f"d={self.d!r} is not mu + sigma = {self.mu + self.sigma!r}")
+        _check_gap_stats(np.float64(self.mu), np.float64(self.sigma), np.float64(self.d))
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True, order="C")
-    arr.setflags(write=False)
-    return arr
+def _check_gap_stats(mu: np.ndarray, sigma: np.ndarray, d: np.ndarray) -> None:
+    """Gap statistics are finite and non-negative, and d is exactly mu + sigma."""
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise ValueError("gap statistics must be finite")
+    if (mu < 0).any() or (sigma < 0).any():
+        raise ValueError("gap statistics are non-negative by construction")
+    total = mu + sigma
+    bad = np.flatnonzero(d != total)
+    if bad.size:
+        s = bad[0]
+        raise ValueError(f"d={float(d.flat[s])!r} is not mu + sigma = {float(total.flat[s])!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,9 @@ class TsfrReport:
     """What the rebuild did to each symbol.
 
     Attributes:
-        thresholds: per-symbol gap statistics, S records.
+        mu: per-symbol mean absolute adjacent gap of the calibrated row.
+        sigma: per-symbol population standard deviation of those gaps.
+        d: per-symbol threshold d_s = mu_s + sigma_s.
         exceedance: S x K boolean marks; (s, k) is set exactly when the
             smoothed row's gap into subcarrier k exceeded d_s (column 0
             has no preceding gap and is never marked).
@@ -95,25 +100,30 @@ class TsfrReport:
         clamped_up: per-symbol count of gaps clamped at +d_s.
     """
 
-    thresholds: tuple[GapThreshold, ...]
+    mu: np.ndarray
+    sigma: np.ndarray
+    d: np.ndarray
     exceedance: np.ndarray
     modified_fraction: np.ndarray
     clamped_down: np.ndarray
     clamped_up: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        object.__setattr__(self, "exceedance", _frozen_array(self.exceedance, bool))
-        object.__setattr__(
-            self, "modified_fraction", _frozen_array(self.modified_fraction, np.float64)
-        )
-        object.__setattr__(self, "clamped_down", _frozen_array(self.clamped_down, np.int64))
-        object.__setattr__(self, "clamped_up", _frozen_array(self.clamped_up, np.int64))
+        for name, dtype in (("mu", float), ("sigma", float), ("d", float), ("exceedance", bool),
+                            ("modified_fraction", float), ("clamped_down", np.int64),
+                            ("clamped_up", np.int64)):
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
+        if self.mu.ndim != 1 or not self.mu.shape == self.sigma.shape == self.d.shape:
+            raise ValueError("mu, sigma and d must be 1-D arrays of one length per symbol")
+        _check_gap_stats(self.mu, self.sigma, self.d)
 
-    @property
-    def d(self) -> np.ndarray:
-        """Per-symbol thresholds d_s as an array."""
-        return np.array([t.d for t in self.thresholds])
+
+def _gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu, sigma and d = mu + sigma of the absolute adjacent gaps (last axis)."""
+    gaps = np.abs(np.diff(rows, axis=-1))
+    mu = gaps.mean(axis=-1)
+    sigma = np.sqrt(((gaps - np.expand_dims(mu, -1)) ** 2).mean(axis=-1))
+    return mu, sigma, mu + sigma
 
 
 def gap_stats(row: np.ndarray) -> GapThreshold:
@@ -128,10 +138,8 @@ def gap_stats(row: np.ndarray) -> GapThreshold:
         raise ValueError(f"need a 1-D row of at least 2 samples, got shape {row.shape}")
     if not np.isfinite(row).all():
         raise ValueError("gap_stats expects finite samples")
-    gaps = np.abs(np.diff(row))
-    mu = gaps.mean()
-    sigma = np.sqrt(((gaps - mu) ** 2).mean())
-    return GapThreshold(mu=float(mu), sigma=float(sigma), d=float(mu + sigma))
+    mu, sigma, d = _gap_stats(row)
+    return GapThreshold(mu=float(mu), sigma=float(sigma), d=float(d))
 
 
 def _rebuild_rows(rows: np.ndarray, d: np.ndarray):
@@ -188,7 +196,6 @@ def tsfr(
     *,
     order: int = 2,
     fraction: float = 0.1,
-    time_spec: SgSpec | None = None,
     abscissa: np.ndarray | None = None,
 ) -> tuple[PhaseMatrix, TsfrReport]:
     """Full two-step chain: regression calibration, time smoothing, rebuild.
@@ -197,7 +204,6 @@ def tsfr(
         phase: raw-stage phase matrix.
         order: polynomial order of the time smoother.
         fraction: window fraction of S for the time smoother.
-        time_spec: explicit smoother spec overriding order/fraction.
         abscissa: optional regression abscissa forwarded to the
             calibration step.
 
@@ -206,24 +212,16 @@ def tsfr(
         per-symbol account of what the rebuild did.
     """
     calibrated = lrr_calibrate(phase, abscissa)
-    smoothed = sg_time(calibrated, time_spec, order=order, fraction=fraction)
+    smoothed = sg_time(calibrated, order=order, fraction=fraction)
 
-    theta_rows = _unwrap_last_axis(calibrated.values)
-    phi_rows = _unwrap_last_axis(smoothed.values)
-
-    gaps = np.abs(np.diff(theta_rows, axis=1))
-    mu = gaps.mean(axis=1)
-    sigma = np.sqrt(((gaps - mu[:, None]) ** 2).mean(axis=1))
-    d = mu + sigma
-
-    rebuilt, low, high = _rebuild_rows(phi_rows, d)
+    mu, sigma, d = _gap_stats(_unwrap_last_axis(calibrated.values))
+    rebuilt, low, high = _rebuild_rows(_unwrap_last_axis(smoothed.values), d)
     exceed = low | high
     k_count = phase.subcarriers
     report = TsfrReport(
-        thresholds=tuple(
-            GapThreshold(mu=float(m), sigma=float(sg), d=float(dv))
-            for m, sg, dv in zip(mu, sigma, d)
-        ),
+        mu=mu,
+        sigma=sigma,
+        d=d,
         exceedance=exceed,
         modified_fraction=exceed.sum(axis=1) / (k_count - 1),
         clamped_down=low.sum(axis=1),

@@ -49,7 +49,6 @@ from csiphase.synth import (
 )
 from csiphase.tsfr import (
     METHODS,
-    GapThreshold,
     TsfrReport,
     gap_stats,
     process,
@@ -296,7 +295,9 @@ def test_criterion_10_exceedance_accounting_is_exact():
     # second subcarrier.
     rebuilt = rebuild_symbol(np.array([0.0, 5.0, 5.5]), 2.0)
     fixture = TsfrReport(
-        thresholds=(GapThreshold(mu=2.0, sigma=0.0, d=2.0),),
+        mu=[2.0],
+        sigma=[0.0],
+        d=[2.0],
         exceedance=np.abs(np.diff(np.array([[0.0, 5.0, 5.5]]), axis=1,
                                   prepend=0.0)) * [[0, 1, 1]] > 2.0,
         modified_fraction=np.array([0.5]),

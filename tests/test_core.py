@@ -40,6 +40,22 @@ def test_csi_matrix_is_immutable():
         m.values[0, 0] = 2.0
 
 
+def test_read_only_view_of_a_writable_array_is_still_copied():
+    base = np.zeros((3, 4))
+    view = base[:]
+    view.setflags(write=False)
+    m = PhaseMatrix(view)
+    base[1, 2] = 5.0
+    assert m.values[1, 2] == 0.0
+    assert not np.shares_memory(m.values, base)
+
+
+def test_read_only_array_over_immutable_bytes_is_kept():
+    payload = np.arange(8, dtype=np.complex128).tobytes()
+    values = np.frombuffer(payload, dtype=np.complex128).reshape(2, 4)
+    assert CsiMatrix(values).values is values
+
+
 def test_phase_matrix_rejects_one_dimensional():
     with pytest.raises(ValueError, match="2-D"):
         PhaseMatrix(np.zeros(4))
@@ -130,6 +146,12 @@ def test_recompose_caches_exact_polar_pair():
     assert_array_equal(phase2.values, p)
     # cartesian values agree with the pair to within one ulp
     assert (np.abs(np.abs(csi.values) - a) <= np.spacing(a)).all()
+
+
+def test_recompose_shares_the_amplitude_array():
+    a, p, _ = decompose(CsiMatrix(np.array([[1 + 1j, 2 - 1j], [0.5j, -3.0 + 0j]])))
+    out = recompose(a, p)
+    assert out._amplitude is a.values
 
 
 def test_recompose_folds_cached_phase_to_principal_branch():

@@ -8,7 +8,7 @@ from csiphase.calib import lrr_calibrate
 from csiphase.core import PhaseMatrix, Stage, SubcarrierMap, decompose, unwrap
 from csiphase.stats import Histogram, diff_histogram, ds_series, exceedance_profile
 from csiphase.synth import ChannelSpec, ImpairmentSpec, apply_impairments, gen_true_csi
-from csiphase.tsfr import GapThreshold, TsfrReport, gap_stats, tsfr
+from csiphase.tsfr import TsfrReport, gap_stats, tsfr
 
 
 def calibrated(values):
@@ -19,7 +19,9 @@ def single_flag_report():
     # The row [0, 5, 5.5] rebuilt with d = 2 clamps exactly the gap into
     # the second subcarrier.
     return TsfrReport(
-        thresholds=(GapThreshold(mu=2.0, sigma=0.0, d=2.0),),
+        mu=[2.0],
+        sigma=[0.0],
+        d=[2.0],
         exceedance=np.array([[False, True, False]]),
         modified_fraction=np.array([0.5]),
         clamped_down=np.array([0]),

@@ -208,10 +208,9 @@ def test_tsfr_thresholds_match_gap_stats_of_calibrated_rows():
     calibrated = lrr_calibrate(raw)
     for s in range(12):
         expect = gap_stats(unwrap(calibrated.values[s]))
-        got = report.thresholds[s]
-        assert got.mu == pytest.approx(expect.mu, rel=1e-12)
-        assert got.sigma == pytest.approx(expect.sigma, rel=1e-12)
-        assert got.d == pytest.approx(expect.d, rel=1e-12)
+        assert report.mu[s] == pytest.approx(expect.mu, rel=1e-12)
+        assert report.sigma[s] == pytest.approx(expect.sigma, rel=1e-12)
+        assert report.d[s] == pytest.approx(expect.d, rel=1e-12)
 
 
 def test_tsfr_exceedance_marks_match_their_definition():
@@ -241,7 +240,32 @@ def test_tsfr_report_arrays_are_frozen():
         report.exceedance[0, 1] = True
     with pytest.raises(ValueError):
         report.modified_fraction[0] = 0.5
-    assert isinstance(report.thresholds, tuple)
+    for stat in (report.mu, report.sigma, report.d):
+        with pytest.raises(ValueError):
+            stat[0] = 1.0
+
+
+def test_tsfr_report_validates_thresholds():
+    def report(mu, sigma, d):
+        return TsfrReport(
+            mu=mu,
+            sigma=sigma,
+            d=d,
+            exceedance=np.zeros((1, 3), dtype=bool),
+            modified_fraction=[0.0],
+            clamped_down=[0],
+            clamped_up=[0],
+        )
+
+    report([2.0], [0.5], [2.5])
+    with pytest.raises(ValueError, match="mu \\+ sigma"):
+        report([2.0], [0.5], [2.4])
+    with pytest.raises(ValueError, match="non-negative"):
+        report([-1.0], [0.0], [-1.0])
+    with pytest.raises(ValueError, match="finite"):
+        report([np.nan], [0.0], [np.nan])
+    with pytest.raises(ValueError, match="one length"):
+        report([2.0], [0.5, 0.5], [2.5])
 
 
 def test_tsfr_requires_raw_stage():
