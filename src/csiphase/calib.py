@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _unwrap_last_axis, unwrap
+from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _unwrap_last_axis
 
 __all__ = [
     "LtFit",
@@ -66,14 +66,31 @@ class RegressionFit:
     r1: float
 
 
+def _endpoint_line(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint slope over the indices ``m`` and mean of ``u`` along its last axis."""
+    return (u[..., -1] - u[..., 0]) / (m[-1] - m[0]), u.mean(axis=-1)
+
+
+def _line_fit(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares line a * x + b through ``u`` along its last axis.
+
+    A flat row gets slope exactly 0 and its constant value as intercept.
+    """
+    xc = x - x.mean()
+    mean = u.mean(axis=-1, keepdims=True)
+    a = (u - mean) @ xc / (xc @ xc)
+    b = mean[..., 0] - x.mean() * a
+    flat = u.max(axis=-1) == u.min(axis=-1)
+    return np.where(flat, 0.0, a), np.where(flat, u[..., 0], b)
+
+
 def lt_fit(row: np.ndarray, smap: SubcarrierMap) -> LtFit:
     """Fit the endpoint slope and mean offset of one unwrapped row."""
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1 or row.size != len(smap):
         raise ValueError(f"row of length {row.shape} does not match map of length {len(smap)}")
-    m = smap.m
-    epsilon = (row[-1] - row[0]) / float(m[-1] - m[0])
-    return LtFit(epsilon=float(epsilon), tau=float(row.mean()))
+    epsilon, tau = _endpoint_line(row, smap.m.astype(np.float64))
+    return LtFit(epsilon=float(epsilon), tau=float(tau))
 
 
 def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
@@ -98,8 +115,7 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
         )
     m = smap.m.astype(np.float64)
     u = _unwrap_last_axis(phase.values)
-    eps = (u[:, -1] - u[:, 0]) / (m[-1] - m[0])
-    tau = u.mean(axis=1)
+    eps, tau = _endpoint_line(u, m)
     out = u - eps[:, None] * m[None, :] - tau[:, None]
     return PhaseMatrix(out, Stage.CALIBRATED)
 
@@ -113,15 +129,9 @@ def regress_symbol(row: np.ndarray) -> RegressionFit:
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1 or row.size < 2:
         raise ValueError(f"need a 1-D row of at least 2 samples, got shape {row.shape}")
-    if row.max() == row.min():
-        c = float(row[0])
-        return RegressionFit(a=0.0, b=c, alpha=0.0, r1=c)
-    k = np.arange(1, row.size + 1, dtype=np.float64)
-    kc = k - k.mean()
-    a = float((row - row.mean()) @ kc / (kc @ kc))
-    b = float(row.mean() - k.mean() * a)
-    alpha = float(np.arctan(a))
-    return RegressionFit(a=a, b=b, alpha=alpha, r1=a + b)
+    a, b = _line_fit(row, np.arange(1, row.size + 1, dtype=np.float64))
+    a, b = float(a), float(b)
+    return RegressionFit(a=a, b=b, alpha=float(np.arctan(a)), r1=a + b)
 
 
 def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> PhaseMatrix:
@@ -159,17 +169,7 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
             raise ValueError("abscissa must be finite and strictly increasing")
 
     u = _unwrap_last_axis(phase.values)
-    xc = x - x.mean()
-    denom = xc @ xc
-    rowmean = u.mean(axis=1)
-    a = (u - rowmean[:, None]) @ xc / denom
-    b = rowmean - x.mean() * a
-
-    flat = u.max(axis=1) == u.min(axis=1)
-    if flat.any():
-        a = np.where(flat, 0.0, a)
-        b = np.where(flat, u[:, 0], b)
-
+    a, b = _line_fit(u, x)
     alpha = np.arctan(a)
     sa = np.sin(alpha)
     ca = np.cos(alpha)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .calib import lrr_calibrate
 from .core import PhaseMatrix, Stage, SubcarrierMap, decompose
 from .io import read_csif, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
@@ -218,13 +219,11 @@ def _cmd_process(args) -> int:
 
 
 def _calibrated_phase(path: str) -> PhaseMatrix:
-    """Complex input is sanitized first; real input is taken as calibrated."""
+    """Complex input is calibrated with lrr; real input is taken as calibrated."""
     matrix = read_csif(path)
     if isinstance(matrix, np.ndarray):
         return PhaseMatrix(matrix, Stage.CALIBRATED)
-    result = process(matrix, "lrr")
-    _, phase, _ = decompose(result.output)
-    return PhaseMatrix(phase.values, Stage.CALIBRATED)
+    return lrr_calibrate(decompose(matrix)[1])
 
 
 def _cmd_stats(args) -> int:

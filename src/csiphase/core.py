@@ -310,21 +310,14 @@ def unwrap(v: np.ndarray) -> np.ndarray:
         raise ValueError("unwrap expects at least one sample")
     if not np.isfinite(v).all():
         raise ValueError(f"non-finite value at index {int(np.argwhere(~np.isfinite(v))[0][0])}")
-    if v.size == 1:
-        return v.copy()
-    d = np.diff(v)
-    wraps = np.ceil((d - np.pi) / _TWO_PI)
-    out = np.empty_like(v)
-    out[0] = v[0]
-    out[1:] = v[1:] - _TWO_PI * np.cumsum(wraps)
-    return out
+    return _unwrap_last_axis(v)
 
 
 def _unwrap_last_axis(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`unwrap` of every row of a 2-D array.
+    """:func:`unwrap` along the last axis, with no input checks.
 
-    Bit-identical to calling ``unwrap`` on each row: the per-row operations
-    are the same elementwise arithmetic in the same order.
+    Every row of a 2-D array is unwrapped with the same elementwise
+    arithmetic as a 1-D vector, so rows match ``unwrap`` bit for bit.
     """
     d = np.diff(values, axis=-1)
     wraps = np.ceil((d - np.pi) / _TWO_PI)

@@ -3,11 +3,10 @@
 The filter replaces each sample with the value at that sample of a
 least-squares polynomial of degree n fitted over a sliding window of
 2l+1 points. In the interior that reduces to one fixed convolution
-kernel (the projection row at the window center). Near the ends no
-samples are invented: the window is anchored to the nearest 2l+1 real
-samples and the fitted polynomial is evaluated at the point's own
-abscissa, so the first and last l points come from truncated-window
-refits rather than padding.
+kernel (the fit evaluated at the window center). Near the ends no
+samples are invented (Gorry, Anal. Chem. 62(6), 1990): the window is
+anchored to the nearest 2l+1 real samples and its fitted polynomial is
+evaluated at the point's own abscissa.
 
 ``sg_time`` smooths every subcarrier down the time axis, ``sg_freq``
 every symbol across frequency (the exact transpose of ``sg_time``), and
@@ -19,14 +18,13 @@ All three run on one row-correlation engine. Windows shorter than
 ``_FFT_MIN_WINDOW`` are correlated by direct sliding-window sums; longer
 ones by real FFT, so a window that grows with S costs O(S log S) per
 track instead of O(S^2). The choice depends on the window alone, which
-keeps ``sg_freq`` and the transposed ``sg_time`` on the same path. The
-1-D edge points are rows of the projection matrix applied to the first
-and last windows. ``sg_2d`` computes its interior as w_c engine calls,
-one per subcarrier offset of the window. Its edge cells take the fit
-coefficients of the windows anchored along the four bands (a matmul for
-the top and bottom, engine calls for the left and right) and evaluate
-them at each cell's (row offset, column offset), with no loop over
-cells and no (w_r*w_c)^2 projection matrix.
+keeps ``sg_freq`` and the transposed ``sg_time`` on the same path.
+``sg_2d`` runs its interior as w_c engine calls, one per subcarrier
+offset. Edge points need only the fit coefficients of their anchored
+window: order+1 per track end in 1-D, (order+1)(order+2)/2 per window
+along the four bands of ``sg_2d`` (a matmul for the top and bottom,
+engine calls for the left and right). No w x w or (w_r*w_c)^2
+projection matrix is built and no loop runs over cells.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PhaseMatrix, Stage, _require_stage, _unwrap_last_axis
+from .core import PhaseMatrix, Stage, _freeze, _require_stage, _unwrap_last_axis
 
 __all__ = [
     "SgSpec",
@@ -90,41 +88,39 @@ class SgKernel:
     Attributes:
         spec: the order/window pair the kernel was designed for.
         coefficients: length-w convolution weights for interior points
-            (the projection row at the window center).
-        edge_evaluators: w x w matrix; row p holds the weights that
-            evaluate the window's least-squares fit at offset p. Row
-            ``half`` equals ``coefficients``; rows before/after it serve
-            the leading/trailing edge points.
+            (the fit evaluated at the window center).
+        fit: (order+1) x w least-squares weights; applied to a window they
+            give its polynomial coefficients over the scaled abscissas of
+            ``_powers``, which the edge points evaluate at their offset.
     """
 
     spec: SgSpec
     coefficients: np.ndarray
-    edge_evaluators: np.ndarray
+    fit: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("coefficients", "edge_evaluators"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr = np.array(arr, copy=True, order="C")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "coefficients", _freeze(self.coefficients, np.float64))
+        object.__setattr__(self, "fit", _freeze(self.fit, np.float64))
+
+
+def _powers(window: int, order: int) -> np.ndarray:
+    """window x (order+1) powers of the window abscissas, scaled into
+    [-1, 1] for conditioning (the fit is invariant to that scaling)."""
+    half = window // 2
+    t = (np.arange(window, dtype=np.float64) - half) / max(half, 1)
+    return np.vander(t, order + 1, increasing=True)
 
 
 def sg_design(spec: SgSpec) -> SgKernel:
-    """Compute the projection weights for one order/window pair.
+    """Compute the least-squares weights for one order/window pair.
 
-    The least-squares fit is expressed through the orthogonal projection
-    P = V (V^T V)^-1 V^T onto the polynomial space over the window
-    abscissas (scaled into [-1, 1] for conditioning; the projection is
-    invariant to that reparameterization). Row p of P evaluates the fit
-    at abscissa p, so one matrix provides the central convolution kernel
-    and every edge evaluator.
+    ``fit`` is the pseudo-inverse of the polynomial basis over the
+    window, so ``_powers(w, n)[p] @ fit`` evaluates the fit at offset p;
+    the central convolution kernel is that row at the window center.
     """
-    w = spec.window
-    half = spec.half
-    t = (np.arange(w, dtype=np.float64) - half) / max(half, 1)
-    v = np.vander(t, spec.order + 1, increasing=True)
-    proj = v @ np.linalg.pinv(v)
-    return SgKernel(spec=spec, coefficients=proj[half], edge_evaluators=proj)
+    basis = _powers(spec.window, spec.order)
+    fit = np.linalg.pinv(basis)
+    return SgKernel(spec=spec, coefficients=basis[spec.half] @ fit, fit=fit)
 
 
 # Shortest window the engine correlates by FFT rather than by direct sums.
@@ -163,10 +159,10 @@ def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
     """Filter each row of a C-contiguous (signals, length) stack."""
     w = kernel.spec.window
     half = kernel.spec.half
-    length = arr.shape[1]
+    basis = _powers(w, kernel.spec.order)
     interior = _correlate_rows(arr, kernel.coefficients)
-    lead = arr[:, :w] @ kernel.edge_evaluators[:half].T
-    trail = arr[:, length - w :] @ kernel.edge_evaluators[half + 1 :].T
+    lead = (arr[:, :w] @ kernel.fit.T) @ basis[:half].T
+    trail = (arr[:, -w:] @ kernel.fit.T) @ basis[half + 1 :].T
     return np.concatenate([lead, interior, trail], axis=1)
 
 
@@ -227,16 +223,30 @@ def _resolve_spec(
     return SgSpec(order, w) if w is not None else None
 
 
-def _warn_degenerate(what: str, length: int) -> None:
+def _warn_degenerate(what: str, length: int, stacklevel: int = 3) -> None:
     warnings.warn(
         f"{what} of size {length} is shorter than any valid window; "
         "returning the input unchanged",
         DegenerateWindowWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
 
 
 _SMOOTHABLE = (Stage.RAW, Stage.CALIBRATED, Stage.TIME_SMOOTHED)
+
+
+def _smooth_rows(
+    rows: np.ndarray, spec: "SgSpec | float | None", order: int, fraction: float, what: str
+) -> np.ndarray:
+    """Unwrap and smooth every row with the window resolved for the row
+    length; rows too short for any window are returned unchanged, with a
+    :class:`DegenerateWindowWarning`."""
+    length = rows.shape[1]
+    resolved = _resolve_spec(spec, order, fraction, length)
+    if resolved is None:
+        _warn_degenerate(what, length, stacklevel=4)
+        return rows
+    return _apply_stack(_unwrap_last_axis(np.ascontiguousarray(rows)), sg_design(resolved))
 
 
 def sg_time(
@@ -265,13 +275,8 @@ def sg_time(
     s = phase.symbols
     if s < 3:
         raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    resolved = _resolve_spec(spec, order, fraction, s)
-    if resolved is None:
-        _warn_degenerate("time axis", s)
-        return PhaseMatrix(phase.values, Stage.TIME_SMOOTHED)
-    columns = np.ascontiguousarray(phase.values.T)
-    smoothed = _apply_stack(_unwrap_last_axis(columns), sg_design(resolved))
-    return PhaseMatrix(smoothed.T, Stage.TIME_SMOOTHED)
+    columns = _smooth_rows(phase.values.T, spec, order, fraction, "time axis")
+    return PhaseMatrix(columns.T, Stage.TIME_SMOOTHED)
 
 
 def sg_freq(
@@ -283,20 +288,14 @@ def sg_freq(
 ) -> PhaseMatrix:
     """Smooth every symbol row across frequency.
 
-    Exactly ``sg_time`` applied to the transposed matrix: rows are
-    unwrapped and filtered with a window derived from the number of
-    subcarriers. The stage tag is kept (frequency smoothing is a side
-    step, not a position on the time-processing ladder).
+    The same row pass as ``sg_time``, on the matrix itself instead of its
+    transpose: rows are unwrapped and filtered with a window derived from
+    the number of subcarriers. The stage tag is kept (frequency smoothing
+    is a side step, not a position on the time-processing ladder).
     """
     _require_stage(phase, "sg_freq", *_SMOOTHABLE)
-    k = phase.subcarriers
-    resolved = _resolve_spec(spec, order, fraction, k)
-    if resolved is None:
-        _warn_degenerate("frequency axis", k)
-        return PhaseMatrix(phase.values, phase.stage)
-    rows = np.ascontiguousarray(phase.values)
-    smoothed = _apply_stack(_unwrap_last_axis(rows), sg_design(resolved))
-    return PhaseMatrix(smoothed, phase.stage)
+    rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis")
+    return PhaseMatrix(rows, phase.stage)
 
 
 def _design_2d(
@@ -310,11 +309,9 @@ def _design_2d(
     window gives its coefficient on term t, so the fit at grid point
     (a, b) is sum_t rows[a, t] * cols[b, t] * coefficient[t].
     """
-    tr = (np.arange(w_rows, dtype=np.float64) - w_rows // 2) / max(w_rows // 2, 1)
-    tc = (np.arange(w_cols, dtype=np.float64) - w_cols // 2) / max(w_cols // 2, 1)
     i, j = np.array([(i, j) for i in range(order + 1) for j in range(order + 1 - i)]).T
-    rows = tr[:, None] ** i
-    cols = tc[:, None] ** j
+    rows = _powers(w_rows, order)[:, i]
+    cols = _powers(w_cols, order)[:, j]
     basis = (rows[:, None, :] * cols[None, :, :]).reshape(w_rows * w_cols, -1)
     fit = np.linalg.pinv(basis).reshape(-1, w_rows, w_cols)
     return rows, cols, fit

@@ -302,6 +302,26 @@ def test_stats_ds_with_labels(tmp_path, capsys):
     assert lines[-1].startswith("24,") and lines[-1].endswith(",sit")
 
 
+def test_stats_ds_matches_the_report_on_zero_amplitude_cells(tmp_path, capsys):
+    meas, _ = make_pair(tmp_path, capsys, symbols=50, subcarriers=52)
+    values = read_csif(meas).values.copy()
+    values[3, 10] = values[3, 40] = values[27, 0] = 0.0
+    zeroed = tmp_path / "zeroed.csif"
+    write_csif(zeroed, CsiMatrix(values))
+    report_path = tmp_path / "report.txt"
+    code, _, _ = run(
+        capsys, "process", "-i", str(zeroed), "-o", str(tmp_path / "o.csif"),
+        "--method", "tsfr", "--report", str(report_path),
+    )
+    assert code == 0
+    out_csv = tmp_path / "ds.csv"
+    code, _, _ = run(capsys, "stats", "ds", "-i", str(zeroed), "-o", str(out_csv))
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in report_path.read_text().splitlines())
+    ds = [line.split(",")[1] for line in out_csv.read_text().splitlines()[1:]]
+    assert ds == [fields[f"symbol.{s}.d"] for s in range(50)]
+
+
 def test_stats_ds_label_count_mismatch(tmp_path, capsys):
     meas, _ = make_pair(tmp_path, capsys, symbols=9, subcarriers=8)
     labels_file = tmp_path / "labels.txt"

@@ -1,5 +1,7 @@
 """Polynomial smoothing: kernel design, edge refits, 1-D and 2-D application."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,6 +14,7 @@ from csiphase.savgol import (
     SgKernel,
     SgSpec,
     _correlate_rows,
+    _powers,
     _window_from_fraction,
     sg_2d,
     sg_apply,
@@ -54,11 +57,10 @@ def test_design_quadratic_five_point_kernel_matches_dense_solve():
 
 def test_design_edge_rows_match_dense_solve():
     kernel = sg_design(SgSpec(2, 7))
+    basis = _powers(7, 2)
     for p in range(7):
-        assert_allclose(
-            kernel.edge_evaluators[p], dense_lsq_weights(2, 7, p), rtol=0.0, atol=1e-12
-        )
-    assert_array_equal(kernel.edge_evaluators[3], kernel.coefficients)
+        assert_allclose(basis[p] @ kernel.fit, dense_lsq_weights(2, 7, p), rtol=0.0, atol=1e-12)
+    assert_array_equal(basis[3] @ kernel.fit, kernel.coefficients)
 
 
 @pytest.mark.parametrize("order,window", [(0, 5), (1, 7), (2, 9), (3, 21)])
@@ -87,6 +89,8 @@ def test_kernel_arrays_are_immutable():
     kernel = sg_design(SgSpec(2, 5))
     with pytest.raises(ValueError):
         kernel.coefficients[0] = 0.0
+    with pytest.raises(ValueError):
+        kernel.fit[0, 0] = 0.0
 
 
 # -------------------------------------------------------------------- sg_apply
@@ -268,6 +272,21 @@ def test_sg_time_rejects_rebuilt_input_and_tiny_matrices():
         sg_time(PhaseMatrix(np.zeros((10, 4)), Stage.REBUILT))
     with pytest.raises(ValueError, match="at least 3 symbols"):
         sg_time(PhaseMatrix(np.zeros((2, 4))))
+
+
+def test_sg_time_of_a_long_capture_stays_linear_in_memory():
+    # 40000 symbols give a 4001-sample window; its edges take order+1 fit
+    # coefficients per track end, never a window x window matrix.
+    rng = np.random.default_rng(12)
+    phase = PhaseMatrix(rng.normal(size=(40000, 4)), Stage.CALIBRATED)
+    tracemalloc.start()
+    try:
+        out = sg_time(phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out.values).all()
+    assert peak <= 16 * phase.values.nbytes
 
 
 def test_sg_time_explicit_window_longer_than_axis_warns():
