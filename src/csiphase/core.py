@@ -261,8 +261,8 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
         phase_values = np.angle(csi.values)
         # atan2 can return -pi when the imaginary part is a negative zero;
         # fold it onto +pi so the (-pi, pi] contract holds.
-        phase_values = np.where(phase_values == -np.pi, np.pi, phase_values)
-        phase_values = np.where(amp_values == 0.0, 0.0, phase_values)
+        np.copyto(phase_values, np.pi, where=phase_values == -np.pi)
+        np.copyto(phase_values, 0.0, where=amp_values == 0.0)
         amp_values.setflags(write=False)
         phase_values.setflags(write=False)
     zero_cells = [(int(s), int(k)) for s, k in np.argwhere(amp_values == 0.0)]
@@ -286,9 +286,22 @@ def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:
         )
     a = amplitude.values
     p = phase.values
-    values = a * np.cos(p) + 1j * (a * np.sin(p))
+    # Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed zeros
+    # included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j, and
+    # subtracting +0.0 changes no bit, so the real part is
+    # a*cos(p) + x*0.0 and the imaginary part x + 0.0. sin and cos fill
+    # contiguous buffers, not the strided .real/.imag views.
+    values = np.empty(a.shape, dtype=np.complex128)
+    buf = np.sin(p)
+    np.multiply(a, buf, out=values.imag)
+    np.multiply(values.imag, 0.0, out=buf)
+    cos = np.cos(p)
+    cos *= a
+    np.add(cos, buf, out=values.real)
+    del buf, cos
+    values.imag += 0.0
     principal = _wrap_pi(p)
-    principal = np.where(a == 0.0, 0.0, principal)
+    np.copyto(principal, 0.0, where=a == 0.0)
     values.setflags(write=False)
     principal.setflags(write=False)
     return CsiMatrix(values, _amplitude=a, _phase=principal)
@@ -317,11 +330,30 @@ def _unwrap_last_axis(values: np.ndarray) -> np.ndarray:
     """:func:`unwrap` along the last axis, with no input checks.
 
     Every row of a 2-D array is unwrapped with the same elementwise
-    arithmetic as a 1-D vector, so rows match ``unwrap`` bit for bit.
+    arithmetic as a 1-D vector, so rows match ``unwrap`` bit for bit:
+    ``out[..., 0]`` is the first sample and ``out[..., 1:]`` is
+    ``values[..., 1:] - 2*pi * cumsum(ceil((d - pi) / (2*pi)))`` over the
+    adjacent gaps ``d``.
+
+    Fast path: when every gap satisfies |d| < 3, each wrap count
+    ``ceil((d - pi) / (2*pi))`` lies in (-1, 0) before rounding, so it is
+    -0.0, and so are its running sums and their 2*pi multiples. The full
+    formula then reduces to ``values[..., 1:] + 0.0``, which turns a
+    stored -0.0 into +0.0 just as subtracting -0.0 does; that is computed
+    directly. The condition is tested by two reductions over ``d``, so
+    input that fails it pays little extra. Otherwise the same ufuncs run
+    in the same order, in place in the one ``d`` buffer.
     """
     d = np.diff(values, axis=-1)
-    wraps = np.ceil((d - np.pi) / _TWO_PI)
     out = np.empty_like(values)
     out[..., 0] = values[..., 0]
-    out[..., 1:] = values[..., 1:] - _TWO_PI * np.cumsum(wraps, axis=-1)
+    if d.size == 0 or (d.max() < 3.0 and d.min() > -3.0):
+        np.add(values[..., 1:], 0.0, out=out[..., 1:])
+        return out
+    d -= np.pi
+    d /= _TWO_PI
+    np.ceil(d, out=d)
+    np.cumsum(d, axis=-1, out=d)
+    np.multiply(_TWO_PI, d, out=d)
+    np.subtract(values[..., 1:], d, out=out[..., 1:])
     return out

@@ -149,26 +149,37 @@ def _rebuild_rows(rows: np.ndarray, d: np.ndarray):
     update evaluates the same IEEE expressions as a scalar left-to-right
     walk, so the result is bit-identical to one.
 
+    The walk runs on a time-major (K x S, C-contiguous) copy, so each
+    column step reads and writes contiguous memory. It starts at the
+    earliest column any row clamps at, and is skipped when no row clamps:
+    before its first clamp a row passes through bit for bit, because
+    there ``out_{k-1} == phi_{k-1}``, so the carried value is
+    ``phi_k - (phi_{k-1} - phi_{k-1}) == phi_k - 0.0 == phi_k``.
+
     Returns:
         (rebuilt, low_mask, high_mask): the output rows plus S x K
         boolean masks of the down-/up-clamped positions (column 0 all
-        False).
+        False), all C-contiguous.
     """
-    s, k_count = rows.shape
-    eps = np.diff(rows, axis=1)
-    low = np.zeros((s, k_count), dtype=bool)
-    high = np.zeros((s, k_count), dtype=bool)
-    low[:, 1:] = eps < -d[:, None]
-    high[:, 1:] = eps > d[:, None]
-    out = np.empty_like(rows)
-    out[:, 0] = rows[:, 0]
-    for k in range(1, k_count):
-        prev = out[:, k - 1]
-        carried = rows[:, k] - (rows[:, k - 1] - prev)
-        out[:, k] = np.where(
-            low[:, k], prev - d, np.where(high[:, k], prev + d, carried)
-        )
-    return out, low, high
+    k_count = rows.shape[1]
+    src = np.ascontiguousarray(rows.T)
+    eps = src[1:] - src[:-1]
+    low = np.zeros(src.shape, dtype=bool)
+    high = np.zeros(src.shape, dtype=bool)
+    np.less(eps, -d, out=low[1:])
+    np.greater(eps, d, out=high[1:])
+    del eps
+    out = src.copy()
+    clamped = np.flatnonzero((low | high).any(axis=1))
+    for k in range(int(clamped[0]) if clamped.size else k_count, k_count):
+        prev = out[k - 1]
+        carried = src[k] - (src[k - 1] - prev)
+        out[k] = np.where(low[k], prev - d, np.where(high[k], prev + d, carried))
+    return (
+        np.ascontiguousarray(out.T),
+        np.ascontiguousarray(low.T),
+        np.ascontiguousarray(high.T),
+    )
 
 
 def rebuild_symbol(smoothed_row: np.ndarray, d: float) -> np.ndarray:
@@ -217,6 +228,9 @@ def tsfr(
     mu, sigma, d = _gap_stats(_unwrap_last_axis(calibrated.values))
     rebuilt, low, high = _rebuild_rows(_unwrap_last_axis(smoothed.values), d)
     exceed = low | high
+    # Just allocated here: read-only hands them to the containers uncopied.
+    rebuilt.setflags(write=False)
+    exceed.setflags(write=False)
     k_count = phase.subcarriers
     report = TsfrReport(
         mu=mu,

@@ -1,12 +1,15 @@
 """Command-line behavior: flags, exit codes, file outputs, determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csiphase.cli import main
+from csiphase.cli import _write_report, main
 from csiphase.core import CsiMatrix, PhaseMatrix, Stage
 from csiphase.io import read_csif, write_csif
+from csiphase.tsfr import ProcessResult, TsfrReport
 
 
 def run(capsys, *argv):
@@ -219,6 +222,58 @@ def test_process_report_file_documents_the_rebuild(tmp_path, capsys):
     fracs = [float(fields[f"symbol.{s}.frac"]) for s in range(30)]
     assert all(0.0 <= f <= 1.0 for f in fracs)
     assert down + up == round(sum(f * 11 for f in fracs))
+
+
+def reference_report_text(args, report, shape):
+    """Report v1 built line by line, one f-string per line."""
+    def fmt(x):
+        return "%.17g" % x
+
+    lines = [
+        "report_version=1",
+        f"method={args.method}",
+        f"symbols={shape[0]}",
+        f"subcarriers={shape[1]}",
+        f"sg_order={args.sg_order}",
+        f"sg_fraction={fmt(args.sg_frac)}",
+        f"abscissa={args.abscissa}",
+        f"separable={'true' if args.separable else 'false'}",
+    ]
+    columns = (report.mu, report.sigma, report.d,
+               report.clamped_down, report.clamped_up, report.modified_fraction)
+    for s, (mu, sigma, d, down, up, frac) in enumerate(zip(*(c.tolist() for c in columns))):
+        lines += (
+            f"symbol.{s}.mu={fmt(mu)}",
+            f"symbol.{s}.sigma={fmt(sigma)}",
+            f"symbol.{s}.d={fmt(d)}",
+            f"symbol.{s}.down={down}",
+            f"symbol.{s}.up={up}",
+            f"symbol.{s}.frac={fmt(frac)}",
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("symbols", [1, 500])
+def test_report_writer_matches_the_line_by_line_reference(tmp_path, symbols):
+    rng = np.random.default_rng(symbols)
+    special = np.array([0.0, 1e-300, 5e-324, 1.0 / 3.0, 2.0 ** 60, np.pi])
+    mu = np.resize(special, symbols) * rng.uniform(0.5, 2.0, size=symbols)
+    sigma = np.resize(special[::-1], symbols)
+    big = np.iinfo(np.int64).max // 4
+    report = TsfrReport(
+        mu=mu,
+        sigma=sigma,
+        d=mu + sigma,
+        exceedance=np.zeros((symbols, 2), dtype=bool),
+        modified_fraction=np.resize(special / (2.0 ** 61), symbols),
+        clamped_down=rng.integers(0, big, size=symbols),
+        clamped_up=np.resize([0, 1, big, 12345678901234], symbols),
+    )
+    args = SimpleNamespace(method="tsfr", sg_order=3, sg_frac=0.1, abscissa="physical",
+                           separable=True)
+    path = tmp_path / "report.txt"
+    _write_report(str(path), args, ProcessResult(output=None, report=report), (symbols, 52))
+    assert path.read_text() == reference_report_text(args, report, (symbols, 52))
 
 
 def test_process_report_without_rebuild_has_only_parameters(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Containers, decompose/recompose and unwrap behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,13 @@ from csiphase import (
     recompose,
     unwrap,
 )
+from csiphase.core import _unwrap_last_axis
+
+
+def same_bytes(a, b):
+    """Equal shape and equal bits, so -0.0 and +0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- containers
@@ -163,6 +172,36 @@ def test_recompose_folds_cached_phase_to_principal_branch():
     assert phase.values[0, 1] == np.pi
 
 
+def test_decompose_matches_the_where_reference_bitwise_on_signed_zeros():
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5])
+    values = np.empty((parts.size, parts.size), dtype=np.complex128)
+    values.real, values.imag = np.meshgrid(parts, parts, indexing="ij")
+    csi = CsiMatrix(values)
+    amp, phase, _ = decompose(csi)
+    angle = np.angle(csi.values)
+    expected = np.where(angle == -np.pi, np.pi, angle)
+    expected = np.where(np.abs(csi.values) == 0.0, 0.0, expected)
+    assert same_bytes(amp.values, np.abs(csi.values))
+    assert same_bytes(phase.values, expected)
+    # (-1, -0.0) has atan2 -pi: folded onto +pi
+    assert phase.values[3, 1] == np.pi
+
+
+def test_recompose_matches_the_complex_expression_bitwise():
+    a_grid = np.array([0.0, 5e-324, 1e-300, 1.0, 2.5])
+    p_grid = np.array([0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2,
+                       1e-300, -1e-300, 3.0, -3.0])
+    a = np.repeat(a_grid, p_grid.size)[None, :]
+    p = np.tile(p_grid, a_grid.size)[None, :]
+    csi = recompose(AmplitudeMatrix(a), PhaseMatrix(p))
+    expected = a * np.cos(p) + 1j * (a * np.sin(p))
+    assert same_bytes(csi.values.real, expected.real)
+    assert same_bytes(csi.values.imag, expected.imag)
+    principal = p - 2.0 * np.pi * np.ceil((p - np.pi) / (2.0 * np.pi))
+    principal = np.where(a == 0.0, 0.0, principal)
+    assert same_bytes(csi._phase, principal)
+
+
 def test_recompose_zero_amplitude_cell_round_trips_to_zero_phase():
     a = np.array([[0.0, 1.0]])
     p = np.array([[1.2, 0.3]])
@@ -250,3 +289,47 @@ def test_unwrap_integer_staircase_collapses_to_first_offset(v, seed):
 def test_unwrap_preserves_first_sample():
     v = np.array([123.456, 0.0, -40.0])
     assert unwrap(v)[0] == 123.456
+
+
+def reference_unwrap(values):
+    """The unwrap arithmetic written out with fresh temporaries."""
+    d = np.diff(values, axis=-1)
+    wraps = np.ceil((d - np.pi) / (2.0 * np.pi))
+    out = np.empty_like(values)
+    out[..., 0] = values[..., 0]
+    out[..., 1:] = values[..., 1:] - 2.0 * np.pi * np.cumsum(wraps, axis=-1)
+    return out
+
+
+def _edge_rows(gaps):
+    """One row per gap g: a step of g, a step back, then -0.0 samples."""
+    return np.array([[-0.0, g, -0.0, 0.0, -0.0, g / 2] for g in gaps])
+
+
+def test_unwrap_matches_the_reference_arithmetic_bitwise():
+    calm = _edge_rows([2.999, -2.999, 1e-300, -0.0])  # every |gap| < 3
+    edge = _edge_rows([3.0, -3.0, np.pi, -np.pi])
+    wraps = np.array([
+        [0.0, 7.0, 14.0, 21.0, -21.0, -0.0],
+        [-0.0, -np.pi, -2 * np.pi, -3 * np.pi, -4 * np.pi, -0.0],
+    ])
+    for rows in (calm, np.vstack([calm, edge, wraps])):
+        assert same_bytes(_unwrap_last_axis(rows), reference_unwrap(rows))
+        for row in rows:
+            assert same_bytes(unwrap(row), reference_unwrap(row))
+    out = _unwrap_last_axis(calm)
+    assert np.signbit(out[:, 0]).all()  # the first sample is kept as stored
+    assert not np.signbit(out[:, 2]).any()  # a later -0.0 comes out as +0.0
+
+
+def test_unwrap_of_a_wrapped_capture_stays_near_its_input_size():
+    rng = np.random.default_rng(4)
+    values = rng.uniform(-np.pi, np.pi, size=(10000, 52))
+    tracemalloc.start()
+    try:
+        out = _unwrap_last_axis(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bytes(out, reference_unwrap(values))
+    assert peak <= 2.5 * values.nbytes

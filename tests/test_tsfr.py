@@ -22,6 +22,7 @@ from csiphase.tsfr import (
     METHODS,
     GapThreshold,
     TsfrReport,
+    _rebuild_rows,
     gap_stats,
     process,
     rebuild_symbol,
@@ -149,6 +150,57 @@ def test_rebuild_matches_naive_scalar_walk_bitwise():
         row = np.cumsum(rng.uniform(-2.0, 2.0, size=60))
         d = float(rng.uniform(0.2, 1.5))
         assert_array_equal(rebuild_symbol(row, d), naive_rebuild(row, d))
+
+
+def _mixed_rebuild_matrix(rng, late_only=False):
+    """Rows that never clamp, clamp at column 1, or first clamp late; d = 1.
+
+    Calm stretches stay inside (-0.4, 0.4), so their gaps stay below d and
+    the -0.0 samples placed there never clamp; the -0.0 placed after a
+    jump of 3 does.
+    """
+    s_count, k = 30, 24
+    rows = rng.uniform(-0.4, 0.4, size=(s_count, k))
+    rows[:, 1::4] = -0.0
+    for s in range(s_count):
+        kind = 2 * (s % 2) if late_only else s % 3
+        if kind == 1:
+            rows[s, 1:] += 3.0 * rng.choice([-1.0, 1.0])
+            rows[s, 6] = -0.0
+        elif kind == 2:
+            first = int(rng.integers(k // 2, k - 2))
+            rows[s, first:] += 2.5 * rng.choice([-1.0, 1.0])
+            rows[s, first + 1:] += np.cumsum(rng.uniform(-3.0, 3.0, size=k - first - 1))
+    return rows, np.ones(s_count)
+
+
+def test_rebuild_rows_match_the_scalar_walk_bytewise():
+    rng = np.random.default_rng(31)
+    for late_only in (False, True):
+        rows, d = _mixed_rebuild_matrix(rng, late_only)
+        eps = np.diff(rows, axis=1)
+        clamps = np.abs(eps) > 1.0
+        first = np.where(clamps.any(axis=1), np.argmax(clamps, axis=1) + 1, 0)
+        assert (first == 1).any() != late_only
+        assert (first > rows.shape[1] // 2).any()
+        assert (first == 0).any()
+        out, low, high = _rebuild_rows(rows, d)
+        for s, row in enumerate(rows):
+            expected = naive_rebuild(row, d[s])
+            assert out[s].view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert_array_equal(low[:, 1:], eps < -d[:, None])
+        assert_array_equal(high[:, 1:], eps > d[:, None])
+        assert not (low[:, 0] | high[:, 0]).any()
+        assert out.flags.c_contiguous and low.flags.c_contiguous and high.flags.c_contiguous
+
+
+def test_rebuild_rows_without_a_clamp_return_the_input_bytes():
+    rng = np.random.default_rng(37)
+    rows = rng.uniform(-0.4, 0.4, size=(40, 30))
+    rows[::7, ::5] = -0.0
+    out, low, high = _rebuild_rows(rows, np.ones(40))
+    assert out.tobytes() == rows.tobytes()
+    assert not low.any() and not high.any()
 
 
 @given(
