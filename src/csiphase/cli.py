@@ -24,16 +24,12 @@ from .calib import lrr_calibrate
 from .core import PhaseMatrix, Stage, SubcarrierMap, decompose
 from .io import read_csif, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
-from .synth import ChannelSpec, ImpairmentSpec, _seeded_impairments, demo_channel, gen_dataset
+from .synth import gen_dataset, load_scenario
 from .tsfr import METHODS, process, tsfr
 
 __all__ = ["main"]
 
 _REPORT_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 # One symbol's lines of the report, each value after its symbol index.
@@ -48,111 +44,13 @@ _SYMBOL_LINES = (
 
 
 # ---------------------------------------------------------------------------
-# scenario files
-
-
-_SCENARIO_KEYS = {
-    "n_fft",
-    "subcarriers",
-    "paths",
-    "gain_drift_depth",
-    "gain_drift_period",
-    "delta_t",
-    "gamma",
-    "noise_sigma",
-}
-
-
-def _parse_scenario(text: str, source: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
-    entries: dict[str, str] = {}
-    for n, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{source} line {n}: expected 'key = value', got {line!r}")
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(
-                f"{source} line {n}: unknown key {key!r} "
-                f"(known: {', '.join(sorted(_SCENARIO_KEYS))})"
-            )
-        if key in entries:
-            raise ValueError(f"{source} line {n}: duplicate key {key!r}")
-        entries[key] = value
-    return entries
-
-
-def _parse_subcarriers(value: str) -> np.ndarray:
-    if ":" in value:
-        lo, _, hi = value.partition(":")
-        return np.arange(int(lo), int(hi) + 1, dtype=np.int64)
-    return np.array([int(v) for v in value.split(",")], dtype=np.int64)
-
-
-def _parse_paths(value: str) -> tuple[tuple[float, complex], ...]:
-    paths = []
-    for item in value.split(","):
-        delay, sep, gain = item.strip().partition(":")
-        if not sep:
-            raise ValueError(f"path {item.strip()!r} must look like delay:gain")
-        paths.append((float(delay), complex(gain)))
-    return tuple(paths)
-
-
-def _parse_range(value: str) -> tuple[float, float]:
-    """A constant c or a uniform range a:b (negative endpoints allowed)."""
-    parts = value.split(":")
-    if len(parts) == 1:
-        c = float(parts[0])
-        return c, c
-    if len(parts) == 2:
-        lo, hi = float(parts[0]), float(parts[1])
-        if hi < lo:
-            raise ValueError(f"range {value!r} has its endpoints reversed")
-        return lo, hi
-    raise ValueError(f"expected a constant or low:high, got {value!r}")
-
-
-def _build_scenario(args) -> tuple[ChannelSpec, ImpairmentSpec]:
-    entries: dict[str, str] = {}
-    if args.spec is not None:
-        entries = _parse_scenario(Path(args.spec).read_text(), Path(args.spec).name)
-
-    n_fft = int(entries.get("n_fft", "64"))
-    if args.subcarriers is not None:
-        m = np.arange(1, args.subcarriers + 1, dtype=np.int64)
-    elif "subcarriers" in entries:
-        m = _parse_subcarriers(entries["subcarriers"])
-    else:
-        m = np.arange(1, 31, dtype=np.int64)
-    smap = SubcarrierMap(m, n_fft=n_fft)
-
-    channel = ChannelSpec(
-        paths=_parse_paths(entries["paths"]) if "paths" in entries else demo_channel().paths,
-        drift_depth=float(entries.get("gain_drift_depth", "0")),
-        drift_period=float(entries.get("gain_drift_period", "0")),
-    )
-
-    imp = _seeded_impairments(
-        args.seed,
-        args.symbols,
-        smap,
-        _parse_range(entries.get("delta_t", "-2:2")),
-        _parse_range(entries.get("gamma", f"{-np.pi}:{np.pi}")),
-        float(entries.get("noise_sigma", "0.05")),
-    )
-    return channel, imp
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_synth(args) -> int:
-    channel, imp = _build_scenario(args)
+    channel, imp = load_scenario(
+        args.spec, seed=args.seed, symbols=args.symbols, subcarriers=args.subcarriers
+    )
     base = re.sub(r"\.csif$", "", str(args.output))
     gen_dataset(channel, imp, args.symbols, out=base)
     print(
@@ -178,7 +76,7 @@ def _write_report(path: str, args, result, shape) -> None:
         f"symbols={shape[0]}",
         f"subcarriers={shape[1]}",
         f"sg_order={args.sg_order}",
-        f"sg_fraction={_fmt(args.sg_frac)}",
+        f"sg_fraction={args.sg_frac:.17g}",
         f"abscissa={args.abscissa}",
         f"separable={'true' if args.separable else 'false'}",
     ]
@@ -236,17 +134,13 @@ def _calibrated_phase(path: str) -> PhaseMatrix:
 def _cmd_stats(args) -> int:
     if args.table == "diffhist":
         hist = diff_histogram(_calibrated_phase(args.input), bins=args.bins)
-        rows = [
-            (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]))
-            for i in range(hist.counts.size)
-        ]
         write_table(
             args.output,
             ("bin_left", "bin_right", "count"),
-            rows,
+            (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts),
             comments=(
-                f"fitted_mean={_fmt(hist.fitted_mean)}",
-                f"fitted_std={_fmt(hist.fitted_std)}",
+                f"fitted_mean={hist.fitted_mean:.17g}",
+                f"fitted_std={hist.fitted_std:.17g}",
             ),
         )
         print(f"stats: diffhist {hist.counts.sum()} gaps in {args.bins} bins -> {args.output}")
@@ -257,24 +151,19 @@ def _cmd_stats(args) -> int:
             labels = [lb.strip() for lb in labels if lb.strip()]
         series = ds_series(_calibrated_phase(args.input), labels=labels)
         comments = tuple(
-            f"mean.{label}={_fmt(value)}" for label, value in (series.group_means or {}).items()
+            f"mean.{label}={value:.17g}" for label, value in (series.group_means or {}).items()
         )
-        if labels is None:
-            rows = [(s + 1, float(d)) for s, d in enumerate(series.d)]
-            write_table(args.output, ("s", "d"), rows, comments=comments)
-        else:
-            rows = [
-                (s + 1, float(d), labels[s]) for s, d in enumerate(series.d)
-            ]
-            write_table(args.output, ("s", "d", "label"), rows, comments=comments)
+        columns = (np.arange(1, series.d.size + 1), series.d)
+        if labels is not None:
+            columns += (labels,)
+        write_table(args.output, ("s", "d", "label")[: len(columns)], columns, comments=comments)
         print(f"stats: ds for {series.d.size} symbols -> {args.output}")
     else:
         csi = _read_complex(args.input)
         _, raw, _ = decompose(csi)
         _, report = tsfr(raw)
         profile = exceedance_profile(report)
-        rows = [(k + 1, int(c)) for k, c in enumerate(profile)]
-        write_table(args.output, ("k", "count"), rows)
+        write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))
         print(f"stats: exceed {int(profile.sum())} flags over {profile.size} subcarriers -> {args.output}")
     return 0
 

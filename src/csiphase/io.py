@@ -124,8 +124,8 @@ def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
     if s < 1 or k < 1:
         raise CsifError(f"dimensions {s}x{k} in header must both be at least 1")
 
-    width = 16 if flags == _FLAG_COMPLEX else 8
-    expected = s * k * width
+    dtype = np.dtype("<c16" if flags == _FLAG_COMPLEX else "<f8")
+    expected = s * k * dtype.itemsize
     actual = len(blob) - _HEADER.size
     if actual < expected:
         raise CsifTruncatedError(
@@ -137,19 +137,12 @@ def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
             f"{actual - expected} trailing bytes follow"
         )
 
-    if flags == _FLAG_COMPLEX:
-        values = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size).reshape(s, k)
-        return CsiMatrix(values)
-    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(s, k).copy()
-    values.setflags(write=False)
-    return values
+    # A view over the immutable blob is read-only without a copy.
+    values = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size).reshape(s, k)
+    return CsiMatrix(values) if flags == _FLAG_COMPLEX else values
 
 
 _CSV_WHAT = {"complex": ("s", "k", "re", "im"), "phase": ("s", "k", "value"), "amplitude": ("s", "k", "value")}
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def write_csv(path: str | Path, matrix, what: str | None = None) -> None:
@@ -173,17 +166,10 @@ def write_csv(path: str | Path, matrix, what: str | None = None) -> None:
             f"schema {what!r} needs a {expected_type.__name__}, got {type(matrix).__name__}"
         )
 
-    values = matrix.values
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_WHAT[what])
-        for si in range(values.shape[0]):
-            for ki in range(values.shape[1]):
-                v = values[si, ki]
-                if what == "complex":
-                    writer.writerow([si + 1, ki + 1, _fmt(v.real), _fmt(v.imag)])
-                else:
-                    writer.writerow([si + 1, ki + 1, _fmt(v)])
+    s, k = (np.indices(matrix.values.shape) + 1).reshape(2, -1)
+    values = matrix.values.ravel()
+    parts = (values.real, values.imag) if what == "complex" else (values,)
+    write_table(path, _CSV_WHAT[what], (s, k, *parts))
 
 
 def _parse_coord(text: str, name: str, line: int) -> int:
@@ -270,28 +256,41 @@ def read_csv(path: str | Path) -> CsiMatrix | np.ndarray:
     return values
 
 
+# Rows converted to text at a time; bounds the memory a long table takes.
+_TABLE_BLOCK = 1 << 12
+
+
 def write_table(
     path: str | Path,
     header: tuple[str, ...],
-    rows,
+    columns,
     *,
     comments: tuple[str, ...] = (),
 ) -> None:
-    """Write a small CSV table, optionally preceded by ``#`` comment lines.
+    """Write equally long columns as a CSV table, after ``#`` comment lines.
 
-    Floats are rendered with 17 significant digits like :func:`write_csv`;
-    everything else with ``str``. Comment lines carry metadata (fitted
+    Columns are arrays or sequences. A float array is rendered with 17
+    significant digits, enough for an exact float64 round trip; every
+    other cell with ``str``. Comment lines carry metadata (fitted
     moments, group means) without disturbing the column grid.
+
+    Raises:
+        ValueError: the columns differ in length; the file then ends
+            where the shortest column does.
     """
     with open(path, "w", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
+        fh.writelines(f"# {comment}\n" for comment in comments)
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(c) if isinstance(c, float) else str(c) for c in row]
-            )
+        for start in range(0, max(map(len, columns), default=0), _TABLE_BLOCK):
+            cells = []
+            for column in columns:
+                block = column[start : start + _TABLE_BLOCK]
+                if isinstance(block, np.ndarray):
+                    fmt = "%.17g".__mod__ if block.dtype.kind == "f" else str
+                    block = map(fmt, block.tolist())
+                cells.append(block)
+            writer.writerows(zip(*cells, strict=True))
 
 
 _FEATURE_DTYPES = {"float64": "<f8", "float32": "<f4"}

@@ -192,9 +192,10 @@ def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
 def _window_from_fraction(length: int, order: int, fraction: float) -> int | None:
     """Odd window length for a dimension of the given size, or None if the
     dimension is too short to support any valid window."""
-    if fraction <= 0.0:
-        raise ValueError(f"window fraction must be positive, got {fraction}")
-    w = round(fraction * length)
+    if not 0.0 < fraction < np.inf:
+        raise ValueError(f"window fraction must be positive and finite, got {fraction}")
+    # Any fraction >= 1 asks for the whole dimension.
+    w = round(min(fraction, 1.0) * length)
     if w % 2 == 0:
         w += 1
     min_w = order + 1 if (order + 1) % 2 == 1 else order + 2
@@ -208,9 +209,9 @@ def _window_from_fraction(length: int, order: int, fraction: float) -> int | Non
 
 
 def _resolve_spec(
-    spec: "SgSpec | float | None", order: int, fraction: float, length: int
+    spec: SgSpec | None, order: int, fraction: float, length: int
 ) -> SgSpec | None:
-    """Turn the (spec | fraction | defaults) argument union into an SgSpec.
+    """The explicit spec, or the order and window fraction, as an SgSpec.
 
     Returns None when the dimension cannot support the window (degenerate
     pass-through case).
@@ -218,7 +219,9 @@ def _resolve_spec(
     if isinstance(spec, SgSpec):
         return spec if spec.window <= length else None
     if spec is not None:
-        fraction = float(spec)
+        raise TypeError(
+            f"spec must be an SgSpec or None, got {spec!r}; pass a window fraction as fraction="
+        )
     w = _window_from_fraction(length, order, fraction)
     return SgSpec(order, w) if w is not None else None
 
@@ -236,7 +239,7 @@ _SMOOTHABLE = (Stage.RAW, Stage.CALIBRATED, Stage.TIME_SMOOTHED)
 
 
 def _smooth_rows(
-    rows: np.ndarray, spec: "SgSpec | float | None", order: int, fraction: float, what: str
+    rows: np.ndarray, spec: SgSpec | None, order: int, fraction: float, what: str
 ) -> np.ndarray:
     """Unwrap and smooth every row with the window resolved for the row
     length; rows too short for any window are returned unchanged, with a
@@ -251,7 +254,7 @@ def _smooth_rows(
 
 def sg_time(
     phase: PhaseMatrix,
-    spec: "SgSpec | float | None" = None,
+    spec: SgSpec | None = None,
     *,
     order: int = 2,
     fraction: float = 0.1,
@@ -260,11 +263,11 @@ def sg_time(
 
     Each column is unwrapped, then filtered with a window derived from
     the number of symbols (fraction of S, rounded, forced odd, at least
-    3) unless an explicit :class:`SgSpec` or fraction is given.
+    3) unless an explicit :class:`SgSpec` is given.
 
     Args:
         phase: matrix to smooth; must not already be rebuilt.
-        spec: explicit SgSpec, or a number taken as the window fraction.
+        spec: explicit SgSpec; None derives the window from order and fraction.
         order: polynomial order when no explicit spec is given.
         fraction: window fraction of S when no explicit spec is given.
 
@@ -281,7 +284,7 @@ def sg_time(
 
 def sg_freq(
     phase: PhaseMatrix,
-    spec: "SgSpec | float | None" = None,
+    spec: SgSpec | None = None,
     *,
     order: int = 2,
     fraction: float = 0.1,
@@ -319,7 +322,7 @@ def _design_2d(
 
 def sg_2d(
     phase: PhaseMatrix,
-    spec: "SgSpec | float | None" = None,
+    spec: SgSpec | None = None,
     *,
     order: int = 2,
     fraction: float = 0.1,
@@ -337,8 +340,7 @@ def sg_2d(
 
     Args:
         phase: matrix to smooth; must not already be rebuilt.
-        spec: explicit SgSpec for the time window, or a number taken as
-            the window fraction for both dimensions.
+        spec: explicit SgSpec for the time window.
         order: polynomial total degree when no explicit spec is given.
         fraction: per-dimension window fraction when no spec is given.
         freq_spec: explicit SgSpec for the frequency window (order must
@@ -358,9 +360,8 @@ def sg_2d(
         raise ValueError(f"2-D smoothing needs at least 3 symbols, got {s}")
     row_spec = _resolve_spec(spec, order, fraction, s)
     if freq_spec is None:
-        eff_fraction = float(spec) if isinstance(spec, (int, float)) else fraction
         eff_order = row_spec.order if row_spec is not None else order
-        col_spec = _resolve_spec(None, eff_order, eff_fraction, k)
+        col_spec = _resolve_spec(None, eff_order, fraction, k)
     else:
         col_spec = freq_spec if freq_spec.window <= k else None
     if row_spec is None or col_spec is None:

@@ -43,7 +43,13 @@ __all__ = [
     "gen_dataset",
     "demo_channel",
     "demo_impairments",
+    "load_scenario",
 ]
+
+# Impairment defaults shared by the demo fixture and scenario files.
+_DELTA_T_RANGE = (-2.0, 2.0)
+_GAMMA_RANGE = (-np.pi, np.pi)
+_NOISE_SIGMA = 0.05
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ def demo_impairments(
     smap: SubcarrierMap | None = None,
     *,
     seed: int = 0,
-    noise_sigma: float = 0.05,
+    noise_sigma: float = _NOISE_SIGMA,
 ) -> ImpairmentSpec:
     """Per-symbol lags in [-2, 2] samples and offsets in (-pi, pi].
 
@@ -282,4 +288,109 @@ def demo_impairments(
     """
     if smap is None:
         smap = SubcarrierMap.contiguous(52, n_fft=64)
-    return _seeded_impairments(seed, symbols, smap, (-2.0, 2.0), (-np.pi, np.pi), noise_sigma)
+    return _seeded_impairments(seed, symbols, smap, _DELTA_T_RANGE, _GAMMA_RANGE, noise_sigma)
+
+
+# ---------------------------------------------------------------------------
+# scenario files
+
+
+def _parse_scenario(text: str, source: str) -> dict[str, str]:
+    """Parse ``key = value`` lines; ``#`` starts a comment."""
+    entries: dict[str, str] = {}
+    for n, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ValueError(f"{source} line {n}: expected 'key = value', got {line!r}")
+        if key not in _SCENARIO:
+            raise ValueError(
+                f"{source} line {n}: unknown key {key!r} "
+                f"(known: {', '.join(sorted(_SCENARIO))})"
+            )
+        if key in entries:
+            raise ValueError(f"{source} line {n}: duplicate key {key!r}")
+        entries[key] = value
+    return entries
+
+
+def _parse_subcarriers(value: str) -> np.ndarray:
+    if ":" in value:
+        lo, _, hi = value.partition(":")
+        return np.arange(int(lo), int(hi) + 1, dtype=np.int64)
+    return np.array([int(v) for v in value.split(",")], dtype=np.int64)
+
+
+def _parse_paths(value: str) -> tuple[tuple[float, complex], ...]:
+    paths = []
+    for item in value.split(","):
+        delay, sep, gain = item.strip().partition(":")
+        if not sep:
+            raise ValueError(f"path {item.strip()!r} must look like delay:gain")
+        paths.append((float(delay), complex(gain)))
+    return tuple(paths)
+
+
+def _parse_range(value: str) -> tuple[float, float]:
+    """A constant c or a uniform range a:b (negative endpoints allowed)."""
+    parts = value.split(":")
+    if len(parts) == 1:
+        c = float(parts[0])
+        return c, c
+    if len(parts) == 2:
+        lo, hi = float(parts[0]), float(parts[1])
+        if hi < lo:
+            raise ValueError(f"range {value!r} has its endpoints reversed")
+        return lo, hi
+    raise ValueError(f"expected a constant or low:high, got {value!r}")
+
+
+# Each scenario key: its parser, and the value a missing key takes.
+_SCENARIO = {
+    "n_fft": (int, 64),
+    "subcarriers": (_parse_subcarriers, np.arange(1, 31)),
+    "paths": (_parse_paths, demo_channel().paths),
+    "gain_drift_depth": (float, 0.0),
+    "gain_drift_period": (float, 0.0),
+    "delta_t": (_parse_range, _DELTA_T_RANGE),
+    "gamma": (_parse_range, _GAMMA_RANGE),
+    "noise_sigma": (float, _NOISE_SIGMA),
+}
+
+
+def load_scenario(
+    path: str | Path | None,
+    *,
+    seed: int,
+    symbols: int,
+    subcarriers: int | None = None,
+) -> tuple[ChannelSpec, ImpairmentSpec]:
+    """Channel and impairments from a scenario file of ``key = value`` lines.
+
+    Every key is optional, and ``path=None`` reads as an empty file.
+    Missing keys take the demo values: the :func:`demo_channel` paths,
+    no gain drift, n_fft 64, subcarriers 1..30, and the
+    :func:`demo_impairments` ranges and noise level. A ``subcarriers``
+    count K stands for the key ``subcarriers = 1:K`` and replaces the
+    file's map. The impairments are drawn from ``seed`` as in
+    :func:`demo_impairments`.
+
+    Raises:
+        OSError: the file cannot be read.
+        ValueError: a line, key or value is malformed.
+    """
+    entries = {} if path is None else _parse_scenario(Path(path).read_text(), Path(path).name)
+    if subcarriers is not None:
+        entries["subcarriers"] = f"1:{subcarriers}"
+    v = {
+        key: parse(entries[key]) if key in entries else default
+        for key, (parse, default) in _SCENARIO.items()
+    }
+    channel = ChannelSpec(v["paths"], v["gain_drift_depth"], v["gain_drift_period"])
+    smap = SubcarrierMap(v["subcarriers"], n_fft=v["n_fft"])
+    return channel, _seeded_impairments(
+        seed, symbols, smap, v["delta_t"], v["gamma"], v["noise_sigma"]
+    )

@@ -190,6 +190,28 @@ def test_process_real_payload_is_a_data_error(tmp_path, capsys):
     assert "complex" in err
 
 
+@pytest.mark.parametrize("fraction", ["inf", "nan"])
+def test_process_nonfinite_window_fraction_is_a_data_error(tmp_path, capsys, fraction):
+    meas, _ = make_pair(tmp_path, capsys)
+    code, _, err = run(
+        capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
+        "--method", "lrr+sgtime", "--sg-frac", fraction,
+    )
+    assert code == 4
+    assert "window fraction" in err
+
+
+def test_process_huge_window_fraction_smooths_the_whole_capture(tmp_path, capsys):
+    meas, _ = make_pair(tmp_path, capsys)
+    for fraction in ("1", "1e308"):
+        code, _, _ = run(
+            capsys, "process", "-i", str(meas), "-o", str(tmp_path / f"{fraction}.csif"),
+            "--method", "lrr+sgtime", "--sg-frac", fraction,
+        )
+        assert code == 0
+    assert (tmp_path / "1.csif").read_bytes() == (tmp_path / "1e308.csif").read_bytes()
+
+
 def test_process_verify_amplitude_passes_and_reports(tmp_path, capsys):
     meas, _ = make_pair(tmp_path, capsys)
     code, out, _ = run(

@@ -1,6 +1,9 @@
 """CSIF binary container, CSV tables, and feature exports."""
 
+import csv
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from csiphase.io import (
     read_csv,
     write_csif,
     write_csv,
+    write_table,
 )
 
 
@@ -74,6 +78,21 @@ def test_csif_amplitude_and_plain_arrays_are_real_payloads(tmp_path):
     assert_array_equal(read_csif(tmp_path / "amp.csif"), np.ones((2, 3)))
     write_csif(tmp_path / "arr.csif", np.full((2, 2), 0.5))
     assert_array_equal(read_csif(tmp_path / "arr.csif"), np.full((2, 2), 0.5))
+
+
+def test_csif_real_payload_is_read_without_a_copy(tmp_path):
+    path = tmp_path / "real.csif"
+    write_csif(path, np.zeros((10000, 52)))
+    payload = 10000 * 52 * 8
+    tracemalloc.start()
+    try:
+        values = read_csif(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (10000, 52)
+    assert not values.flags.writeable
+    assert peak <= 1.25 * payload
 
 
 def test_csif_rejects_bad_magic(tmp_path):
@@ -145,6 +164,14 @@ def test_csv_phase_golden_lines(tmp_path):
     path = tmp_path / "phase.csv"
     write_csv(path, PhaseMatrix(np.array([[0.0, 1.5]]), Stage.RAW))
     assert path.read_text().splitlines() == ["s,k,value", "1,1,0", "1,2,1.5"]
+
+
+def test_csv_complex_golden_lines(tmp_path):
+    path = tmp_path / "complex.csv"
+    write_csv(path, CsiMatrix(np.array([[complex(-0.0, 2.5), complex(5e-324, -1e-300)]])))
+    assert path.read_text().splitlines() == [
+        "s,k,re,im", "1,1,-0,2.5", "1,2,4.9406564584124654e-324,-1e-300",
+    ]
 
 
 def test_csv_complex_round_trip_is_exact(tmp_path):
@@ -232,6 +259,50 @@ def test_csv_rejects_empty_and_unknown_headers(tmp_path):
     path.write_text("a,b,c\n1,1,0\n")
     with pytest.raises(ValueError, match="line 1: header"):
         read_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+
+def reference_table_text(header, rows, comments=()):
+    """The row-wise table writer that write_table replaced: float cells
+    with 17 significant digits, everything else with str."""
+    buf = io.StringIO(newline="")
+    for comment in comments:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.17g" % c if isinstance(c, float) else str(c) for c in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [6, 10000])
+def test_write_table_matches_the_row_wise_reference(tmp_path, rows):
+    floats = np.resize([-0.0, 5e-324, 1e-300, 2.5, 1.0 / 3.0, -np.pi], rows)
+    counts = np.resize(np.array([0, 1, 2**31, 2**53 + 1, 2**60, 7], dtype=np.int64), rows)
+    labels = ["a,b", 'say "hi"', "two words", "plain", "x,\"y\" z", "L5"] * (rows // 6)
+    labels += labels[: rows - len(labels)]
+    comments = ("fitted_mean=0.5", 'mean.a,b=1')
+    header = ("value", "count", "label")
+    path = tmp_path / "t.csv"
+    write_table(path, header, (floats, counts, labels), comments=comments)
+    rows = list(zip(floats.tolist(), counts.tolist(), labels))
+    want = reference_table_text(header, rows, comments)
+    assert path.read_bytes().decode().splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def test_write_table_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ("a", "b"), (np.arange(3), np.zeros(2)))
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ("a", "b"), (["x"], np.zeros(2)))
+    for long, short in ((5000, 4096), (4097, 4096), (10000, 9999)):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ("a", "b"), (np.zeros(long), np.zeros(short)))
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ("a", "b"), (np.zeros(short), list(range(long))))
 
 
 # ---------------------------------------------------------------------------

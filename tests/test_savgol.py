@@ -218,6 +218,27 @@ def test_window_from_fraction_rejects_nonpositive_fraction():
         _window_from_fraction(100, 2, 0.0)
 
 
+@pytest.mark.parametrize("fraction", [np.inf, np.nan, -np.inf])
+def test_window_from_fraction_rejects_nonfinite_fraction(fraction):
+    with pytest.raises(ValueError, match="window fraction"):
+        _window_from_fraction(100, 2, fraction)
+
+
+@pytest.mark.parametrize("length", [50, 51, 52])
+def test_window_fractions_above_one_take_the_whole_dimension(length):
+    whole = _window_from_fraction(length, 2, 1.0)
+    assert whole == (length if length % 2 else length - 1)
+    for fraction in (2.0, 1e6, 1e308):
+        assert _window_from_fraction(length, 2, fraction) == whole
+
+
+@pytest.mark.parametrize("smoother", [sg_time, sg_freq, sg_2d])
+def test_a_number_is_not_a_spec(smoother):
+    phase = PhaseMatrix(np.zeros((20, 20)), Stage.CALIBRATED)
+    with pytest.raises(TypeError, match="fraction="):
+        smoother(phase, 0.2)
+
+
 # ------------------------------------------------------------- matrix variants
 
 

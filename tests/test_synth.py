@@ -14,6 +14,7 @@ from csiphase.synth import (
     demo_impairments,
     gen_dataset,
     gen_true_csi,
+    load_scenario,
 )
 
 
@@ -292,3 +293,16 @@ def test_demo_impairments_are_reproducible_and_in_range():
     assert len(imp.smap) == 52
     assert imp.smap.n_fft == 64
     assert demo_impairments(10, seed=8).seed != imp.seed
+
+
+@pytest.mark.parametrize("seed,symbols", [(0, 50), (7, 1000)])
+def test_empty_scenario_is_the_demo(seed, symbols):
+    channel, imp = load_scenario(None, seed=seed, symbols=symbols, subcarriers=52)
+    demo = demo_impairments(symbols, SubcarrierMap.contiguous(52, n_fft=64), seed=seed)
+    assert channel == demo_channel()
+    assert imp.delta_t.tobytes() == demo.delta_t.tobytes()
+    assert imp.gamma.tobytes() == demo.gamma.tobytes()
+    assert imp.seed == demo.seed
+    assert imp.noise_sigma == demo.noise_sigma
+    assert_array_equal(imp.smap.m, demo.smap.m)
+    assert imp.smap.n_fft == demo.smap.n_fft
