@@ -256,16 +256,19 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
     if csi._amplitude is not None:
         amp_values = csi._amplitude
         phase_values = csi._phase
+        zero = amp_values == 0.0
     else:
         amp_values = np.abs(csi.values)
         phase_values = np.angle(csi.values)
         # atan2 can return -pi when the imaginary part is a negative zero;
         # fold it onto +pi so the (-pi, pi] contract holds.
         np.copyto(phase_values, np.pi, where=phase_values == -np.pi)
-        np.copyto(phase_values, 0.0, where=amp_values == 0.0)
+        zero = amp_values == 0.0
+        np.copyto(phase_values, 0.0, where=zero)
         amp_values.setflags(write=False)
         phase_values.setflags(write=False)
-    zero_cells = [(int(s), int(k)) for s, k in np.argwhere(amp_values == 0.0)]
+    # Most captures have no zero cell, so the coordinate scan runs only for one.
+    zero_cells = [(int(s), int(k)) for s, k in np.argwhere(zero)] if zero.any() else []
     return (
         AmplitudeMatrix(amp_values),
         PhaseMatrix(phase_values, Stage.RAW),

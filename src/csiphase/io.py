@@ -86,7 +86,8 @@ def write_csif(path: str | Path, matrix) -> None:
     header = _HEADER.pack(_MAGIC, _VERSION, flags, s, k)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.tobytes(order="C"))
+        # The contiguous payload's own buffer, as bytes: no copy is made.
+        fh.write(arr.view(np.uint8))
 
 
 def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:

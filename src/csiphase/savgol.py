@@ -14,21 +14,26 @@ every symbol across frequency (the exact transpose of ``sg_time``), and
 rectangular time-frequency neighborhood. Window lengths default to a
 fraction (0.1) of the filtered dimension, rounded and forced odd.
 
-All three run on one row-correlation engine. Windows shorter than
+The 1-D passes run on one row-correlation engine. Windows shorter than
 ``_FFT_MIN_WINDOW`` are correlated by direct sliding-window sums; longer
 ones by real FFT, so a window that grows with S costs O(S log S) per
 track instead of O(S^2). The choice depends on the window alone, which
 keeps ``sg_freq`` and the transposed ``sg_time`` on the same path.
-``sg_2d`` runs its interior as w_c engine calls, one per subcarrier
-offset. Edge points need only the fit coefficients of their anchored
-window: order+1 per track end in 1-D, (order+1)(order+2)/2 per window
-along the four bands of ``sg_2d`` (a matmul for the top and bottom,
-engine calls for the left and right). No w x w or (w_r*w_c)^2
-projection matrix is built and no loop runs over cells.
+``sg_2d`` makes no per-offset engine calls: one real FFT of every
+subcarrier track down time serves its interior and its left and right
+bands, each a sum over subcarrier offsets taken in the frequency domain
+and brought back by one inverse FFT. Edge points need only the fit
+coefficients of their anchored window: order+1 per track end in 1-D,
+(order+1)(order+2)/2 per window along the four bands of ``sg_2d`` (a
+matmul for the top and bottom, the shared spectrum for the left and
+right). No w x w or (w_r*w_c)^2 projection matrix is built and no loop
+runs over cells. Designs are cached per order and window(s), and their
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -111,12 +116,18 @@ def _powers(window: int, order: int) -> np.ndarray:
     return np.vander(t, order + 1, increasing=True)
 
 
+# Designs kept per process; a run uses a handful of window pairs.
+_DESIGN_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def sg_design(spec: SgSpec) -> SgKernel:
     """Compute the least-squares weights for one order/window pair.
 
     ``fit`` is the pseudo-inverse of the polynomial basis over the
     window, so ``_powers(w, n)[p] @ fit`` evaluates the fit at offset p;
     the central convolution kernel is that row at the window center.
+    Each spec is designed once; the cached kernel's arrays are read-only.
     """
     basis = _powers(spec.window, spec.order)
     fit = np.linalg.pinv(basis)
@@ -301,6 +312,7 @@ def sg_freq(
     return PhaseMatrix(rows, phase.stage)
 
 
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _design_2d(
     order: int, w_rows: int, w_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,14 +322,16 @@ def _design_2d(
     (w_rows, terms) and per-column factors (w_cols, terms) of the basis,
     and the fit weights (terms, w_rows, w_cols): weights[t] applied to a
     window gives its coefficient on term t, so the fit at grid point
-    (a, b) is sum_t rows[a, t] * cols[b, t] * coefficient[t].
+    (a, b) is sum_t rows[a, t] * cols[b, t] * coefficient[t]. Each
+    (order, w_rows, w_cols) is designed once; the cached arrays are
+    read-only.
     """
     i, j = np.array([(i, j) for i in range(order + 1) for j in range(order + 1 - i)]).T
     rows = _powers(w_rows, order)[:, i]
     cols = _powers(w_cols, order)[:, j]
     basis = (rows[:, None, :] * cols[None, :, :]).reshape(w_rows * w_cols, -1)
     fit = np.linalg.pinv(basis).reshape(-1, w_rows, w_cols)
-    return rows, cols, fit
+    return _freeze(rows), _freeze(cols), _freeze(fit)
 
 
 def sg_2d(
@@ -377,35 +391,49 @@ def sg_2d(
     l_r, l_c = row_spec.half, col_spec.half
     u = _unwrap_last_axis(np.ascontiguousarray(phase.values.T)).T
     u = _unwrap_last_axis(np.ascontiguousarray(u))
-    # Time runs along the rows of x, so long time windows reach the FFT path.
+    # Time runs along the rows of x: one subcarrier track per row.
     x = np.ascontiguousarray(u.T)
+    del u
     rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
     nc = k - w_c + 1
-
-    # Each window is a sum over its w_c subcarrier offsets b of time
-    # correlations of subcarrier rows with column b of the weights.
-    out = np.empty_like(u)
-    center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
-    interior = sum(_correlate_rows(x[b : b + nc], center[:, b]) for b in range(w_c))
-    out[l_r : s - l_r, l_c : k - l_c] = interior.T
+    out = np.empty((s, k))
 
     # Edge cells evaluate the fit of the window anchored inside the grid at
     # their own offset. Top and bottom bands: windows over the first and
     # last w_r symbols, sliding across subcarriers, clamped at the corners.
     ends = np.stack([x[:, :w_r], x[:, s - w_r :]])
     coef = sum(ends[:, b : b + nc] @ fit[:, :, b].T for b in range(w_c))
+    del ends
     start = np.clip(np.arange(k) - l_c, 0, nc - 1)
     coef = coef[:, start] * cols[np.arange(k) - start]
     out[:l_r] = rows[:l_r] @ coef[0].T
     out[s - l_r :] = rows[l_r + 1 :] @ coef[1].T
+
+    # Every other window is a sum over its w_c subcarrier offsets b of
+    # time correlations of track b with column b of some weights, so one
+    # real FFT of every track serves them all. Circular wrap-around only
+    # reaches the first w_r - 1 outputs, which the valid part drops.
+    n = _fast_length(s)
+    spectra = np.fft.rfft(x, n, axis=1)
+    del x
     # Left and right bands: windows over the first and last w_c
-    # subcarriers, sliding down time.
-    ends = np.stack([x[:w_c], x[k - w_c :]], axis=1)
-    coef = np.stack(
-        [sum(_correlate_rows(ends[b], f[:, b]) for b in range(w_c)) for f in fit],
-        axis=-1,
+    # subcarriers, sliding down time; one spectrum per fit term.
+    fit_spectra = np.fft.rfft(fit[:, ::-1].transpose(0, 2, 1), n, axis=-1)
+    bands = np.stack([
+        np.einsum("bf,tbf->tf", spectra[:w_c], fit_spectra),
+        np.einsum("bf,tbf->tf", spectra[k - w_c :], fit_spectra),
+    ])
+    coef = np.fft.irfft(bands, n, axis=-1)[..., w_r - 1 : s]
+    del bands
+    out[l_r : s - l_r, :l_c] = coef[0].T @ (rows[l_r, :, None] * cols[:l_c].T)
+    out[l_r : s - l_r, k - l_c :] = coef[1].T @ (rows[l_r, :, None] * cols[l_c + 1 :].T)
+    del coef
+    # Interior: the fit evaluated at the window center.
+    center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
+    center_spectra = np.fft.rfft(center[::-1].T, n, axis=-1)
+    interior = np.einsum(
+        "kfb,bf->kf", sliding_window_view(spectra, w_c, axis=0), center_spectra
     )
-    coef *= rows[l_r]
-    out[l_r : s - l_r, :l_c] = coef[0] @ cols[:l_c].T
-    out[l_r : s - l_r, k - l_c :] = coef[1] @ cols[l_c + 1 :].T
+    del spectra
+    out[l_r : s - l_r, l_c : k - l_c] = np.fft.irfft(interior, n, axis=1)[:, w_r - 1 : s].T
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)

@@ -129,6 +129,19 @@ def test_decompose_zero_magnitude_reports_cell():
     assert amp.values[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("zeros", [0, 1, 37])
+def test_decompose_zero_cells_match_the_argwhere_reference(zeros):
+    rng = np.random.default_rng(zeros)
+    values = rng.normal(size=(20, 9)) + 1j * rng.normal(size=(20, 9))
+    values.flat[rng.choice(values.size, zeros, replace=False)] = 0j
+    want = [tuple(int(i) for i in cell) for cell in np.argwhere(np.abs(values) == 0.0)]
+    assert len(want) == zeros
+    amp, phase, zero_cells = decompose(CsiMatrix(values))
+    assert zero_cells == want
+    # the cached polar pair of a recomposed matrix takes the same scan
+    assert decompose(recompose(amp, phase))[2] == want
+
+
 def test_recompose_requires_matching_shapes():
     amp = AmplitudeMatrix(np.ones((2, 2)))
     phase = PhaseMatrix(np.zeros((2, 3)))

@@ -95,6 +95,35 @@ def test_csif_real_payload_is_read_without_a_copy(tmp_path):
     assert peak <= 1.25 * payload
 
 
+@pytest.mark.parametrize("values", [
+    np.array([[complex(-0.0, 5e-324), complex(1.5, -0.0)], [complex(-5e-324, 2.0), 0j]]),
+    np.array([[-0.0, 5e-324, -5e-324], [1.0, 0.0, -2.5]]),
+])
+def test_csif_payload_bytes_are_the_arrays_bytes(tmp_path, values):
+    # -0.0 and subnormals must reach the file as their exact bit patterns
+    path = tmp_path / "bits.csif"
+    write_csif(path, values)
+    flags = 1 if np.iscomplexobj(values) else 2
+    header = b"CSIF" + struct.pack("<HHII", 1, flags, *values.shape)
+    assert path.read_bytes() == header + values.astype(values.dtype.newbyteorder("<")).tobytes()
+
+
+@pytest.mark.parametrize("matrix", [
+    CsiMatrix(np.full((10000, 52), 1 - 2j)),
+    PhaseMatrix(np.full((10000, 52), 0.5)),
+])
+def test_csif_payload_is_written_without_a_copy(tmp_path, matrix):
+    payload = matrix.values.nbytes
+    tracemalloc.start()
+    try:
+        write_csif(tmp_path / "big.csif", matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csif").stat().st_size == 16 + payload
+    assert peak <= 0.25 * payload
+
+
 def test_csif_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.csif"
     write_csif(path, CsiMatrix(np.ones((1, 2), dtype=complex)))

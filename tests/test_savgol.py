@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import savgol_filter
 
@@ -14,6 +16,7 @@ from csiphase.savgol import (
     SgKernel,
     SgSpec,
     _correlate_rows,
+    _design_2d,
     _powers,
     _window_from_fraction,
     sg_2d,
@@ -91,6 +94,20 @@ def test_kernel_arrays_are_immutable():
         kernel.coefficients[0] = 0.0
     with pytest.raises(ValueError):
         kernel.fit[0, 0] = 0.0
+
+
+def test_designs_are_cached_and_read_only():
+    kernel = sg_design(SgSpec(2, 27))
+    assert sg_design(SgSpec(2, 27)) is kernel
+    with pytest.raises(ValueError):
+        kernel.coefficients[0] = 0.0
+    with pytest.raises(ValueError):
+        kernel.fit[0, 0] = 0.0
+    design = _design_2d(2, 27, 5)
+    assert _design_2d(2, 27, 5) is design
+    for arr in design:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
 
 
 # -------------------------------------------------------------------- sg_apply
@@ -347,18 +364,24 @@ def test_sg_2d_separable_reproduces_total_degree_polynomials():
     assert_allclose(out.values, field, rtol=0.0, atol=1e-9)
 
 
+def brute_cell_fit(field, order, w_r, w_c, si, ki):
+    """Independent oracle: least-squares fit of total degree <= order over
+    the w_r x w_c window anchored inside the grid, evaluated at (si, ki)."""
+    s, k = field.shape
+    br = min(max(si - w_r // 2, 0), s - w_r)
+    bc = min(max(ki - w_c // 2, 0), k - w_c)
+    rows, cols = np.mgrid[0:w_r, 0:w_c]
+    terms = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    basis = np.stack([rows.ravel() ** i * cols.ravel() ** j for i, j in terms], axis=1)
+    target = field[br : br + w_r, bc : bc + w_c].ravel()
+    sol, *_ = np.linalg.lstsq(basis.astype(float), target, rcond=None)
+    pr, pc = si - br, ki - bc
+    return np.array([float(pr**i * pc**j) for i, j in terms]) @ sol
+
+
 def test_sg_2d_matches_brute_force_cell_fits():
     def brute(field, w_r, w_c, si, ki):
-        s, k = field.shape
-        br = min(max(si - w_r // 2, 0), s - w_r)
-        bc = min(max(ki - w_c // 2, 0), k - w_c)
-        rows, cols = np.mgrid[0:w_r, 0:w_c]
-        terms = [(i, j) for i in range(3) for j in range(3 - i)]
-        basis = np.stack([rows.ravel() ** i * cols.ravel() ** j for i, j in terms], axis=1)
-        target = field[br : br + w_r, bc : bc + w_c].ravel()
-        sol, *_ = np.linalg.lstsq(basis.astype(float), target, rcond=None)
-        pr, pc = si - br, ki - bc
-        return np.array([float(pr**i * pc**j) for i, j in terms]) @ sol
+        return brute_cell_fit(field, 2, w_r, w_c, si, ki)
 
     # every cell, so every (row offset, column offset) edge class is hit;
     # the last grid's time window takes the FFT path
@@ -372,6 +395,35 @@ def test_sg_2d_matches_brute_force_cell_fits():
         ).values
         want = np.array([[brute(field, w_r, w_c, si, ki) for ki in range(k)] for si in range(s)])
         assert_allclose(out, want, rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def grids_and_specs(draw):
+    order = draw(st.integers(0, 3))
+    shortest = max(3, order + 1 + order % 2)
+    s = draw(st.integers(max(3, shortest), 60))
+    k = draw(st.integers(max(3, shortest), 40))
+    w_r = draw(st.sampled_from(range(shortest, s + 1, 2)))
+    w_c = draw(st.sampled_from(range(shortest, k + 1, 2)))
+    return s, k, order, w_r, w_c
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grids_and_specs())
+@example((60, 11, 2, 33, 5))
+@example((59, 7, 3, 59, 7))
+@example((45, 40, 1, 35, 39))
+def test_sg_2d_matches_brute_force_on_drawn_grids(grid):
+    s, k, order, w_r, w_c = grid
+    # small-amplitude field so the unwrap passes are bitwise identities
+    field = 0.1 * np.random.default_rng(s * 41 + k).normal(size=(s, k))
+    out = sg_2d(
+        PhaseMatrix(field, Stage.CALIBRATED), SgSpec(order, w_r), freq_spec=SgSpec(order, w_c)
+    ).values
+    want = np.array([
+        [brute_cell_fit(field, order, w_r, w_c, si, ki) for ki in range(k)] for si in range(s)
+    ])
+    assert_allclose(out, want, rtol=0.0, atol=1e-9)
 
 
 def test_sg_2d_rectangular_default_windows():

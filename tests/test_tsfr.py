@@ -497,5 +497,20 @@ def test_process_2d_smoothing_of_a_long_capture_stays_linear_in_memory():
     assert peaks["lrr+sg2d"] <= 2 * peaks["lrr+sgtime"]
 
 
+def test_process_2d_smoothing_of_a_long_capture_costs_about_what_time_smoothing_does():
+    # the bivariate fit keeps one spectrum of the tracks, not one per offset
+    csi = random_csi(np.random.default_rng(10), s=10000, k=52)
+    peaks = {}
+    for method in ("lrr+sgtime", "lrr+sg2d"):
+        process(csi, method)  # designs are cached: measure the steady state
+        tracemalloc.start()
+        try:
+            process(csi, method)
+            peaks[method] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["lrr+sg2d"] <= 1.1 * peaks["lrr+sgtime"]
+
+
 def test_process_method_tuple_is_the_documented_ladder():
     assert METHODS == ("raw", "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr")
