@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _unwrap_last_axis
+from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _unwrap_axis
 
 __all__ = [
     "LtFit",
@@ -114,9 +114,10 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
             f"subcarrier map length {len(smap)} does not match matrix columns {phase.subcarriers}"
         )
     m = smap.m.astype(np.float64)
-    u = _unwrap_last_axis(phase.values)
+    u = _unwrap_axis(phase.values)
     eps, tau = _endpoint_line(u, m)
     out = u - eps[:, None] * m[None, :] - tau[:, None]
+    out.setflags(write=False)
     return PhaseMatrix(out, Stage.CALIBRATED)
 
 
@@ -168,11 +169,12 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
         if not np.isfinite(x).all() or (np.diff(x) <= 0).any():
             raise ValueError("abscissa must be finite and strictly increasing")
 
-    u = _unwrap_last_axis(phase.values)
+    u = _unwrap_axis(phase.values)
     a, b = _line_fit(u, x)
     alpha = np.arctan(a)
     sa = np.sin(alpha)
     ca = np.cos(alpha)
     r_first = a * x[0] + b
     out = -x[None, :] * sa[:, None] + u * ca[:, None] - r_first[:, None]
+    out.setflags(write=False)
     return PhaseMatrix(out, Stage.CALIBRATED)

@@ -11,7 +11,9 @@ The free functions here are the plumbing every calibration method shares:
 * ``recompose`` rebuilds a complex matrix from an amplitude/phase pair and
   keeps the exact pair attached so the amplitude survives a processing
   chain bit for bit (re-deriving ``abs()`` from the cartesian values flips
-  the last ulp on a large fraction of elements).
+  the last ulp on a large fraction of elements). Its cartesian values are
+  formed on first read, so a consumer that only decomposes the result
+  never pays for the sin/cos of every cell.
 * ``unwrap`` removes 2*pi jumps from a phase vector, with the half-open
   convention that a step of exactly -pi unwraps to +pi.
 """
@@ -19,7 +21,8 @@ The free functions here are the plumbing every calibration method shares:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,11 +119,11 @@ class _Grid:
 
     @property
     def symbols(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def subcarriers(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -131,22 +134,50 @@ class _Grid:
 class CsiMatrix(_Grid):
     """Immutable S x K complex CSI matrix.
 
-    ``_amplitude``/``_phase`` are an optional polar cache attached by
-    :func:`recompose`; when present, :func:`decompose` returns the cached
-    pair exactly instead of re-deriving it from the cartesian values.
+    A matrix built by :func:`recompose` carries a polar cache: the exact
+    amplitude (``_amplitude``) and principal phase (``_phase``), which
+    :func:`decompose` returns as they are, and the phase it was
+    recomposed from (``_angles``). Its ``values`` are formed from the
+    amplitude and ``_angles`` on first read, validated and kept
+    read-only, and ``_angles`` is dropped; ``shape``, ``symbols``,
+    ``subcarriers`` and :func:`decompose` never form them.
     """
 
-    _amplitude: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _phase: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _amplitude = None
+    _phase = None
+    _angles = None
 
     _dtype = np.complex128
     _what = "CSI matrix"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self._amplitude is not None:
-            object.__setattr__(self, "_amplitude", _freeze(self._amplitude))
-            object.__setattr__(self, "_phase", _freeze(self._phase))
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.values if self._amplitude is None else self._amplitude).shape
+
+    # A matrix built from values holds them in its instance dict, which
+    # shadows this property; only a recomposed one reaches it.
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Read-only complex values, formed once from the polar cache."""
+        a, p = self._amplitude, self._angles
+        # Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed
+        # zeros included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j,
+        # and subtracting +0.0 changes no bit, so the real part is
+        # a*cos(p) + x*0.0 and the imaginary part x + 0.0. sin and cos fill
+        # contiguous buffers, not the strided .real/.imag views.
+        values = np.empty(a.shape, dtype=np.complex128)
+        buf = np.sin(p)
+        np.multiply(a, buf, out=values.imag)
+        np.multiply(values.imag, 0.0, out=buf)
+        cos = np.cos(p)
+        cos *= a
+        np.add(cos, buf, out=values.real)
+        del buf, cos
+        values.imag += 0.0
+        _check_grid(values, self._what)
+        values.setflags(write=False)
+        object.__setattr__(self, "_angles", None)
+        return values
 
 
 @dataclass(frozen=True)
@@ -244,7 +275,8 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
     collected in the returned warning list instead of producing NaN.
 
     If ``csi`` was built by :func:`recompose`, the exact amplitude/phase
-    pair it was built from is returned (no cartesian round trip).
+    pair it was built from is returned (no cartesian round trip), and its
+    cartesian values are not formed.
 
     Returns:
         (amplitude, phase, zero_cells) where ``phase`` is tagged
@@ -281,7 +313,9 @@ def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:
 
     The exact ``amplitude`` array (and the phase folded into (-pi, pi],
     zeroed where the amplitude is zero) is cached on the result, so a
-    subsequent :func:`decompose` returns it bit for bit.
+    subsequent :func:`decompose` returns it bit for bit. The cartesian
+    ``values`` are formed only when first read, bit for bit
+    ``a*cos(p) + 1j*(a*sin(p))``.
     """
     if amplitude.shape != phase.shape:
         raise ValueError(
@@ -289,25 +323,13 @@ def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:
         )
     a = amplitude.values
     p = phase.values
-    # Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed zeros
-    # included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j, and
-    # subtracting +0.0 changes no bit, so the real part is
-    # a*cos(p) + x*0.0 and the imaginary part x + 0.0. sin and cos fill
-    # contiguous buffers, not the strided .real/.imag views.
-    values = np.empty(a.shape, dtype=np.complex128)
-    buf = np.sin(p)
-    np.multiply(a, buf, out=values.imag)
-    np.multiply(values.imag, 0.0, out=buf)
-    cos = np.cos(p)
-    cos *= a
-    np.add(cos, buf, out=values.real)
-    del buf, cos
-    values.imag += 0.0
     principal = _wrap_pi(p)
     np.copyto(principal, 0.0, where=a == 0.0)
-    values.setflags(write=False)
     principal.setflags(write=False)
-    return CsiMatrix(values, _amplitude=a, _phase=principal)
+    # Built without __init__: there are no values to validate until read.
+    csi = object.__new__(CsiMatrix)
+    vars(csi).update(_amplitude=a, _phase=principal, _angles=p)
+    return csi
 
 
 def unwrap(v: np.ndarray) -> np.ndarray:
@@ -326,37 +348,41 @@ def unwrap(v: np.ndarray) -> np.ndarray:
         raise ValueError("unwrap expects at least one sample")
     if not np.isfinite(v).all():
         raise ValueError(f"non-finite value at index {int(np.argwhere(~np.isfinite(v))[0][0])}")
-    return _unwrap_last_axis(v)
+    return _unwrap_axis(v)
 
 
-def _unwrap_last_axis(values: np.ndarray) -> np.ndarray:
-    """:func:`unwrap` along the last axis, with no input checks.
+def _unwrap_axis(values: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`unwrap` along ``axis`` (the last by default), with no input checks.
 
-    Every row of a 2-D array is unwrapped with the same elementwise
-    arithmetic as a 1-D vector, so rows match ``unwrap`` bit for bit:
-    ``out[..., 0]`` is the first sample and ``out[..., 1:]`` is
-    ``values[..., 1:] - 2*pi * cumsum(ceil((d - pi) / (2*pi)))`` over the
-    adjacent gaps ``d``.
+    Every 1-D slice along ``axis`` is unwrapped with the same elementwise
+    arithmetic as a vector, so it matches ``unwrap`` bit for bit: its first
+    sample is kept and every later one is ``values[1:] - 2*pi *
+    cumsum(ceil((d - pi) / (2*pi)))`` over the adjacent gaps ``d``. The
+    result goes to ``out`` (a new array by default), which may be
+    ``values`` itself to unwrap in place.
 
     Fast path: when every gap satisfies |d| < 3, each wrap count
     ``ceil((d - pi) / (2*pi))`` lies in (-1, 0) before rounding, so it is
     -0.0, and so are its running sums and their 2*pi multiples. The full
-    formula then reduces to ``values[..., 1:] + 0.0``, which turns a
-    stored -0.0 into +0.0 just as subtracting -0.0 does; that is computed
+    formula then reduces to ``values[1:] + 0.0``, which turns a stored
+    -0.0 into +0.0 just as subtracting -0.0 does; that is computed
     directly. The condition is tested by two reductions over ``d``, so
     input that fails it pays little extra. Otherwise the same ufuncs run
     in the same order, in place in the one ``d`` buffer.
     """
+    if out is None:
+        out = np.empty_like(values)
+    values = values.swapaxes(axis, -1)
+    target = out.swapaxes(axis, -1)
     d = np.diff(values, axis=-1)
-    out = np.empty_like(values)
-    out[..., 0] = values[..., 0]
+    target[..., 0] = values[..., 0]
     if d.size == 0 or (d.max() < 3.0 and d.min() > -3.0):
-        np.add(values[..., 1:], 0.0, out=out[..., 1:])
+        np.add(values[..., 1:], 0.0, out=target[..., 1:])
         return out
     d -= np.pi
     d /= _TWO_PI
     np.ceil(d, out=d)
     np.cumsum(d, axis=-1, out=d)
     np.multiply(_TWO_PI, d, out=d)
-    np.subtract(values[..., 1:], d, out=out[..., 1:])
+    np.subtract(values[..., 1:], d, out=target[..., 1:])
     return out

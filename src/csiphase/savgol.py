@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PhaseMatrix, Stage, _freeze, _require_stage, _unwrap_last_axis
+from .core import PhaseMatrix, Stage, _freeze, _require_stage, _unwrap_axis
 
 __all__ = [
     "SgSpec",
@@ -260,7 +260,7 @@ def _smooth_rows(
     if resolved is None:
         _warn_degenerate(what, length, stacklevel=4)
         return rows
-    return _apply_stack(_unwrap_last_axis(np.ascontiguousarray(rows)), sg_design(resolved))
+    return _apply_stack(_unwrap_axis(np.ascontiguousarray(rows)), sg_design(resolved))
 
 
 def sg_time(
@@ -290,7 +290,9 @@ def sg_time(
     if s < 3:
         raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
     columns = _smooth_rows(phase.values.T, spec, order, fraction, "time axis")
-    return PhaseMatrix(columns.T, Stage.TIME_SMOOTHED)
+    out = np.ascontiguousarray(columns.T)
+    out.setflags(write=False)
+    return PhaseMatrix(out, Stage.TIME_SMOOTHED)
 
 
 def sg_freq(
@@ -309,7 +311,16 @@ def sg_freq(
     """
     _require_stage(phase, "sg_freq", *_SMOOTHABLE)
     rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis")
+    rows.setflags(write=False)
     return PhaseMatrix(rows, phase.stage)
+
+
+def _unwrap_grid(values: np.ndarray) -> np.ndarray:
+    """Time-major (K x S, C-contiguous) copy of an S x K phase grid,
+    unwrapped down time and then across subcarriers, in place."""
+    x = np.array(values.T, order="C")
+    _unwrap_axis(x, out=x)
+    return _unwrap_axis(x, axis=0, out=x)
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -389,11 +400,8 @@ def sg_2d(
 
     w_r, w_c = row_spec.window, col_spec.window
     l_r, l_c = row_spec.half, col_spec.half
-    u = _unwrap_last_axis(np.ascontiguousarray(phase.values.T)).T
-    u = _unwrap_last_axis(np.ascontiguousarray(u))
     # Time runs along the rows of x: one subcarrier track per row.
-    x = np.ascontiguousarray(u.T)
-    del u
+    x = _unwrap_grid(phase.values)
     rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
     nc = k - w_c + 1
     out = np.empty((s, k))
@@ -436,4 +444,5 @@ def sg_2d(
     )
     del spectra
     out[l_r : s - l_r, l_c : k - l_c] = np.fft.irfft(interior, n, axis=1)[:, w_r - 1 : s].T
+    out.setflags(write=False)
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)

@@ -38,7 +38,7 @@ from .core import (
     Stage,
     SubcarrierMap,
     _freeze,
-    _unwrap_last_axis,
+    _unwrap_axis,
     decompose,
     recompose,
 )
@@ -225,8 +225,8 @@ def tsfr(
     calibrated = lrr_calibrate(phase, abscissa)
     smoothed = sg_time(calibrated, order=order, fraction=fraction)
 
-    mu, sigma, d = _gap_stats(_unwrap_last_axis(calibrated.values))
-    rebuilt, low, high = _rebuild_rows(_unwrap_last_axis(smoothed.values), d)
+    mu, sigma, d = _gap_stats(_unwrap_axis(calibrated.values))
+    rebuilt, low, high = _rebuild_rows(_unwrap_axis(smoothed.values), d)
     exceed = low | high
     # Just allocated here: read-only hands them to the containers uncopied.
     rebuilt.setflags(write=False)

@@ -19,7 +19,7 @@ from csiphase import (
     recompose,
     unwrap,
 )
-from csiphase.core import _unwrap_last_axis
+from csiphase.core import _unwrap_axis
 
 
 def same_bytes(a, b):
@@ -213,6 +213,12 @@ def test_recompose_matches_the_complex_expression_bitwise():
     principal = p - 2.0 * np.pi * np.ceil((p - np.pi) / (2.0 * np.pi))
     principal = np.where(a == 0.0, 0.0, principal)
     assert same_bytes(csi._phase, principal)
+    # decompose first, values after: the same bits, formed on that first read
+    later = recompose(AmplitudeMatrix(a), PhaseMatrix(p))
+    amp, phase, _ = decompose(later)
+    assert same_bytes(amp.values, a)
+    assert same_bytes(phase.values, principal)
+    assert same_bytes(later.values, csi.values)
 
 
 def test_recompose_zero_amplitude_cell_round_trips_to_zero_phase():
@@ -327,10 +333,10 @@ def test_unwrap_matches_the_reference_arithmetic_bitwise():
         [-0.0, -np.pi, -2 * np.pi, -3 * np.pi, -4 * np.pi, -0.0],
     ])
     for rows in (calm, np.vstack([calm, edge, wraps])):
-        assert same_bytes(_unwrap_last_axis(rows), reference_unwrap(rows))
+        assert same_bytes(_unwrap_axis(rows), reference_unwrap(rows))
         for row in rows:
             assert same_bytes(unwrap(row), reference_unwrap(row))
-    out = _unwrap_last_axis(calm)
+    out = _unwrap_axis(calm)
     assert np.signbit(out[:, 0]).all()  # the first sample is kept as stored
     assert not np.signbit(out[:, 2]).any()  # a later -0.0 comes out as +0.0
 
@@ -340,7 +346,7 @@ def test_unwrap_of_a_wrapped_capture_stays_near_its_input_size():
     values = rng.uniform(-np.pi, np.pi, size=(10000, 52))
     tracemalloc.start()
     try:
-        out = _unwrap_last_axis(values)
+        out = _unwrap_axis(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import savgol_filter
 
 from csiphase import PhaseMatrix, Stage, unwrap
+from csiphase.core import _unwrap_axis
 from csiphase.savgol import (
     _FFT_MIN_WINDOW,
     DegenerateWindowWarning,
@@ -18,6 +19,7 @@ from csiphase.savgol import (
     _correlate_rows,
     _design_2d,
     _powers,
+    _unwrap_grid,
     _window_from_fraction,
     sg_2d,
     sg_apply,
@@ -435,6 +437,31 @@ def test_sg_2d_rectangular_default_windows():
         PhaseMatrix(base, Stage.CALIBRATED), SgSpec(2, 21), freq_spec=SgSpec(2, 3)
     )
     assert_array_equal(out_default.values, out_explicit.values)
+
+
+def transposed_unwrap_grid(values):
+    """The unwrap sg_2d ran before, through three S x K layout copies."""
+    u = _unwrap_axis(np.ascontiguousarray(values.T)).T
+    u = _unwrap_axis(np.ascontiguousarray(u))
+    return np.ascontiguousarray(u.T)
+
+
+def test_sg_2d_unwrap_matches_the_transposed_path_bitwise():
+    rng = np.random.default_rng(17)
+    s, k = 40, 12
+    calm = 0.1 * rng.normal(size=(s, k))  # every |gap| < 3 on both axes
+    wrapped = rng.uniform(-np.pi, np.pi, size=(s, k))  # gaps beyond 3 rad
+    across = np.add.outer(np.arange(s) * 0.05, np.arange(k) * 3.5)  # wraps across only
+    down = np.add.outer(np.arange(s) * 3.5, np.arange(k) * 0.05)  # wraps down only
+    edges = np.tile([3.0, -3.0, np.pi, -np.pi, 0.0, -0.0], (s, 2))
+    for grid in (calm, wrapped, across, down, edges):
+        grid = grid.copy()
+        grid[rng.random(grid.shape) < 0.2] = -0.0
+        grid[0, 0] = -0.0
+        got = _unwrap_grid(PhaseMatrix(grid).values)
+        want = transposed_unwrap_grid(grid)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 def test_sg_2d_rejects_mismatched_orders():

@@ -512,5 +512,30 @@ def test_process_2d_smoothing_of_a_long_capture_costs_about_what_time_smoothing_
     assert peaks["lrr+sg2d"] <= 1.1 * peaks["lrr+sgtime"]
 
 
+def test_process_output_read_as_phase_forms_no_cartesian_values():
+    # A consumer of the cleaned phase neither computes nor holds the complex
+    # matrix; reading it forms it once and drops the phase it came from.
+    csi = random_csi(np.random.default_rng(12), s=10000, k=52)
+    cartesian = csi.values.nbytes
+    for method in METHODS:
+        process(csi, method)  # designs are cached: measure the steady state
+        tracemalloc.start()
+        try:
+            result = process(csi, method)
+            amplitude, phase, _ = decompose(result.output)
+            assert result.output.shape == (result.output.symbols, result.output.subcarriers)
+            as_phase = tracemalloc.get_traced_memory()[0]
+            values = result.output.values
+            as_values = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pair = amplitude.values.nbytes + phase.values.nbytes
+        # beyond its polar pair, at most the stage's float phase (and the report)
+        assert as_phase - pair < 0.75 * cartesian, method
+        assert as_values - pair - cartesian < 0.25 * cartesian, method
+        assert result.output.values is values
+        assert not values.flags.writeable
+
+
 def test_process_method_tuple_is_the_documented_ladder():
     assert METHODS == ("raw", "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr")
