@@ -114,11 +114,13 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
             f"subcarrier map length {len(smap)} does not match matrix columns {phase.subcarriers}"
         )
     m = smap.m.astype(np.float64)
+    # The unwrapped rows are fresh: the trend comes off in place.
     u = _unwrap_axis(phase.values)
     eps, tau = _endpoint_line(u, m)
-    out = u - eps[:, None] * m[None, :] - tau[:, None]
-    out.setflags(write=False)
-    return PhaseMatrix(out, Stage.CALIBRATED)
+    u -= eps[:, None] * m[None, :]
+    u -= tau[:, None]
+    u.setflags(write=False)
+    return PhaseMatrix(u, Stage.CALIBRATED)
 
 
 def regress_symbol(row: np.ndarray) -> RegressionFit:
@@ -175,6 +177,10 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
     sa = np.sin(alpha)
     ca = np.cos(alpha)
     r_first = a * x[0] + b
-    out = -x[None, :] * sa[:, None] + u * ca[:, None] - r_first[:, None]
-    out.setflags(write=False)
-    return PhaseMatrix(out, Stage.CALIBRATED)
+    # -x * sa + u * ca - r_first, rotated inside the fresh unwrapped rows
+    # (a sum of two floats does not depend on their order).
+    u *= ca[:, None]
+    u += -x[None, :] * sa[:, None]
+    u -= r_first[:, None]
+    u.setflags(write=False)
+    return PhaseMatrix(u, Stage.CALIBRATED)

@@ -13,9 +13,16 @@ The free functions here are the plumbing every calibration method shares:
   chain bit for bit (re-deriving ``abs()`` from the cartesian values flips
   the last ulp on a large fraction of elements). Its cartesian values are
   formed on first read, so a consumer that only decomposes the result
-  never pays for the sin/cos of every cell.
+  never pays for the sin/cos of every cell, and are formed in row blocks
+  of ``_FILL_BLOCK`` cells, so a CSIF write of an unread result streams
+  them to the file without ever holding the whole complex matrix.
 * ``unwrap`` removes 2*pi jumps from a phase vector, with the half-open
   convention that a step of exactly -pi unwraps to +pi.
+
+Working-set rule for every stage of the package: a stage allocates its
+output plus at most one S x K temporary, and computes in the buffers it
+has just allocated. Smoothing by FFT (windows of 32 and more) also holds
+the spectrum and inverse transform of its tracks while it runs.
 """
 
 from __future__ import annotations
@@ -65,12 +72,62 @@ def _check_grid(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} needs at least one symbol row, got {s}")
     if k < 2:
         raise ValueError(f"{name} needs at least two subcarrier columns, got {k}")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        where = np.argwhere(bad)[0]
+    _check_finite(values, name)
+
+
+def _check_finite(values: np.ndarray, name: str, first_row: int = 0) -> None:
+    """Raise unless every cell is finite, naming the first bad one.
+
+    ``first_row`` is the global row of ``values[0]``, for row blocks.
+    One boolean mask is built; the bad cell is located only on failure.
+    """
+    if not np.isfinite(values).all():
+        row, column = np.argwhere(~np.isfinite(values))[0]
         raise ValueError(
-            f"{name} has a non-finite value at row {where[0]}, column {where[1]} (0-based)"
+            f"{name} has a non-finite value at row {first_row + row}, "
+            f"column {column} (0-based)"
         )
+
+
+# Cells the cartesian fill forms per row block: its sin and cos scratch
+# stays at two blocks whatever the matrix size.
+_FILL_BLOCK = 1 << 14
+
+
+def _cartesian_blocks(a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray | None = None):
+    """Yield ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks, in order.
+
+    Each block is a run of complex rows: rows of ``out`` when it is given,
+    otherwise one scratch buffer reused for every block. A non-finite
+    cell raises ``ValueError`` with its global row and column.
+
+    Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed zeros
+    included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j, and
+    subtracting +0.0 changes no bit, so the real part is a*cos(p) + x*0.0
+    and the imaginary part x + 0.0. sin and cos fill contiguous buffers,
+    not the strided .real/.imag views. Every operation is elementwise, so
+    the block size changes no bit.
+    """
+    s, k = a.shape
+    step = max(1, _FILL_BLOCK // k)
+    shape = (min(step, s), k)
+    buf, cos = np.empty(shape), np.empty(shape)
+    scratch = np.empty(shape, dtype=np.complex128) if out is None else None
+    for start in range(0, s, step):
+        stop = min(start + step, s)
+        rows = stop - start
+        block = scratch[:rows] if out is None else out[start:stop]
+        a_rows, p_rows = a[start:stop], p[start:stop]
+        sin_rows, cos_rows = buf[:rows], cos[:rows]
+        np.sin(p_rows, out=sin_rows)
+        np.multiply(a_rows, sin_rows, out=block.imag)
+        np.multiply(block.imag, 0.0, out=sin_rows)
+        np.cos(p_rows, out=cos_rows)
+        cos_rows *= a_rows
+        np.add(cos_rows, sin_rows, out=block.real)
+        block.imag += 0.0
+        _check_finite(block, name, start)
+        yield block
 
 
 def _freeze(values, dtype=None) -> np.ndarray:
@@ -138,9 +195,10 @@ class CsiMatrix(_Grid):
     amplitude (``_amplitude``) and principal phase (``_phase``), which
     :func:`decompose` returns as they are, and the phase it was
     recomposed from (``_angles``). Its ``values`` are formed from the
-    amplitude and ``_angles`` on first read, validated and kept
-    read-only, and ``_angles`` is dropped; ``shape``, ``symbols``,
-    ``subcarriers`` and :func:`decompose` never form them.
+    amplitude and ``_angles`` on first read, in checked row blocks, and
+    kept read-only, and ``_angles`` is dropped; ``shape``, ``symbols``,
+    ``subcarriers``, :func:`decompose` and ``io.write_csif`` never form
+    them (the writer streams the same blocks to the file).
     """
 
     _amplitude = None
@@ -159,25 +217,24 @@ class CsiMatrix(_Grid):
     @functools.cached_property
     def values(self) -> np.ndarray:
         """Read-only complex values, formed once from the polar cache."""
-        a, p = self._amplitude, self._angles
-        # Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed
-        # zeros included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j,
-        # and subtracting +0.0 changes no bit, so the real part is
-        # a*cos(p) + x*0.0 and the imaginary part x + 0.0. sin and cos fill
-        # contiguous buffers, not the strided .real/.imag views.
-        values = np.empty(a.shape, dtype=np.complex128)
-        buf = np.sin(p)
-        np.multiply(a, buf, out=values.imag)
-        np.multiply(values.imag, 0.0, out=buf)
-        cos = np.cos(p)
-        cos *= a
-        np.add(cos, buf, out=values.real)
-        del buf, cos
-        values.imag += 0.0
-        _check_grid(values, self._what)
+        values = np.empty(self.shape, dtype=np.complex128)
+        for _ in _cartesian_blocks(self._amplitude, self._angles, self._what, values):
+            pass
         values.setflags(write=False)
         object.__setattr__(self, "_angles", None)
         return values
+
+    def _row_blocks(self):
+        """The complex values as consecutive blocks of rows.
+
+        A matrix whose values are formed yields them in one block; an
+        unformed one yields checked blocks of one reused scratch buffer
+        and stays unformed.
+        """
+        if "values" in vars(self):
+            yield self.values
+        else:
+            yield from _cartesian_blocks(self._amplitude, self._angles, self._what)
 
 
 @dataclass(frozen=True)

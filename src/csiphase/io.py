@@ -6,6 +6,9 @@ Three formats live here:
   (magic ``CSIF``, version, payload-kind flags, row and column counts)
   followed by the matrix row-major as 64-bit floats, interleaved
   (re, im) pairs for complex payloads. Round trips are byte-identical.
+  Writes stream: no copy of the whole payload is made, and a matrix
+  from ``recompose`` is written in row blocks as its cartesian values
+  are formed, without ever holding them all.
 * CSV tables with 1-based ``s,k`` coordinates and 17-significant-digit
   values, so a CSIF -> CSV -> CSIF round trip is lossless.
 * Raw feature payloads with a key=value sidecar describing shape,
@@ -63,8 +66,6 @@ class CsifTruncatedError(CsifError):
 
 
 def _payload_array(matrix) -> tuple[np.ndarray, int]:
-    if isinstance(matrix, CsiMatrix):
-        return np.ascontiguousarray(matrix.values, dtype="<c16"), _FLAG_COMPLEX
     if isinstance(matrix, (PhaseMatrix, AmplitudeMatrix)):
         return np.ascontiguousarray(matrix.values, dtype="<f8"), _FLAG_REAL
     arr = np.asarray(matrix)
@@ -80,14 +81,37 @@ def write_csif(path: str | Path, matrix) -> None:
 
     ``CsiMatrix`` payloads are flagged complex; ``PhaseMatrix``,
     ``AmplitudeMatrix`` and plain real arrays are flagged real.
+
+    Writes stream: a matrix from ``recompose`` whose values have not
+    been read is written row block by row block as the blocks are
+    formed, and its values stay unformed; any other payload is written
+    from its own buffer. Either way no copy of the whole payload is made.
+    A non-finite cell found while streaming raises ``ValueError`` and
+    leaves no file behind.
     """
-    arr, flags = _payload_array(matrix)
-    s, k = arr.shape
+    if isinstance(matrix, CsiMatrix):
+        s, k = matrix.shape
+        flags, dtype = _FLAG_COMPLEX, "<c16"
+        blocks = matrix._row_blocks()
+    else:
+        arr, flags = _payload_array(matrix)
+        s, k = arr.shape
+        dtype, blocks = arr.dtype, (arr,)
     header = _HEADER.pack(_MAGIC, _VERSION, flags, s, k)
     with open(path, "wb") as fh:
-        fh.write(header)
-        # The contiguous payload's own buffer, as bytes: no copy is made.
-        fh.write(arr.view(np.uint8))
+        try:
+            fh.write(header)
+            for block in blocks:
+                # The contiguous block's own buffer, as bytes: no copy is made.
+                fh.write(np.ascontiguousarray(block, dtype=dtype).view(np.uint8))
+        except ValueError:
+            # Only a streamed block that fails to form lands here. The
+            # partial file goes; a target that is not a regular file
+            # (a pipe, /dev/stdout) is never removed.
+            fh.close()
+            if Path(path).is_file():
+                Path(path).unlink()
+            raise
 
 
 def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:

@@ -151,19 +151,32 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _correlate_rows(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _correlate_rows(arr: np.ndarray, weights: np.ndarray, pad: int = 0) -> np.ndarray:
     """Valid correlation of every row of a C-contiguous (signals, length)
-    stack with one kernel: out[i, j] = sum_p weights[p] * arr[i, j + p]."""
+    stack with one kernel: out[i, pad + j] = sum_p weights[p] * arr[i, j + p].
+
+    The result is ``pad`` columns wider on each side than the valid part,
+    and those columns are left unset for the caller to fill. Direct sums
+    land straight in the result; the FFT path allocates it only after its
+    spectrum is gone, which keeps its peak lower.
+    """
     w = weights.size
     length = arr.shape[1]
+    shape = (arr.shape[0], length - w + 1 + 2 * pad)
     if w < _FFT_MIN_WINDOW:
-        return sliding_window_view(arr, w, axis=1) @ weights
+        out = np.empty(shape)
+        np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
+        return out
     # Circular wrap-around only reaches the first w - 1 outputs of the
     # full correlation, which the valid part drops, so length suffices.
     n = _fast_length(length)
     spectrum = np.fft.rfft(arr, n, axis=1)
     spectrum *= np.fft.rfft(weights[::-1], n)
-    return np.fft.irfft(spectrum, n, axis=1)[:, w - 1 : length]
+    full = np.fft.irfft(spectrum, n, axis=1)
+    del spectrum
+    out = np.empty(shape)
+    out[:, pad : shape[1] - pad] = full[:, w - 1 : length]
+    return out
 
 
 def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
@@ -171,10 +184,10 @@ def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
     w = kernel.spec.window
     half = kernel.spec.half
     basis = _powers(w, kernel.spec.order)
-    interior = _correlate_rows(arr, kernel.coefficients)
-    lead = (arr[:, :w] @ kernel.fit.T) @ basis[:half].T
-    trail = (arr[:, -w:] @ kernel.fit.T) @ basis[half + 1 :].T
-    return np.concatenate([lead, interior, trail], axis=1)
+    out = _correlate_rows(arr, kernel.coefficients, pad=half)
+    out[:, :half] = (arr[:, :w] @ kernel.fit.T) @ basis[:half].T
+    out[:, arr.shape[1] - half :] = (arr[:, -w:] @ kernel.fit.T) @ basis[half + 1 :].T
+    return out
 
 
 def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
@@ -250,17 +263,40 @@ _SMOOTHABLE = (Stage.RAW, Stage.CALIBRATED, Stage.TIME_SMOOTHED)
 
 
 def _smooth_rows(
-    rows: np.ndarray, spec: SgSpec | None, order: int, fraction: float, what: str
+    rows: np.ndarray,
+    spec: SgSpec | None,
+    order: int,
+    fraction: float,
+    what: str,
+    stacklevel: int,
 ) -> np.ndarray:
     """Unwrap and smooth every row with the window resolved for the row
     length; rows too short for any window are returned unchanged, with a
-    :class:`DegenerateWindowWarning`."""
+    :class:`DegenerateWindowWarning` attributed ``stacklevel`` frames up."""
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
     if resolved is None:
-        _warn_degenerate(what, length, stacklevel=4)
+        _warn_degenerate(what, length, stacklevel=stacklevel)
         return rows
-    return _apply_stack(_unwrap_axis(np.ascontiguousarray(rows)), sg_design(resolved))
+    # One fresh C-contiguous array receives the unwrap, whatever the layout of rows.
+    unwrapped = _unwrap_axis(rows, out=np.empty(rows.shape))
+    return _apply_stack(unwrapped, sg_design(resolved))
+
+
+def _time_tracks(
+    phase: PhaseMatrix, spec: SgSpec | None, order: int, fraction: float
+) -> np.ndarray:
+    """Time-smoothed subcarrier tracks of ``phase``, time-major (K x S).
+
+    The work of :func:`sg_time` short of its final transpose. The result
+    is a fresh C-contiguous array, except in the degenerate pass-through,
+    which returns the read-only transposed input. Errors and warnings
+    are those of ``sg_time``, attributed to the caller's caller.
+    """
+    s = phase.symbols
+    if s < 3:
+        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
+    return _smooth_rows(phase.values.T, spec, order, fraction, "time axis", stacklevel=5)
 
 
 def sg_time(
@@ -286,11 +322,7 @@ def sg_time(
         Time-smoothed-stage matrix of the same shape.
     """
     _require_stage(phase, "sg_time", *_SMOOTHABLE)
-    s = phase.symbols
-    if s < 3:
-        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    columns = _smooth_rows(phase.values.T, spec, order, fraction, "time axis")
-    out = np.ascontiguousarray(columns.T)
+    out = np.ascontiguousarray(_time_tracks(phase, spec, order, fraction).T)
     out.setflags(write=False)
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)
 
@@ -310,7 +342,7 @@ def sg_freq(
     is a side step, not a position on the time-processing ladder).
     """
     _require_stage(phase, "sg_freq", *_SMOOTHABLE)
-    rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis")
+    rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis", stacklevel=4)
     rows.setflags(write=False)
     return PhaseMatrix(rows, phase.stage)
 
@@ -431,6 +463,7 @@ def sg_2d(
         np.einsum("bf,tbf->tf", spectra[:w_c], fit_spectra),
         np.einsum("bf,tbf->tf", spectra[k - w_c :], fit_spectra),
     ])
+    del fit_spectra
     coef = np.fft.irfft(bands, n, axis=-1)[..., w_r - 1 : s]
     del bands
     out[l_r : s - l_r, :l_c] = coef[0].T @ (rows[l_r, :, None] * cols[:l_c].T)

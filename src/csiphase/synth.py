@@ -165,8 +165,11 @@ def gen_true_csi(channel: ChannelSpec, symbols: int, smap: SubcarrierMap) -> Csi
     base = np.exp(-2j * np.pi * np.outer(delays, smap.m) / smap.n_fft)
     gains = channel.gains
     if channel.drift_depth == 0:
-        row = gains @ base
-        return CsiMatrix(np.tile(row, (symbols, 1)))
+        # repeat, unlike tile, returns an array that owns its memory, so
+        # marked read-only it is handed over uncopied; the bytes are the same.
+        rows = np.repeat((gains @ base)[None, :], symbols, axis=0)
+        rows.setflags(write=False)
+        return CsiMatrix(rows)
     starts = 2 * np.pi * np.arange(len(gains)) / len(gains)
     s = np.arange(symbols, dtype=np.float64)[:, None]
     modulation = 1 + channel.drift_depth * np.sin(
@@ -192,11 +195,17 @@ def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
             f"columns {true_csi.subcarriers}"
         )
     amplitude, phase, _ = decompose(true_csi)
-    tilt = (2 * np.pi / imp.smap.n_fft) * np.outer(imp.delta_t, imp.smap.m)
-    measured = phase.values + tilt + imp.gamma[:, None]
+    # phase + tilt + gamma (+ noise), summed in the one tilt buffer; float
+    # sums and products do not depend on the order of their two operands.
+    measured = np.outer(imp.delta_t, imp.smap.m)
+    measured *= 2 * np.pi / imp.smap.n_fft
+    np.add(phase.values, measured, out=measured)
+    del phase
+    measured += imp.gamma[:, None]
     if imp.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(imp.seed)))
-        measured = measured + rng.normal(0.0, imp.noise_sigma, size=measured.shape)
+        measured += rng.normal(0.0, imp.noise_sigma, size=measured.shape)
+    measured.setflags(write=False)
     return SynthOutput(
         true_csi=true_csi,
         measured_csi=recompose(amplitude, PhaseMatrix(measured, Stage.RAW)),

@@ -19,6 +19,13 @@ gaps beyond it are clamped to exactly +/- d_s:
 
 A row whose gaps all satisfy the threshold passes through bit for bit.
 
+The chain keeps to the package's working-set rule (a stage allocates its
+output plus at most one S x K temporary; see :mod:`csiphase.core`): the
+calibrated phase is dropped once it is smoothed, and the smoothed phase
+stays in the time-major K x S layout the smoother produced, is unwrapped
+across subcarriers and rebuilt in place, and is transposed once, at the
+end.
+
 :func:`process` bundles every calibration route in this package behind
 one entry point and always hands the untouched amplitude back to the
 reconstruction, so only the phase differs between methods.
@@ -42,7 +49,7 @@ from .core import (
     decompose,
     recompose,
 )
-from .savgol import sg_2d, sg_freq, sg_time
+from .savgol import _time_tracks, sg_2d, sg_freq, sg_time
 
 __all__ = [
     "GapThreshold",
@@ -120,9 +127,13 @@ class TsfrReport:
 
 def _gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """mu, sigma and d = mu + sigma of the absolute adjacent gaps (last axis)."""
-    gaps = np.abs(np.diff(rows, axis=-1))
+    gaps = np.diff(rows, axis=-1)
+    np.abs(gaps, out=gaps)
     mu = gaps.mean(axis=-1)
-    sigma = np.sqrt(((gaps - np.expand_dims(mu, -1)) ** 2).mean(axis=-1))
+    # The squared deviations reuse the gap buffer.
+    gaps -= np.expand_dims(mu, -1)
+    np.square(gaps, out=gaps)
+    sigma = np.sqrt(gaps.mean(axis=-1))
     return mu, sigma, mu + sigma
 
 
@@ -142,41 +153,46 @@ def gap_stats(row: np.ndarray) -> GapThreshold:
     return GapThreshold(mu=float(mu), sigma=float(sigma), d=float(d))
 
 
-def _rebuild_rows(rows: np.ndarray, d: np.ndarray):
-    """Rebuild every row against its own threshold.
+def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
+    """Rebuild every symbol against its own threshold, in place.
 
-    Vectorized across rows, sequential across columns; each elementwise
-    update evaluates the same IEEE expressions as a scalar left-to-right
-    walk, so the result is bit-identical to one.
+    ``tracks`` is the time-major (K x S, C-contiguous, writable) layout:
+    row k holds subcarrier k of every symbol, so each step of the walk
+    reads and writes contiguous memory. The walk overwrites ``tracks``,
+    keeping the previous source row in a one-row buffer, and the result
+    is transposed once.
 
-    The walk runs on a time-major (K x S, C-contiguous) copy, so each
-    column step reads and writes contiguous memory. It starts at the
-    earliest column any row clamps at, and is skipped when no row clamps:
-    before its first clamp a row passes through bit for bit, because
-    there ``out_{k-1} == phi_{k-1}``, so the carried value is
-    ``phi_k - (phi_{k-1} - phi_{k-1}) == phi_k - 0.0 == phi_k``.
+    Vectorized across symbols, sequential across subcarriers; each
+    elementwise update evaluates the same IEEE expressions as a scalar
+    left-to-right walk, so the result is bit-identical to one. The walk
+    starts at the earliest subcarrier any symbol clamps at, and is
+    skipped when none clamps: before its first clamp a symbol passes
+    through bit for bit, because there ``out_{k-1} == phi_{k-1}``, so the
+    carried value is ``phi_k - (phi_{k-1} - phi_{k-1}) == phi_k - 0.0 ==
+    phi_k``.
 
     Returns:
-        (rebuilt, low_mask, high_mask): the output rows plus S x K
+        (rebuilt, low_mask, high_mask): the S x K output plus S x K
         boolean masks of the down-/up-clamped positions (column 0 all
         False), all C-contiguous.
     """
-    k_count = rows.shape[1]
-    src = np.ascontiguousarray(rows.T)
-    eps = src[1:] - src[:-1]
-    low = np.zeros(src.shape, dtype=bool)
-    high = np.zeros(src.shape, dtype=bool)
+    k_count = tracks.shape[0]
+    eps = tracks[1:] - tracks[:-1]
+    low = np.zeros(tracks.shape, dtype=bool)
+    high = np.zeros(tracks.shape, dtype=bool)
     np.less(eps, -d, out=low[1:])
     np.greater(eps, d, out=high[1:])
     del eps
-    out = src.copy()
     clamped = np.flatnonzero((low | high).any(axis=1))
-    for k in range(int(clamped[0]) if clamped.size else k_count, k_count):
-        prev = out[k - 1]
-        carried = src[k] - (src[k - 1] - prev)
-        out[k] = np.where(low[k], prev - d, np.where(high[k], prev + d, carried))
+    first = int(clamped[0]) if clamped.size else k_count
+    src_prev = tracks[first - 1].copy()
+    for k in range(first, k_count):
+        prev = tracks[k - 1]
+        carried = tracks[k] - (src_prev - prev)
+        src_prev[:] = tracks[k]
+        tracks[k] = np.where(low[k], prev - d, np.where(high[k], prev + d, carried))
     return (
-        np.ascontiguousarray(out.T),
+        np.ascontiguousarray(tracks.T),
         np.ascontiguousarray(low.T),
         np.ascontiguousarray(high.T),
     )
@@ -198,7 +214,7 @@ def rebuild_symbol(smoothed_row: np.ndarray, d: float) -> np.ndarray:
         raise ValueError(f"threshold must be finite and non-negative, got {d}")
     if row.size == 1:
         return row.copy()
-    out, _, _ = _rebuild_rows(row[None, :], np.array([d]))
+    out, _, _ = _rebuild_rows(row[:, None].copy(), np.array([d]))
     return out[0]
 
 
@@ -223,10 +239,16 @@ def tsfr(
         per-symbol account of what the rebuild did.
     """
     calibrated = lrr_calibrate(phase, abscissa)
-    smoothed = sg_time(calibrated, order=order, fraction=fraction)
-
     mu, sigma, d = _gap_stats(_unwrap_axis(calibrated.values))
-    rebuilt, low, high = _rebuild_rows(_unwrap_axis(smoothed.values), d)
+    # sg_time short of its transpose: the time-major tracks the rebuild
+    # walks, unwrapped across subcarriers (axis 0) in place.
+    tracks = _time_tracks(calibrated, None, order, fraction)
+    del calibrated
+    if not tracks.flags.writeable:  # degenerate pass-through: the input's own
+        tracks = np.array(tracks, order="C")
+    _unwrap_axis(tracks, axis=0, out=tracks)
+    rebuilt, low, high = _rebuild_rows(tracks, d)
+    del tracks
     exceed = low | high
     # Just allocated here: read-only hands them to the containers uncopied.
     rebuilt.setflags(write=False)

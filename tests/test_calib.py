@@ -7,7 +7,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from csiphase import PhaseMatrix, Stage, SubcarrierMap
-from csiphase.calib import LtFit, lrr_calibrate, lt_calibrate, lt_fit, regress_symbol
+from csiphase.calib import (
+    LtFit,
+    _endpoint_line,
+    _line_fit,
+    lrr_calibrate,
+    lt_calibrate,
+    lt_fit,
+    regress_symbol,
+)
+from csiphase.core import _unwrap_axis
 
 
 def smooth_rows(rng, s, k, step=0.3):
@@ -15,6 +24,42 @@ def smooth_rows(rng, s, k, step=0.3):
     steps = rng.uniform(-step, step, size=(s, k))
     steps[:, 0] = rng.uniform(-np.pi, np.pi, size=s)
     return np.cumsum(steps, axis=1)
+
+
+def awkward_rows(rng, s=40, k=30):
+    """Wrapping rows, flat rows (one of them all -0.0) and scattered -0.0."""
+    rows = rng.uniform(-np.pi, np.pi, size=(s, k))
+    rows[1] = 0.7
+    rows[2] = -0.0
+    rows[5::6, 3::4] = -0.0
+    rows[7] = smooth_rows(rng, 1, k)[0]
+    return rows
+
+
+def grouped_map(k=30):
+    """Indices in two groups around a gap, as on a grouped subcarrier map."""
+    return SubcarrierMap(np.concatenate([np.arange(-k, 0, 2), np.arange(2, k + 2, 2)]), 128)
+
+
+def test_calibrations_match_their_expressions_bitwise():
+    # The stages compute in the unwrapped buffer; these are the expressions
+    # they replaced, evaluated on fresh temporaries.
+    rng = np.random.default_rng(19)
+    raw = awkward_rows(rng)
+    smap = grouped_map()
+    u = _unwrap_axis(raw)
+    m = smap.m.astype(float)
+    eps, tau = _endpoint_line(u, m)
+    expected = u - eps[:, None] * m[None, :] - tau[:, None]
+    assert lt_calibrate(PhaseMatrix(raw), smap).values.tobytes() == expected.tobytes()
+    for x in (np.arange(1, 31, dtype=float), m):
+        a, b = _line_fit(u, x)
+        alpha = np.arctan(a)
+        sa, ca, r_first = np.sin(alpha), np.cos(alpha), a * x[0] + b
+        expected = -x[None, :] * sa[:, None] + u * ca[:, None] - r_first[:, None]
+        abscissa = None if x is not m else m
+        got = lrr_calibrate(PhaseMatrix(raw), abscissa).values
+        assert got.tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------------------ lt

@@ -43,6 +43,26 @@ def test_csi_matrix_rejects_non_finite_with_coordinates():
         CsiMatrix(values)
 
 
+def test_container_check_builds_one_mask_and_names_the_first_bad_cell():
+    # A read-only array that owns its memory is kept, so only the check
+    # allocates. The shape keeps the mask below numpy's 256 KiB threshold
+    # for reusing temporaries, where ~mask would be a second mask.
+    values = np.full((1000, 52), 1 - 2j)
+    values.setflags(write=False)
+    tracemalloc.start()
+    try:
+        CsiMatrix(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * values.size  # one bool per cell; two before
+    bad = np.ones((4, 3))
+    bad[2, 1], bad[3, 0] = np.inf, np.nan
+    with pytest.raises(ValueError) as error:
+        PhaseMatrix(bad)
+    assert str(error.value) == "phase matrix has a non-finite value at row 2, column 1 (0-based)"
+
+
 def test_csi_matrix_is_immutable():
     m = CsiMatrix(np.ones((2, 2), dtype=complex))
     with pytest.raises(ValueError):

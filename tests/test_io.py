@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from csiphase.core import AmplitudeMatrix, CsiMatrix, PhaseMatrix, Stage
+from csiphase.core import (
+    _FILL_BLOCK,
+    AmplitudeMatrix,
+    CsiMatrix,
+    PhaseMatrix,
+    Stage,
+    SubcarrierMap,
+    recompose,
+)
 from csiphase.io import (
     CsifError,
     CsifMagicError,
@@ -23,6 +32,7 @@ from csiphase.io import (
     write_csv,
     write_table,
 )
+from csiphase.tsfr import METHODS, process
 
 
 def small_csi(rng, s=3, k=4):
@@ -122,6 +132,88 @@ def test_csif_payload_is_written_without_a_copy(tmp_path, matrix):
         tracemalloc.stop()
     assert (tmp_path / "big.csif").stat().st_size == 16 + payload
     assert peak <= 0.25 * payload
+
+
+def awkward_csi(rng, s, k):
+    """Random CSI with zero-amplitude cells and -0.0 / signed-zero parts."""
+    values = rng.uniform(0.2, 3.0, (s, k)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (s, k)))
+    values[rng.random((s, k)) < 0.05] = 0j
+    values[::7, ::5] = complex(1.25, -0.0)
+    values[3, :] = complex(-0.0, -0.0)
+    return CsiMatrix(values)
+
+
+def unformed(matrix):
+    return "values" not in vars(matrix)
+
+
+# 52 subcarriers fill 315 rows per block: 700 rows end in a partial block
+@pytest.mark.parametrize("method", METHODS)
+def test_streamed_write_of_every_method_has_the_bytes_of_its_values(tmp_path, method):
+    s, k = 700, 52
+    assert s % (_FILL_BLOCK // k) != 0
+    csi = awkward_csi(np.random.default_rng(5), s, k)
+    smap = SubcarrierMap(np.arange(-26, 26) * 2 + 1, n_fft=128)
+    output = process(csi, method, smap=smap).output
+    streamed, formed, array = (tmp_path / f"{n}.csif" for n in ("streamed", "formed", "array"))
+    write_csif(streamed, output)
+    assert unformed(output)
+    write_csif(array, output.values)
+    write_csif(formed, output)
+    assert streamed.read_bytes() == array.read_bytes() == formed.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, _FILL_BLOCK + 3), (2 * _FILL_BLOCK // 8, 8)])
+def test_streamed_write_matches_the_values_at_block_edges(tmp_path, shape):
+    # one row, rows wider than a block (one row per block), whole blocks only
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.0, 2.0, shape)
+    a[rng.random(shape) < 0.1] = 0.0
+    p = rng.uniform(-3 * np.pi, 3 * np.pi, shape)
+    p[rng.random(shape) < 0.1] = -0.0
+    output = recompose(AmplitudeMatrix(a), PhaseMatrix(p))
+    write_csif(tmp_path / "streamed.csif", output)
+    assert unformed(output)
+    write_csif(tmp_path / "array.csif", output.values)
+    assert (tmp_path / "streamed.csif").read_bytes() == (tmp_path / "array.csif").read_bytes()
+
+
+def test_streamed_write_holds_a_few_blocks_not_the_payload(tmp_path):
+    rng = np.random.default_rng(8)
+    shape = (10000, 52)
+    output = recompose(
+        AmplitudeMatrix(rng.uniform(0.5, 2.0, shape)), PhaseMatrix(rng.uniform(-4.0, 4.0, shape))
+    )
+    payload = shape[0] * shape[1] * 16
+    tracemalloc.start()
+    try:
+        write_csif(tmp_path / "big.csif", output)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csif").stat().st_size == 16 + payload
+    assert unformed(output)
+    assert peak <= 0.25 * payload
+
+
+def test_streamed_write_stops_at_a_non_finite_cell_and_leaves_no_file(tmp_path):
+    # Unreachable through the public constructors (a finite polar pair has
+    # finite cartesian values), so the stage's phase is replaced directly.
+    shape = (700, 52)
+    bad = np.zeros(shape)
+    bad[400, 7] = np.inf  # second block, at its 86th row
+    message = "CSI matrix has a non-finite value at row 400, column 7 (0-based)"
+    pair = AmplitudeMatrix(np.ones(shape)), PhaseMatrix(np.zeros(shape))
+    streamed, read = recompose(*pair), recompose(*pair)
+    object.__setattr__(streamed, "_angles", bad)
+    object.__setattr__(read, "_angles", bad)
+    path = tmp_path / "bad.csif"
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csif(path, streamed)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read.values
 
 
 def test_csif_rejects_bad_magic(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from csiphase.calib import lrr_calibrate, lt_calibrate
-from csiphase.core import SubcarrierMap, decompose
+from csiphase.core import PhaseMatrix, Stage, SubcarrierMap, decompose, recompose
 from csiphase.synth import (
     ChannelSpec,
     ImpairmentSpec,
@@ -98,6 +98,15 @@ def test_static_channel_rows_are_identical():
     assert_array_equal(csi.values, np.tile(csi.values[:1], (50, 1)))
 
 
+def test_static_channel_rows_are_the_tiled_response_in_memory_the_matrix_owns():
+    smap = SubcarrierMap(np.concatenate([np.arange(-28, 0, 2), np.arange(2, 30, 2)]), 64)
+    channel = demo_channel()
+    csi = gen_true_csi(channel, 37, smap)
+    base = np.exp(-2j * np.pi * np.outer(channel.delays, smap.m) / smap.n_fft)
+    assert csi.values.tobytes() == np.tile(channel.gains @ base, (37, 1)).tobytes()
+    assert csi.values.flags.owndata  # handed over, not copied from a view
+
+
 def test_gain_drift_follows_the_documented_sinusoid():
     spec = ChannelSpec(paths=((0.0, 2.0),), drift_depth=0.5, drift_period=8.0)
     csi = gen_true_csi(spec, 16, SubcarrierMap.contiguous(4))
@@ -177,6 +186,29 @@ def test_injection_is_phase_only_amplitude_is_bit_identical():
     amp_t, _, _ = decompose(true_csi)
     amp_m, _, _ = decompose(out.measured_csi)
     assert_array_equal(amp_m.values, amp_t.values)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
+def test_injection_matches_its_expression_bitwise(noise_sigma):
+    # The measured phase is summed in one buffer; this is the expression it
+    # replaced, evaluated on fresh temporaries.
+    smap = SubcarrierMap(np.concatenate([np.arange(-26, 0), np.arange(1, 27)]), 64)
+    true_csi = gen_true_csi(ChannelSpec(((0.0, 1.0), (3.0, -0.5j))), 300, smap)
+    imp = demo_impairments(300, smap, seed=9, noise_sigma=noise_sigma)
+    out = apply_impairments(true_csi, imp)
+    amplitude, phase, _ = decompose(true_csi)
+    tilt = (2 * np.pi / imp.smap.n_fft) * np.outer(imp.delta_t, imp.smap.m)
+    measured = phase.values + tilt + imp.gamma[:, None]
+    if noise_sigma > 0:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(imp.seed)))
+        measured = measured + rng.normal(0.0, imp.noise_sigma, size=measured.shape)
+    assert out.measured_csi._angles.tobytes() == measured.tobytes()
+    expected = recompose(amplitude, PhaseMatrix(measured, Stage.RAW))
+    got_amp, got_phase, _ = decompose(out.measured_csi)
+    want_amp, want_phase, _ = decompose(expected)
+    assert got_amp.values.tobytes() == want_amp.values.tobytes()
+    assert got_phase.values.tobytes() == want_phase.values.tobytes()
+    assert out.measured_csi.values.tobytes() == expected.values.tobytes()
 
 
 def test_noise_matches_its_nominal_level():

@@ -17,7 +17,7 @@ from csiphase.core import (
     decompose,
     unwrap,
 )
-from csiphase.savgol import sg_time
+from csiphase.savgol import DegenerateWindowWarning, sg_time
 from csiphase.tsfr import (
     METHODS,
     GapThreshold,
@@ -184,7 +184,8 @@ def test_rebuild_rows_match_the_scalar_walk_bytewise():
         assert (first == 1).any() != late_only
         assert (first > rows.shape[1] // 2).any()
         assert (first == 0).any()
-        out, low, high = _rebuild_rows(rows, d)
+        # the walk takes time-major tracks (K x S) and overwrites them
+        out, low, high = _rebuild_rows(np.ascontiguousarray(rows.T), d)
         for s, row in enumerate(rows):
             expected = naive_rebuild(row, d[s])
             assert out[s].view(np.int64).tolist() == expected.view(np.int64).tolist()
@@ -198,7 +199,7 @@ def test_rebuild_rows_without_a_clamp_return_the_input_bytes():
     rng = np.random.default_rng(37)
     rows = rng.uniform(-0.4, 0.4, size=(40, 30))
     rows[::7, ::5] = -0.0
-    out, low, high = _rebuild_rows(rows, np.ones(40))
+    out, low, high = _rebuild_rows(np.ascontiguousarray(rows.T), np.ones(40))
     assert out.tobytes() == rows.tobytes()
     assert not low.any() and not high.any()
 
@@ -396,6 +397,50 @@ def test_tsfr_matches_naive_reimplementation_of_the_whole_chain():
 
     assert_allclose(report.d, d_naive, atol=1e-9)
     assert np.mean(np.abs(report.modified_fraction - frac_naive)) <= 0.02
+
+
+def old_tsfr_chain(raw, order=2, fraction=0.1):
+    """The chain as separate public steps: gap statistics of the unwrapped
+    calibrated rows, then each unwrapped smoothed row walked by the scalar
+    rebuild."""
+    calibrated = lrr_calibrate(raw)
+    smoothed = sg_time(calibrated, order=order, fraction=fraction)
+    gaps = np.abs(np.diff(np.array([unwrap(row) for row in calibrated.values]), axis=1))
+    mu = gaps.mean(axis=1)
+    sigma = np.sqrt(((gaps - mu[:, None]) ** 2).mean(axis=1))
+    d = mu + sigma
+    rebuilt = np.array([naive_rebuild(unwrap(row), d[s]) for s, row in enumerate(smoothed.values)])
+    return rebuilt, mu, sigma, d
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5])  # direct sums, then FFT smoothing
+def test_tsfr_in_place_walk_matches_the_step_by_step_chain_bitwise(fraction):
+    rng = np.random.default_rng(47)
+    s, k = 130, 26
+    walk = np.cumsum(rng.uniform(-1.2, 1.2, size=(s, k)), axis=1)
+    walk[::5, 1:] += 2.0  # a jump into column 1 on some symbols
+    raw = PhaseMatrix(wrap(walk + rng.normal(0.0, 0.2, size=(s, k))), Stage.RAW)
+    rebuilt, report = tsfr(raw, fraction=fraction)
+    want, mu, sigma, d = old_tsfr_chain(raw, fraction=fraction)
+    assert report.exceedance[:, 1].any()
+    assert rebuilt.values.tobytes() == want.tobytes()
+    for got, expected in ((report.mu, mu), (report.sigma, sigma), (report.d, d)):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_tsfr_keeps_the_time_smoother_errors_and_warnings():
+    rng = np.random.default_rng(53)
+    with pytest.raises(ValueError, match="time smoothing needs at least 3 symbols, got 2"):
+        tsfr(PhaseMatrix(rng.uniform(-1, 1, size=(2, 8))))
+    # order 3 needs a window of 5: three symbols pass through unsmoothed
+    raw = PhaseMatrix(rng.uniform(-1, 1, size=(3, 8)))
+    with pytest.warns(DegenerateWindowWarning) as record:
+        rebuilt, report = tsfr(raw, order=3)
+    assert record[0].filename == __file__
+    with pytest.warns(DegenerateWindowWarning):
+        want, _, _, d = old_tsfr_chain(raw, order=3)
+    assert rebuilt.values.tobytes() == want.tobytes()
+    assert report.d.tobytes() == d.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,62 @@
+"""Working set of each long-capture stage, in S x K float64 arrays.
+
+Every stage allocates its output plus at most one S x K temporary and
+computes in the buffers it has just allocated. The peak is the
+``tracemalloc`` peak of one call after a warm one (designs are cached),
+divided by the bytes of one 10000x52 float64 array; the inputs exist
+before the measurement starts.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from csiphase.calib import lrr_calibrate, lt_calibrate
+from csiphase.core import PhaseMatrix, Stage, SubcarrierMap
+from csiphase.savgol import sg_freq
+from csiphase.synth import apply_impairments, demo_channel, demo_impairments, gen_true_csi
+from csiphase.tsfr import tsfr
+
+S, K = 10000, 52
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    rng = np.random.default_rng(41)
+    raw = PhaseMatrix(rng.uniform(-np.pi, np.pi, (S, K)), Stage.RAW)
+    smap = SubcarrierMap.contiguous(K, n_fft=64)
+    return {
+        "raw": raw,
+        "calibrated": lrr_calibrate(raw),
+        "smap": smap,
+        "true": gen_true_csi(demo_channel(), S, smap),
+        "impairments": demo_impairments(S, smap, seed=3),
+    }
+
+
+def arrays_at_peak(call):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (S * K * 8)
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds sit just above the measured peaks, well below the old ones (left):
+# one more S x K temporary in any stage fails its test.
+STAGES = {
+    "lt_calibrate": (2.5, lambda x: lt_calibrate(x["raw"], x["smap"])),  # was 3.05
+    "lrr_calibrate": (2.5, lambda x: lrr_calibrate(x["raw"])),  # was 3.13
+    "sg_freq": (2.5, lambda x: sg_freq(x["calibrated"])),  # was 3.00
+    "tsfr": (4.5, lambda x: tsfr(x["raw"])),  # was 6.58
+    "synth.apply_impairments": (4.5, lambda x: apply_impairments(x["true"], x["impairments"])),  # was 7.00
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_working_set_of_a_long_capture(inputs, stage):
+    bound, call = STAGES[stage]
+    assert arrays_at_peak(lambda: call(inputs)) <= bound
