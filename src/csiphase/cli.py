@@ -7,8 +7,10 @@ Three subcommands compose the library for scripts:
 * ``stats`` turns phase matrices and rebuild reports into CSV tables.
 
 Exit codes are a stable contract: 0 success, 2 usage errors, 3 I/O
-failures, 4 data or format errors. Outputs never embed timestamps, so
-equal inputs and flags give byte-identical files.
+failures, 4 data or format errors, 5 out of memory. Out of memory prints
+one line, no traceback, naming the subcommand and, for ``process``, the
+method and the input's shape. Outputs never embed timestamps, so equal
+inputs and flags give byte-identical files.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ def _write_report(path: str, args, result, shape) -> None:
 
 def _cmd_process(args) -> int:
     csi = _read_complex(args.input)
+    args.input_shape = csi.shape  # named by main if memory runs out
     smap = (
         SubcarrierMap.contiguous(csi.subcarriers)
         if args.abscissa == "physical"
@@ -111,8 +114,9 @@ def _cmd_process(args) -> int:
     if args.report is not None:
         _write_report(args.report, args, result, csi.shape)
     if args.verify_amplitude:
-        # The input was read from a file, so it carries no polar cache and
-        # decompose would return exactly np.abs of its values.
+        # np.abs of the input's values is formed afresh: the input keeps the
+        # amplitude that process decomposed and passed through, so comparing
+        # with that would compare the output with itself.
         amp_out, _, _ = decompose(result.output)
         if not np.array_equal(np.abs(csi.values), amp_out.values):
             raise ValueError("amplitude self-check failed: output amplitude differs")
@@ -128,7 +132,9 @@ def _calibrated_phase(path: str) -> PhaseMatrix:
     matrix = read_csif(path)
     if isinstance(matrix, np.ndarray):
         return PhaseMatrix(matrix, Stage.CALIBRATED)
-    return lrr_calibrate(decompose(matrix)[1])
+    _, raw, _ = decompose(matrix)
+    del matrix  # and the amplitude it keeps, before lrr allocates its own arrays
+    return lrr_calibrate(raw)
 
 
 def _cmd_stats(args) -> int:
@@ -159,8 +165,8 @@ def _cmd_stats(args) -> int:
         write_table(args.output, ("s", "d", "label")[: len(columns)], columns, comments=comments)
         print(f"stats: ds for {series.d.size} symbols -> {args.output}")
     else:
-        csi = _read_complex(args.input)
-        _, raw, _ = decompose(csi)
+        # The matrix, and the amplitude it keeps, go before tsfr runs.
+        _, raw, _ = decompose(_read_complex(args.input))
         _, report = tsfr(raw)
         profile = exceedance_profile(report)
         write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))
@@ -253,6 +259,20 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print(f"error: out of memory in {_work(args)}", file=sys.stderr)
+        return 5
+
+
+def _work(args) -> str:
+    """The subcommand, and for ``process`` its method and input shape."""
+    if args.command == "stats":
+        return f"stats {args.table}"
+    if args.command != "process":
+        return args.command
+    work = f"process --method {args.method}"
+    shape = getattr(args, "input_shape", None)
+    return work if shape is None else f"{work} on a {shape[0]}x{shape[1]} input"
 
 
 if __name__ == "__main__":

@@ -11,13 +11,25 @@ The free functions here are the plumbing every calibration method shares:
 * ``recompose`` rebuilds a complex matrix from an amplitude/phase pair and
   keeps the exact pair attached so the amplitude survives a processing
   chain bit for bit (re-deriving ``abs()`` from the cartesian values flips
-  the last ulp on a large fraction of elements). Its cartesian values are
-  formed on first read, so a consumer that only decomposes the result
-  never pays for the sin/cos of every cell, and are formed in row blocks
-  of ``_FILL_BLOCK`` cells, so a CSIF write of an unread result streams
-  them to the file without ever holding the whole complex matrix.
+  the last ulp on a large fraction of elements).
 * ``unwrap`` removes 2*pi jumps from a phase vector, with the half-open
   convention that a step of exactly -pi unwraps to +pi.
+
+A ``CsiMatrix`` forms each of its views once, when it is first read:
+
+* A matrix built from values (a file read) holds its values. Its polar
+  pair, ``abs`` and the principal ``angle``, is formed on its first
+  ``decompose`` and kept, so later decomposes return the same arrays;
+  a decomposed matrix therefore holds twice its payload while it lives.
+* A matrix from ``recompose`` holds the amplitude and the phase it was
+  recomposed from, nothing more. Its principal phase is folded on its
+  first ``decompose``; its cartesian values are formed on first read,
+  in row blocks of ``_FILL_BLOCK`` cells, so a CSIF write of an unread
+  result streams them to the file without ever holding the whole
+  complex matrix. Once both views exist, the phase it was recomposed
+  from is dropped. A consumer that only decomposes the result never
+  pays for the sin/cos of every cell.
+* ``shape``, ``symbols`` and ``subcarriers`` never form a view.
 
 Working-set rule for every stage of the package: a stage allocates its
 output plus at most one S x K temporary, and computes in the buffers it
@@ -191,18 +203,24 @@ class _Grid:
 class CsiMatrix(_Grid):
     """Immutable S x K complex CSI matrix.
 
-    A matrix built by :func:`recompose` carries a polar cache: the exact
-    amplitude (``_amplitude``) and principal phase (``_phase``), which
-    :func:`decompose` returns as they are, and the phase it was
-    recomposed from (``_angles``). Its ``values`` are formed from the
-    amplitude and ``_angles`` on first read, in checked row blocks, and
-    kept read-only, and ``_angles`` is dropped; ``shape``, ``symbols``,
-    ``subcarriers``, :func:`decompose` and ``io.write_csif`` never form
-    them (the writer streams the same blocks to the file).
+    Each view is formed once, on its first read, and kept read-only:
+
+    * ``values`` are given to a matrix built from values. A matrix built
+      by :func:`recompose` forms them from its amplitude (``_amplitude``)
+      and the phase it was recomposed from (``_angles``), in checked row
+      blocks.
+    * ``_polar`` is what :func:`decompose` returns: the amplitude, the
+      principal phase and the zero-magnitude cells. A matrix built from
+      values forms it from ``abs`` and ``angle`` of its values and holds
+      it beside them, twice its payload in all. A recomposed matrix
+      keeps its exact amplitude and folds ``_angles`` into (-pi, pi].
+
+    ``_angles`` is dropped once both views exist. ``shape``, ``symbols``,
+    ``subcarriers`` and ``io.write_csif`` form neither view (the writer
+    streams the blocks of unformed values to the file).
     """
 
     _amplitude = None
-    _phase = None
     _angles = None
 
     _dtype = np.complex128
@@ -216,13 +234,52 @@ class CsiMatrix(_Grid):
     # shadows this property; only a recomposed one reaches it.
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """Read-only complex values, formed once from the polar cache."""
+        """Read-only complex values, formed once from the amplitude and ``_angles``."""
+        angles = self._angles
+        if angles is None:  # another thread formed both views since this read began
+            return vars(self)["values"]
         values = np.empty(self.shape, dtype=np.complex128)
-        for _ in _cartesian_blocks(self._amplitude, self._angles, self._what, values):
+        for _ in _cartesian_blocks(self._amplitude, angles, self._what, values):
             pass
         values.setflags(write=False)
-        object.__setattr__(self, "_angles", None)
-        return values
+        return self._keep("values", values)
+
+    @functools.cached_property
+    def _polar(self) -> tuple[AmplitudeMatrix, PhaseMatrix, tuple[tuple[int, int], ...]]:
+        """Amplitude, principal phase and zero cells, formed once."""
+        if self._amplitude is None:
+            amplitude, phase = np.abs(self.values), np.angle(self.values)
+            # atan2 can return -pi when the imaginary part is a negative zero;
+            # fold it onto +pi so the (-pi, pi] contract holds.
+            np.copyto(phase, np.pi, where=phase == -np.pi)
+        else:
+            angles = self._angles
+            if angles is None:  # another thread formed both views since this read began
+                return vars(self)["_polar"]
+            amplitude, phase = self._amplitude, _wrap_pi(angles)
+        zero = amplitude == 0.0
+        np.copyto(phase, 0.0, where=zero)
+        amplitude.setflags(write=False)
+        phase.setflags(write=False)
+        # Most captures have no zero cell, so the coordinate scan runs only for one.
+        zero_cells = tuple(map(tuple, np.argwhere(zero).tolist())) if zero.any() else ()
+        return self._keep(
+            "_polar", (AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW), zero_cells)
+        )
+
+    def _keep(self, name: str, view):
+        """Cache ``view`` as ``name`` unless a racing read did first, and
+        drop ``_angles`` once both views are cached; return the cached view.
+
+        Each step is one dict operation, and each view stores itself
+        before it looks for the other, so of two reads that race, at
+        least one sees both views and drops ``_angles``.
+        """
+        cache = vars(self)
+        view = cache.setdefault(name, view)
+        if "values" in cache and "_polar" in cache:
+            cache.pop("_angles", None)
+        return view
 
     def _row_blocks(self):
         """The complex values as consecutive blocks of rows.
@@ -231,10 +288,11 @@ class CsiMatrix(_Grid):
         unformed one yields checked blocks of one reused scratch buffer
         and stays unformed.
         """
+        angles = self._angles  # read first: once it is dropped, the values exist
         if "values" in vars(self):
             yield self.values
         else:
-            yield from _cartesian_blocks(self._amplitude, self._angles, self._what)
+            yield from _cartesian_blocks(self._amplitude, angles, self._what)
 
 
 @dataclass(frozen=True)
@@ -316,12 +374,18 @@ class SubcarrierMap:
 
 
 def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Map angles into the half-open interval (-pi, pi].
+    """Map angles into the half-open interval (-pi, pi], in one new buffer.
 
-    +pi maps to itself; -pi maps to +pi.
+    +pi maps to itself; -pi maps to +pi. Bit for bit
+    ``x - 2*pi * ceil((x - pi) / (2*pi))``: the same operations in the
+    same order, as float multiplication commutes.
     """
     x = np.asarray(x, dtype=np.float64)
-    return x - _TWO_PI * np.ceil((x - np.pi) / _TWO_PI)
+    t = np.subtract(x, np.pi)
+    t /= _TWO_PI
+    np.ceil(t, out=t)
+    t *= _TWO_PI
+    return np.subtract(x, t, out=t)
 
 
 def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[int, int]]]:
@@ -331,9 +395,11 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
     phase; it is reported as 0 and its (row, column) coordinates are
     collected in the returned warning list instead of producing NaN.
 
-    If ``csi`` was built by :func:`recompose`, the exact amplitude/phase
-    pair it was built from is returned (no cartesian round trip), and its
-    cartesian values are not formed.
+    The pair is formed on the first call and kept on ``csi``; later
+    calls return the same matrices. If ``csi`` was built by
+    :func:`recompose`, the exact amplitude it was built from is returned
+    with its phase folded into (-pi, pi] (no cartesian round trip), and
+    its cartesian values are not formed.
 
     Returns:
         (amplitude, phase, zero_cells) where ``phase`` is tagged
@@ -342,50 +408,26 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
     """
     if not isinstance(csi, CsiMatrix):
         raise TypeError(f"expected CsiMatrix, got {type(csi).__name__}")
-    if csi._amplitude is not None:
-        amp_values = csi._amplitude
-        phase_values = csi._phase
-        zero = amp_values == 0.0
-    else:
-        amp_values = np.abs(csi.values)
-        phase_values = np.angle(csi.values)
-        # atan2 can return -pi when the imaginary part is a negative zero;
-        # fold it onto +pi so the (-pi, pi] contract holds.
-        np.copyto(phase_values, np.pi, where=phase_values == -np.pi)
-        zero = amp_values == 0.0
-        np.copyto(phase_values, 0.0, where=zero)
-        amp_values.setflags(write=False)
-        phase_values.setflags(write=False)
-    # Most captures have no zero cell, so the coordinate scan runs only for one.
-    zero_cells = [(int(s), int(k)) for s, k in np.argwhere(zero)] if zero.any() else []
-    return (
-        AmplitudeMatrix(amp_values),
-        PhaseMatrix(phase_values, Stage.RAW),
-        zero_cells,
-    )
+    amplitude, phase, zero_cells = csi._polar
+    return amplitude, phase, list(zero_cells)
 
 
 def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:
     """Rebuild a complex CSI matrix as amplitude * exp(j * phase).
 
-    The exact ``amplitude`` array (and the phase folded into (-pi, pi],
-    zeroed where the amplitude is zero) is cached on the result, so a
-    subsequent :func:`decompose` returns it bit for bit. The cartesian
-    ``values`` are formed only when first read, bit for bit
-    ``a*cos(p) + 1j*(a*sin(p))``.
+    The exact ``amplitude`` and ``phase`` arrays are kept on the result
+    and nothing is computed here. A later :func:`decompose` returns the
+    amplitude bit for bit with the phase folded into (-pi, pi], zeroed
+    where the amplitude is zero; the cartesian ``values`` are formed only
+    when first read, bit for bit ``a*cos(p) + 1j*(a*sin(p))``.
     """
     if amplitude.shape != phase.shape:
         raise ValueError(
             f"amplitude shape {amplitude.shape} does not match phase shape {phase.shape}"
         )
-    a = amplitude.values
-    p = phase.values
-    principal = _wrap_pi(p)
-    np.copyto(principal, 0.0, where=a == 0.0)
-    principal.setflags(write=False)
     # Built without __init__: there are no values to validate until read.
     csi = object.__new__(CsiMatrix)
-    vars(csi).update(_amplitude=a, _phase=principal, _angles=p)
+    vars(csi).update(_amplitude=amplitude.values, _angles=phase.values)
     return csi
 
 

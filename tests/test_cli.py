@@ -212,6 +212,34 @@ def test_process_huge_window_fraction_smooths_the_whole_capture(tmp_path, capsys
     assert (tmp_path / "1.csif").read_bytes() == (tmp_path / "1e308.csif").read_bytes()
 
 
+def test_process_out_of_memory_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
+    meas, _ = make_pair(tmp_path, capsys)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("csiphase.cli.process", exhausted)
+    code, out, err = run(
+        capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
+        "--method", "tsfr",
+    )
+    assert code == 5
+    assert out == ""
+    assert err == "error: out of memory in process --method tsfr on a 40x16 input\n"
+
+
+def test_stats_out_of_memory_names_the_table(tmp_path, capsys, monkeypatch):
+    meas, _ = make_pair(tmp_path, capsys)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB")
+
+    monkeypatch.setattr("csiphase.cli.tsfr", exhausted)
+    code, _, err = run(capsys, "stats", "exceed", "-i", str(meas), "-o", str(tmp_path / "e.csv"))
+    assert code == 5
+    assert err == "error: out of memory in stats exceed\n"
+
+
 def test_process_verify_amplitude_passes_and_reports(tmp_path, capsys):
     meas, _ = make_pair(tmp_path, capsys)
     code, out, _ = run(

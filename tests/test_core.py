@@ -1,5 +1,7 @@
 """Containers, decompose/recompose and unwrap behavior."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -193,7 +195,10 @@ def test_recompose_caches_exact_polar_pair():
 def test_recompose_shares_the_amplitude_array():
     a, p, _ = decompose(CsiMatrix(np.array([[1 + 1j, 2 - 1j], [0.5j, -3.0 + 0j]])))
     out = recompose(a, p)
-    assert out._amplitude is a.values
+    assert out._amplitude is a.values and out._angles is p.values
+    # reading the shape forms no view
+    assert (out.shape, out.symbols, out.subcarriers) == ((2, 2), 2, 2)
+    assert views(out) == set()
 
 
 def test_recompose_folds_cached_phase_to_principal_branch():
@@ -232,7 +237,7 @@ def test_recompose_matches_the_complex_expression_bitwise():
     assert same_bytes(csi.values.imag, expected.imag)
     principal = p - 2.0 * np.pi * np.ceil((p - np.pi) / (2.0 * np.pi))
     principal = np.where(a == 0.0, 0.0, principal)
-    assert same_bytes(csi._phase, principal)
+    assert same_bytes(decompose(csi)[1].values, principal)
     # decompose first, values after: the same bits, formed on that first read
     later = recompose(AmplitudeMatrix(a), PhaseMatrix(p))
     amp, phase, _ = decompose(later)
@@ -249,6 +254,101 @@ def test_recompose_zero_amplitude_cell_round_trips_to_zero_phase():
     assert zero_cells == [(0, 0)]
     assert phase2.values[0, 0] == 0.0
     assert amp2.values[0, 0] == 0.0
+
+
+def awkward_values(rng, s, k):
+    """Complex values with zero cells and cells whose atan2 is -pi."""
+    values = rng.uniform(0.2, 3.0, (s, k)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (s, k)))
+    values[rng.random((s, k)) < 0.05] = 0j
+    values[::7, ::5] = complex(-1.25, -0.0)
+    return values
+
+
+def awkward_pair(rng, s, k):
+    """Amplitude with zero cells, phase beyond (-pi, pi] with signed zeros."""
+    a = rng.uniform(0.0, 2.0, (s, k))
+    a[rng.random((s, k)) < 0.05] = 0.0
+    p = rng.uniform(-3 * np.pi, 3 * np.pi, (s, k))
+    p[rng.random((s, k)) < 0.05] = -0.0
+    p[::11, ::3] = -np.pi
+    return AmplitudeMatrix(a), PhaseMatrix(p, Stage.REBUILT)
+
+
+def views(csi):
+    return {name for name in ("values", "_polar") if name in vars(csi)}
+
+
+def test_decomposing_a_read_matrix_twice_returns_the_same_pair():
+    csi = CsiMatrix(awkward_values(np.random.default_rng(21), 60, 12))
+    amp, phase, zero_cells = decompose(csi)
+    again_amp, again_phase, again_cells = decompose(csi)
+    assert again_amp.values is amp.values
+    assert again_phase.values is phase.values
+    assert again_cells == zero_cells and again_cells is not zero_cells
+    magnitude = np.abs(csi.values)
+    angle = np.angle(csi.values)
+    expected = np.where(angle == -np.pi, np.pi, angle)
+    expected = np.where(magnitude == 0.0, 0.0, expected)
+    assert same_bytes(amp.values, magnitude)
+    assert same_bytes(phase.values, expected)
+    assert zero_cells == [tuple(c) for c in np.argwhere(magnitude == 0.0).tolist()]
+    assert zero_cells and (expected == np.pi).any()
+    assert not amp.values.flags.writeable and not phase.values.flags.writeable
+
+
+@pytest.mark.parametrize("first", ["values", "decompose"])
+def test_views_of_a_recomposed_matrix_do_not_depend_on_read_order(first):
+    a, p = awkward_pair(np.random.default_rng(23), 700, 52)
+    reference = recompose(a, p)
+    values = reference.values
+    amp, phase, zero_cells = decompose(reference)
+    csi = recompose(a, p)
+    reads = {"values": lambda: csi.values, "decompose": lambda: decompose(csi)}
+    reads[first]()
+    assert views(csi) == {"values" if first == "values" else "_polar"}
+    assert csi._angles is p.values  # the other view still needs it
+    got_amp, got_phase, got_cells = decompose(csi)
+    assert same_bytes(csi.values, values)
+    assert got_amp.values is a.values
+    assert same_bytes(got_phase.values, phase.values)
+    assert got_cells == zero_cells
+    assert csi._angles is None and "_angles" not in vars(csi)
+    assert reference._angles is None
+
+
+def test_threads_forming_the_views_of_one_matrix_agree():
+    # Python 3.12's cached_property takes no lock, and the two views are
+    # two properties anyway: the phase the matrix was recomposed from must
+    # outlive every read, and each view must be kept once.
+    a, p = awkward_pair(np.random.default_rng(24), 2000, 52)
+    reference = recompose(a, p)
+    want = [reference.values.tobytes(), decompose(reference)[1].values.tobytes()] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            csi = recompose(a, p)
+            # two of each read, so reads of one view race as well
+            reads = [lambda: csi.values, lambda: decompose(csi)[1].values] * 2
+            start = threading.Barrier(len(reads))
+            got = [None] * len(reads)
+
+            def read(i):
+                start.wait()
+                got[i] = reads[i]()
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(reads))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [view.tobytes() for view in got] == want
+            assert got[0] is got[2] is csi.values
+            assert got[1] is got[3] is decompose(csi)[1].values
+            assert csi._angles is None
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -------------------------------------------------------------------- unwrap

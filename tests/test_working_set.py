@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from csiphase.calib import lrr_calibrate, lt_calibrate
-from csiphase.core import PhaseMatrix, Stage, SubcarrierMap
+from csiphase.core import (
+    AmplitudeMatrix,
+    CsiMatrix,
+    PhaseMatrix,
+    Stage,
+    SubcarrierMap,
+    decompose,
+    recompose,
+)
 from csiphase.savgol import sg_freq
 from csiphase.synth import apply_impairments, demo_channel, demo_impairments, gen_true_csi
 from csiphase.tsfr import tsfr
@@ -26,8 +34,13 @@ def inputs():
     rng = np.random.default_rng(41)
     raw = PhaseMatrix(rng.uniform(-np.pi, np.pi, (S, K)), Stage.RAW)
     smap = SubcarrierMap.contiguous(K, n_fft=64)
+    amplitude = AmplitudeMatrix(rng.uniform(0.5, 2.0, (S, K)))
+    read = amplitude.values * np.exp(1j * raw.values)
+    read.setflags(write=False)  # a CsiMatrix keeps it, as it keeps a file's payload
     return {
         "raw": raw,
+        "amplitude": amplitude,
+        "read": read,
         "calibrated": lrr_calibrate(raw),
         "smap": smap,
         "true": gen_true_csi(demo_channel(), S, smap),
@@ -53,6 +66,15 @@ STAGES = {
     "sg_freq": (2.5, lambda x: sg_freq(x["calibrated"])),  # was 3.00
     "tsfr": (4.5, lambda x: tsfr(x["raw"])),  # was 6.58
     "synth.apply_impairments": (4.5, lambda x: apply_impairments(x["true"], x["impairments"])),  # was 7.00
+    # a recomposed matrix is built fresh for each call: its views form once
+    "recompose": (0.01, lambda x: recompose(x["amplitude"], x["raw"])),  # was 2.00
+    "decompose of a recomposed matrix": (
+        1.5, lambda x: decompose(recompose(x["amplitude"], x["raw"]))
+    ),  # was 2.00
+    "values of a recomposed matrix": (
+        2.25, lambda x: recompose(x["amplitude"], x["raw"]).values
+    ),  # was 3.07
+    "decompose of a read matrix": (2.5, lambda x: decompose(CsiMatrix(x["read"]))),  # 2.25, unchanged
 }
 
 
