@@ -183,7 +183,9 @@ def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
 
     The clean matrix is split into amplitude and phase, the three error
     terms are added to the phase, and the matrix is rebuilt around the
-    untouched amplitude.
+    untouched amplitude. The returned ``true_csi`` is the given matrix,
+    which keeps the amplitude and phase of that split for as long as it
+    lives (see the README's "Useful guarantees").
     """
     if imp.symbols != true_csi.symbols:
         raise ValueError(
@@ -200,7 +202,6 @@ def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
     measured = np.outer(imp.delta_t, imp.smap.m)
     measured *= 2 * np.pi / imp.smap.n_fft
     np.add(phase.values, measured, out=measured)
-    del phase
     measured += imp.gamma[:, None]
     if imp.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(imp.seed)))

@@ -65,8 +65,11 @@ STAGES = {
     "lrr_calibrate": (2.5, lambda x: lrr_calibrate(x["raw"])),  # was 3.13
     "sg_freq": (2.5, lambda x: sg_freq(x["calibrated"])),  # was 3.00
     "tsfr": (4.5, lambda x: tsfr(x["raw"])),  # was 6.58
-    "synth.apply_impairments": (4.5, lambda x: apply_impairments(x["true"], x["impairments"])),  # was 7.00
-    # a recomposed matrix is built fresh for each call: its views form once
+    # Each call gets a fresh matrix, as a matrix's views form only once; a
+    # CsiMatrix keeps the read-only values it is given, so this copies nothing.
+    "synth.apply_impairments": (
+        4.5, lambda x: apply_impairments(CsiMatrix(x["true"].values), x["impairments"])
+    ),  # was 7.00
     "recompose": (0.01, lambda x: recompose(x["amplitude"], x["raw"])),  # was 2.00
     "decompose of a recomposed matrix": (
         1.5, lambda x: decompose(recompose(x["amplitude"], x["raw"]))
