@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _unwrap_axis
+from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _row_blocks, _unwrap_axis
 
 __all__ = [
     "LtFit",
@@ -114,11 +114,14 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
             f"subcarrier map length {len(smap)} does not match matrix columns {phase.subcarriers}"
         )
     m = smap.m.astype(np.float64)
-    # The unwrapped rows are fresh: the trend comes off in place.
-    u = _unwrap_axis(phase.values)
-    eps, tau = _endpoint_line(u, m)
-    u -= eps[:, None] * m[None, :]
-    u -= tau[:, None]
+    # The unwrapped rows are fresh: the trend comes off in place, a block
+    # of rows at a time.
+    u = np.empty(phase.shape)
+    for block in _row_blocks(*phase.shape):
+        rows = _unwrap_axis(phase.values[block], out=u[block])
+        eps, tau = _endpoint_line(rows, m)
+        rows -= eps[:, None] * m[None, :]
+        rows -= tau[:, None]
     u.setflags(write=False)
     return PhaseMatrix(u, Stage.CALIBRATED)
 

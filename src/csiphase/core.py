@@ -33,8 +33,11 @@ A ``CsiMatrix`` forms each of its views once, when it is first read:
 
 Working-set rule for every stage of the package: a stage allocates its
 output plus at most one S x K temporary, and computes in the buffers it
-has just allocated. Smoothing by FFT (windows of 32 and more) also holds
-the spectrum and inverse transform of its tracks while it runs.
+has just allocated. Passes that are local to one row or one track (the
+unwraps, the smoothing correlations, the gap statistics) run a block of
+about ``_BLOCK`` cells at a time, so their scratch stays at a few blocks
+whatever S is; a matrix of at most ``_BLOCK`` cells runs as one block,
+with the same calls as an unblocked pass.
 """
 
 from __future__ import annotations
@@ -105,6 +108,23 @@ def _check_finite(values: np.ndarray, name: str, first_row: int = 0) -> None:
 # stays at two blocks whatever the matrix size.
 _FILL_BLOCK = 1 << 14
 
+# Cells a stage's row-block pass (an unwrap, a smoothing correlation, the
+# gap statistics) works on at a time: its scratch stays at a few blocks
+# whatever the matrix size. Every such pass is local to one row or one
+# track, so the block size changes no bit.
+_BLOCK = 1 << 16
+
+
+def _row_blocks(
+    rows: int, length: int, block: int | None = None, min_rows: int = 1
+) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``length`` cells, about
+    ``block`` (by default ``_BLOCK``) cells and at least ``min_rows`` rows
+    each; the last may be short. A matrix of at most that many cells is
+    one block."""
+    step = max(min_rows, (_BLOCK if block is None else block) // length)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
 
 def _cartesian_blocks(a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray | None = None):
     """Yield ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks, in order.
@@ -120,17 +140,15 @@ def _cartesian_blocks(a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray |
     not the strided .real/.imag views. Every operation is elementwise, so
     the block size changes no bit.
     """
-    s, k = a.shape
-    step = max(1, _FILL_BLOCK // k)
-    shape = (min(step, s), k)
+    blocks = _row_blocks(*a.shape, _FILL_BLOCK)
+    shape = (blocks[0].stop, a.shape[1])
     buf, cos = np.empty(shape), np.empty(shape)
     scratch = np.empty(shape, dtype=np.complex128) if out is None else None
-    for start in range(0, s, step):
-        stop = min(start + step, s)
-        rows = stop - start
-        block = scratch[:rows] if out is None else out[start:stop]
-        a_rows, p_rows = a[start:stop], p[start:stop]
-        sin_rows, cos_rows = buf[:rows], cos[:rows]
+    for rows in blocks:
+        count = rows.stop - rows.start
+        block = scratch[:count] if out is None else out[rows]
+        a_rows, p_rows = a[rows], p[rows]
+        sin_rows, cos_rows = buf[:count], cos[:count]
         np.sin(p_rows, out=sin_rows)
         np.multiply(a_rows, sin_rows, out=block.imag)
         np.multiply(block.imag, 0.0, out=sin_rows)
@@ -138,7 +156,7 @@ def _cartesian_blocks(a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray |
         cos_rows *= a_rows
         np.add(cos_rows, sin_rows, out=block.real)
         block.imag += 0.0
-        _check_finite(block, name, start)
+        _check_finite(block, name, rows.start)
         yield block
 
 
@@ -412,6 +430,14 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[
     return amplitude, phase, list(zero_cells)
 
 
+def _amplitude_of(csi: CsiMatrix) -> np.ndarray:
+    """The amplitude :func:`decompose` returns, without folding a phase
+    when ``csi`` came from :func:`recompose`: the array it was built from."""
+    if csi._amplitude is not None:
+        return csi._amplitude
+    return decompose(csi)[0].values
+
+
 def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:
     """Rebuild a complex CSI matrix as amplitude * exp(j * phase).
 
@@ -484,4 +510,15 @@ def _unwrap_axis(values: np.ndarray, axis: int = -1, out: np.ndarray | None = No
     np.cumsum(d, axis=-1, out=d)
     np.multiply(_TWO_PI, d, out=d)
     np.subtract(values[..., 1:], d, out=target[..., 1:])
+    return out
+
+
+def _unwrap_blocks(values: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`_unwrap_axis` of a 2-D array along ``axis`` (0 or -1) into
+    ``out``, which may be ``values`` itself, a block of slices at a time:
+    the gap buffer stays at one block. Each slice is unwrapped on its own,
+    so the result has the bytes of one whole-array call."""
+    v, o = (values.T, out.T) if axis == 0 else (values, out)
+    for rows in _row_blocks(*v.shape):
+        _unwrap_axis(v[rows], out=o[rows])
     return out

@@ -21,6 +21,8 @@ classes below say what was wrong and where.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -114,27 +116,15 @@ def write_csif(path: str | Path, matrix) -> None:
             raise
 
 
-def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
-    """Read a CSIF file.
-
-    Returns:
-        A ``CsiMatrix`` for complex payloads, or a plain read-only
-        float64 array for real payloads (the file does not record
-        whether a real payload was phase or amplitude).
-
-    Raises:
-        CsifMagicError: the file does not start with ``CSIF``.
-        CsifVersionError: the version field is not 1.
-        CsifTruncatedError: header or payload is shorter than declared,
-            or trailing bytes follow the payload.
-        CsifError: the flags or dimension fields are invalid.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
+def _read_header(fh) -> tuple[np.dtype, int, int]:
+    """Parse and check the 16-byte header at the start of an open CSIF
+    file: the payload's element type and its row and column counts."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
         raise CsifTruncatedError(
-            f"header needs {_HEADER.size} bytes, file has only {len(blob)}"
+            f"header needs {_HEADER.size} bytes, file has only {len(header)}"
         )
-    magic, version, flags, s, k = _HEADER.unpack_from(blob, 0)
+    magic, version, flags, s, k = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise CsifMagicError(f"bad magic {magic!r} at offset 0, expected {_MAGIC!r}")
     if version != _VERSION:
@@ -148,10 +138,11 @@ def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
         )
     if s < 1 or k < 1:
         raise CsifError(f"dimensions {s}x{k} in header must both be at least 1")
+    return np.dtype("<c16" if flags == _FLAG_COMPLEX else "<f8"), s, k
 
-    dtype = np.dtype("<c16" if flags == _FLAG_COMPLEX else "<f8")
-    expected = s * k * dtype.itemsize
-    actual = len(blob) - _HEADER.size
+
+def _check_payload(actual: int, expected: int) -> None:
+    """Raise unless the payload after the header is exactly as declared."""
     if actual < expected:
         raise CsifTruncatedError(
             f"payload at offset {_HEADER.size} needs {expected} bytes, found {actual}"
@@ -162,9 +153,46 @@ def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
             f"{actual - expected} trailing bytes follow"
         )
 
-    # A view over the immutable blob is read-only without a copy.
-    values = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size).reshape(s, k)
-    return CsiMatrix(values) if flags == _FLAG_COMPLEX else values
+
+def _csif_shape(path: str | Path) -> tuple[int, int]:
+    """Rows and columns a CSIF file declares, read from its header alone."""
+    with open(path, "rb") as fh:
+        _, s, k = _read_header(fh)
+    return s, k
+
+
+def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
+    """Read a CSIF file.
+
+    The header is parsed and checked first; then exactly the declared
+    payload is read, and the file must end there.
+
+    Returns:
+        A ``CsiMatrix`` for complex payloads, or a plain read-only
+        float64 array for real payloads (the file does not record
+        whether a real payload was phase or amplitude).
+
+    Raises:
+        CsifMagicError: the file does not start with ``CSIF``.
+        CsifVersionError: the version field is not 1.
+        CsifTruncatedError: header or payload is shorter than declared,
+            or trailing bytes follow the payload.
+        CsifError: the flags or dimension fields are invalid.
+    """
+    with open(path, "rb") as fh:
+        dtype, s, k = _read_header(fh)
+        expected = s * k * dtype.itemsize
+        # A regular file's size is checked before its payload is read, so a
+        # header that declares more than the file holds allocates nothing.
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            _check_payload(info.st_size - _HEADER.size, expected)
+        blob = fh.read(expected)
+        _check_payload(len(blob) + (len(fh.read()) if len(blob) == expected else 0), expected)
+
+    # A view over the immutable payload is read-only without a copy.
+    values = np.frombuffer(blob, dtype=dtype).reshape(s, k)
+    return CsiMatrix(values) if dtype.kind == "c" else values
 
 
 _CSV_WHAT = {"complex": ("s", "k", "re", "im"), "phase": ("s", "k", "value"), "amplitude": ("s", "k", "value")}

@@ -29,6 +29,27 @@ matmul for the top and bottom, the shared spectrum for the left and
 right). No w x w or (w_r*w_c)^2 projection matrix is built and no loop
 runs over cells. Designs are cached per order and window(s), and their
 arrays are read-only.
+
+Every pass runs a block of about ``core._BLOCK`` cells at a time, so its
+scratch stays at a few blocks whatever S is:
+
+* The 1-D passes unwrap each block of rows (tracks for ``sg_time``,
+  symbols for ``sg_freq``) into one reused buffer and correlate it
+  straight into the output; no S x K spectrum or inverse transform
+  exists. The edge fits are not made per block: each block copies its
+  first and last w unwrapped samples into one rows x w array per end,
+  and the two edge matmuls run once on those, with the shapes of a
+  single-block pass, so BLAS rounds them alike.
+* ``sg_2d`` runs its interior over blocks of output tracks. A block's
+  windows reach w_c - 1 tracks past it; the spectra of that halo are
+  kept for the next block, so every track is transformed once, and each
+  block's output goes into the rows of the unwrapped grid it has already
+  transformed. Its side bands take the weight spectra of one fit term at
+  a time.
+
+A matrix of at most ``_BLOCK`` cells runs as one block, through the calls
+of an unblocked pass. Every step is local to one row or one track, so
+the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -40,7 +61,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PhaseMatrix, Stage, _freeze, _require_stage, _unwrap_axis
+from .core import (
+    PhaseMatrix,
+    Stage,
+    _freeze,
+    _require_stage,
+    _row_blocks,
+    _unwrap_axis,
+    _unwrap_blocks,
+)
 
 __all__ = [
     "SgSpec",
@@ -151,42 +180,66 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _correlate_rows(arr: np.ndarray, weights: np.ndarray, pad: int = 0) -> np.ndarray:
+def _correlate_rows(
+    arr: np.ndarray,
+    weights: np.ndarray,
+    pad: int = 0,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
     """Valid correlation of every row of a C-contiguous (signals, length)
     stack with one kernel: out[i, pad + j] = sum_p weights[p] * arr[i, j + p].
 
     The result is ``pad`` columns wider on each side than the valid part,
-    and those columns are left unset for the caller to fill. Direct sums
-    land straight in the result; the FFT path allocates it only after its
-    spectrum is gone, which keeps its peak lower.
+    and those columns are left unset for the caller to fill. It goes to
+    ``out`` when given; otherwise direct sums land straight in a new
+    result, and the FFT path allocates it only after its spectrum is gone,
+    which keeps its peak lower. A caller that correlates many blocks of
+    one length passes the FFT path's ``_kernel_spectrum`` in ``spectrum``.
     """
     w = weights.size
     length = arr.shape[1]
     shape = (arr.shape[0], length - w + 1 + 2 * pad)
     if w < _FFT_MIN_WINDOW:
-        out = np.empty(shape)
+        if out is None:
+            out = np.empty(shape)
         np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
         return out
     # Circular wrap-around only reaches the first w - 1 outputs of the
     # full correlation, which the valid part drops, so length suffices.
     n = _fast_length(length)
-    spectrum = np.fft.rfft(arr, n, axis=1)
-    spectrum *= np.fft.rfft(weights[::-1], n)
-    full = np.fft.irfft(spectrum, n, axis=1)
-    del spectrum
-    out = np.empty(shape)
+    product = np.fft.rfft(arr, n, axis=1)
+    product *= _kernel_spectrum(weights, length) if spectrum is None else spectrum
+    full = np.fft.irfft(product, n, axis=1)
+    del product
+    if out is None:
+        out = np.empty(shape)
     out[:, pad : shape[1] - pad] = full[:, w - 1 : length]
     return out
+
+
+def _kernel_spectrum(weights: np.ndarray, length: int) -> np.ndarray | None:
+    """What the FFT path of :func:`_correlate_rows` multiplies rows of
+    ``length`` samples by, or None for a window it correlates directly."""
+    if weights.size < _FFT_MIN_WINDOW:
+        return None
+    return np.fft.rfft(weights[::-1], _fast_length(length))
+
+
+def _fit_edges(out: np.ndarray, head: np.ndarray, tail: np.ndarray, kernel: SgKernel) -> None:
+    """Fill the first and last half columns of every row of ``out`` from
+    the fits of that row's first (``head``) and last (``tail``) w samples."""
+    half = kernel.spec.half
+    basis = _powers(kernel.spec.window, kernel.spec.order)
+    out[:, :half] = (head @ kernel.fit.T) @ basis[:half].T
+    out[:, out.shape[1] - half :] = (tail @ kernel.fit.T) @ basis[half + 1 :].T
 
 
 def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
     """Filter each row of a C-contiguous (signals, length) stack."""
     w = kernel.spec.window
-    half = kernel.spec.half
-    basis = _powers(w, kernel.spec.order)
-    out = _correlate_rows(arr, kernel.coefficients, pad=half)
-    out[:, :half] = (arr[:, :w] @ kernel.fit.T) @ basis[:half].T
-    out[:, arr.shape[1] - half :] = (arr[:, -w:] @ kernel.fit.T) @ basis[half + 1 :].T
+    out = _correlate_rows(arr, kernel.coefficients, pad=kernel.spec.half)
+    _fit_edges(out, arr[:, :w], arr[:, -w:], kernel)
     return out
 
 
@@ -278,9 +331,28 @@ def _smooth_rows(
     if resolved is None:
         _warn_degenerate(what, length, stacklevel=stacklevel)
         return rows
-    # One fresh C-contiguous array receives the unwrap, whatever the layout of rows.
-    unwrapped = _unwrap_axis(rows, out=np.empty(rows.shape))
-    return _apply_stack(unwrapped, sg_design(resolved))
+    kernel = sg_design(resolved)
+    blocks = _row_blocks(*rows.shape)
+    if len(blocks) == 1:
+        # One fresh C-contiguous array receives the unwrap, whatever the layout of rows.
+        return _apply_stack(_unwrap_axis(rows, out=np.empty(rows.shape)), kernel)
+    # Each block is copied into one reused buffer (a gather, for the strided
+    # tracks of sg_time), unwrapped there and correlated straight into the
+    # output; its first and last w unwrapped samples are gathered, and the
+    # edge fits run once, on all rows, as in one block.
+    w, half = resolved.window, resolved.half
+    out = np.empty(rows.shape)
+    head, tail = np.empty((rows.shape[0], w)), np.empty((rows.shape[0], w))
+    unwrapped = np.empty((blocks[0].stop, length))
+    spectrum = _kernel_spectrum(kernel.coefficients, length)
+    for block in blocks:
+        u = unwrapped[: block.stop - block.start]
+        u[...] = rows[block]
+        _unwrap_axis(u, out=u)
+        _correlate_rows(u, kernel.coefficients, half, out[block], spectrum)
+        head[block], tail[block] = u[:, :w], u[:, -w:]
+    _fit_edges(out, head, tail, kernel)
+    return out
 
 
 def _time_tracks(
@@ -351,8 +423,8 @@ def _unwrap_grid(values: np.ndarray) -> np.ndarray:
     """Time-major (K x S, C-contiguous) copy of an S x K phase grid,
     unwrapped down time and then across subcarriers, in place."""
     x = np.array(values.T, order="C")
-    _unwrap_axis(x, out=x)
-    return _unwrap_axis(x, axis=0, out=x)
+    _unwrap_blocks(x, x)
+    return _unwrap_blocks(x, x, axis=0)
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -436,7 +508,6 @@ def sg_2d(
     x = _unwrap_grid(phase.values)
     rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
     nc = k - w_c + 1
-    out = np.empty((s, k))
 
     # Edge cells evaluate the fit of the window anchored inside the grid at
     # their own offset. Top and bottom bands: windows over the first and
@@ -446,36 +517,70 @@ def sg_2d(
     del ends
     start = np.clip(np.arange(k) - l_c, 0, nc - 1)
     coef = coef[:, start] * cols[np.arange(k) - start]
-    out[:l_r] = rows[:l_r] @ coef[0].T
-    out[s - l_r :] = rows[l_r + 1 :] @ coef[1].T
 
     # Every other window is a sum over its w_c subcarrier offsets b of
     # time correlations of track b with column b of some weights, so one
     # real FFT of every track serves them all. Circular wrap-around only
-    # reaches the first w_r - 1 outputs, which the valid part drops.
+    # reaches the first w_r - 1 outputs, which the valid part drops. The
+    # interior runs in blocks of output tracks, each spanning at least the
+    # w_c - 1 tracks its windows reach past it (its halo).
     n = _fast_length(s)
-    spectra = np.fft.rfft(x, n, axis=1)
-    del x
+    halo = w_c - 1
+    blocks = _row_blocks(nc, s, min_rows=halo)
+    if len(blocks) == 1:
+        spectra = np.fft.rfft(x, n, axis=1)
+        del x
+        end_spectra = (spectra[:w_c], spectra[k - w_c :])
+    else:
+        end_spectra = (np.fft.rfft(x[:w_c], n, axis=1), np.fft.rfft(x[k - w_c :], n, axis=1))
     # Left and right bands: windows over the first and last w_c
     # subcarriers, sliding down time; one spectrum per fit term.
     fit_spectra = np.fft.rfft(fit[:, ::-1].transpose(0, 2, 1), n, axis=-1)
-    bands = np.stack([
-        np.einsum("bf,tbf->tf", spectra[:w_c], fit_spectra),
-        np.einsum("bf,tbf->tf", spectra[k - w_c :], fit_spectra),
-    ])
-    del fit_spectra
-    coef = np.fft.irfft(bands, n, axis=-1)[..., w_r - 1 : s]
+    bands = [np.einsum("bf,tbf->tf", end, fit_spectra) for end in end_spectra]
+    del end_spectra, fit_spectra
+    sides = [np.fft.irfft(band, n, axis=-1)[:, w_r - 1 : s] for band in bands]
     del bands
-    out[l_r : s - l_r, :l_c] = coef[0].T @ (rows[l_r, :, None] * cols[:l_c].T)
-    out[l_r : s - l_r, k - l_c :] = coef[1].T @ (rows[l_r, :, None] * cols[l_c + 1 :].T)
-    del coef
+    left = sides[0].T @ (rows[l_r, :, None] * cols[:l_c].T)
+    right = sides[1].T @ (rows[l_r, :, None] * cols[l_c + 1 :].T)
+    del sides
+
     # Interior: the fit evaluated at the window center.
     center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
     center_spectra = np.fft.rfft(center[::-1].T, n, axis=-1)
-    interior = np.einsum(
-        "kfb,bf->kf", sliding_window_view(spectra, w_c, axis=0), center_spectra
-    )
-    del spectra
-    out[l_r : s - l_r, l_c : k - l_c] = np.fft.irfft(interior, n, axis=1)[:, w_r - 1 : s].T
+    if len(blocks) == 1:
+        product = _interior_spectra(spectra, center_spectra)
+        del spectra
+        interior = np.fft.irfft(product, n, axis=1)[:, w_r - 1 : s]
+    else:
+        # The spectra of a block's halo are kept for the next block, so
+        # every track is transformed once; the block's output tracks go
+        # into the rows of x it has already transformed.
+        spectra = np.empty((blocks[0].stop + halo, n // 2 + 1), dtype=np.complex128)
+        np.fft.rfft(x[:halo], n, axis=1, out=spectra[:halo])
+        for block in blocks:
+            count = block.stop - block.start
+            np.fft.rfft(x[block.start + halo : block.stop + halo], n, axis=1,
+                        out=spectra[halo : halo + count])
+            product = _interior_spectra(spectra[: halo + count], center_spectra)
+            x[block, : s - w_r + 1] = np.fft.irfft(product, n, axis=1)[:, w_r - 1 : s]
+            spectra[:halo] = spectra[count : count + halo]
+        interior = x[:nc, : s - w_r + 1]
+        del spectra, x
+    del center_spectra, product
+
+    out = np.empty((s, k))
+    out[:l_r] = rows[:l_r] @ coef[0].T
+    out[s - l_r :] = rows[l_r + 1 :] @ coef[1].T
+    out[l_r : s - l_r, :l_c] = left
+    out[l_r : s - l_r, k - l_c :] = right
+    out[l_r : s - l_r, l_c : k - l_c] = interior.T
+    del interior, left, right
     out.setflags(write=False)
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)
+
+
+def _interior_spectra(spectra: np.ndarray, center_spectra: np.ndarray) -> np.ndarray:
+    """Spectra of the interior fits of every window over w_c consecutive
+    tracks of ``spectra``, one per window position."""
+    windows = sliding_window_view(spectra, center_spectra.shape[0], axis=0)
+    return np.einsum("kfb,bf->kf", windows, center_spectra)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, _freeze, _require_stage, _unwrap_axis
-from .tsfr import TsfrReport, _gap_stats
+from .core import PhaseMatrix, Stage, _freeze, _require_stage
+from .tsfr import TsfrReport, _unwrapped_gap_stats
 
 __all__ = ["Histogram", "DsSeries", "diff_histogram", "ds_series", "exceedance_profile"]
 
@@ -96,7 +96,7 @@ def ds_series(phase: PhaseMatrix, labels=None) -> DsSeries:
     values) add a mean d_s per label, in first-seen order.
     """
     _require_stage(phase, "ds_series", *_CALIBRATED)
-    _, _, d = _gap_stats(_unwrap_axis(phase.values))
+    _, _, d = _unwrapped_gap_stats(phase.values)
 
     groups = None
     if labels is not None:

@@ -45,7 +45,9 @@ from .core import (
     Stage,
     SubcarrierMap,
     _freeze,
+    _row_blocks,
     _unwrap_axis,
+    _unwrap_blocks,
     decompose,
     recompose,
 )
@@ -137,6 +139,18 @@ def _gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, sigma, mu + sigma
 
 
+def _unwrapped_gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_gap_stats` of the unwrapped rows, unwrapped and reduced a
+    block of rows at a time, so no S x K gap buffer exists."""
+    blocks = _row_blocks(*rows.shape)
+    if len(blocks) == 1:
+        return _gap_stats(_unwrap_axis(rows))
+    stats = np.empty((3, rows.shape[0]))
+    for block in blocks:
+        stats[:, block] = _gap_stats(_unwrap_axis(rows[block]))
+    return stats[0], stats[1], stats[2]
+
+
 def gap_stats(row: np.ndarray) -> GapThreshold:
     """Gap statistics of one unwrapped calibrated row.
 
@@ -160,7 +174,8 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
     row k holds subcarrier k of every symbol, so each step of the walk
     reads and writes contiguous memory. The walk overwrites ``tracks``,
     keeping the previous source row in a one-row buffer, and the result
-    is transposed once.
+    is transposed once. The clamp masks are marked a block of symbols at
+    a time, so no S x K gap buffer exists.
 
     Vectorized across symbols, sequential across subcarriers; each
     elementwise update evaluates the same IEEE expressions as a scalar
@@ -176,12 +191,13 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
         boolean masks of the down-/up-clamped positions (column 0 all
         False), all C-contiguous.
     """
-    k_count = tracks.shape[0]
-    eps = tracks[1:] - tracks[:-1]
+    k_count, s = tracks.shape
     low = np.zeros(tracks.shape, dtype=bool)
     high = np.zeros(tracks.shape, dtype=bool)
-    np.less(eps, -d, out=low[1:])
-    np.greater(eps, d, out=high[1:])
+    for symbols in _row_blocks(s, k_count):
+        eps = tracks[1:, symbols] - tracks[:-1, symbols]
+        np.less(eps, -d[symbols], out=low[1:, symbols])
+        np.greater(eps, d[symbols], out=high[1:, symbols])
     del eps
     clamped = np.flatnonzero((low | high).any(axis=1))
     first = int(clamped[0]) if clamped.size else k_count
@@ -239,14 +255,14 @@ def tsfr(
         per-symbol account of what the rebuild did.
     """
     calibrated = lrr_calibrate(phase, abscissa)
-    mu, sigma, d = _gap_stats(_unwrap_axis(calibrated.values))
+    mu, sigma, d = _unwrapped_gap_stats(calibrated.values)
     # sg_time short of its transpose: the time-major tracks the rebuild
     # walks, unwrapped across subcarriers (axis 0) in place.
     tracks = _time_tracks(calibrated, None, order, fraction)
     del calibrated
     if not tracks.flags.writeable:  # degenerate pass-through: the input's own
         tracks = np.array(tracks, order="C")
-    _unwrap_axis(tracks, axis=0, out=tracks)
+    _unwrap_blocks(tracks, tracks, axis=0)
     rebuilt, low, high = _rebuild_rows(tracks, d)
     del tracks
     exceed = low | high

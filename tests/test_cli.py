@@ -228,6 +228,24 @@ def test_process_out_of_memory_exits_5_with_one_line(tmp_path, capsys, monkeypat
     assert err == "error: out of memory in process --method tsfr on a 40x16 input\n"
 
 
+def test_process_out_of_memory_in_the_read_still_names_the_shape(tmp_path, capsys, monkeypatch):
+    # The header is parsed before the payload is read, so the shape is known
+    # when the read of the payload runs out.
+    meas, _ = make_pair(tmp_path, capsys)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("csiphase.io.np.frombuffer", exhausted)
+    code, out, err = run(
+        capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
+        "--method", "lrr",
+    )
+    assert code == 5
+    assert out == ""
+    assert err == "error: out of memory in process --method lrr on a 40x16 input\n"
+
+
 def test_stats_out_of_memory_names_the_table(tmp_path, capsys, monkeypatch):
     meas, _ = make_pair(tmp_path, capsys)
 

@@ -256,6 +256,15 @@ def test_csif_rejects_truncated_payload_with_lengths(tmp_path):
         read_csif(path)
 
 
+def test_csif_header_declaring_more_than_the_file_holds_reads_no_payload(tmp_path):
+    # the header is checked against the file's size before the payload is
+    # read, so a corrupt size allocates nothing
+    path = tmp_path / "huge.csif"
+    path.write_bytes(b"CSIF" + struct.pack("<HHII", 1, 1, 2**32 - 1, 2**32 - 1) + b"\0" * 32)
+    with pytest.raises(CsifTruncatedError, match="found 32$"):
+        read_csif(path)
+
+
 def test_csif_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "long.csif"
     write_csif(path, CsiMatrix(np.ones((1, 2), dtype=complex)))
