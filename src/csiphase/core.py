@@ -476,14 +476,14 @@ def unwrap(v: np.ndarray) -> np.ndarray:
     return _unwrap_axis(v)
 
 
-def _unwrap_axis(values: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`unwrap` along ``axis`` (the last by default), with no input checks.
+def _unwrap_axis(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`unwrap` along the last axis, with no input checks.
 
-    Every 1-D slice along ``axis`` is unwrapped with the same elementwise
-    arithmetic as a vector, so it matches ``unwrap`` bit for bit: its first
-    sample is kept and every later one is ``values[1:] - 2*pi *
-    cumsum(ceil((d - pi) / (2*pi)))`` over the adjacent gaps ``d``. The
-    result goes to ``out`` (a new array by default), which may be
+    Every 1-D slice along the last axis is unwrapped with the same
+    elementwise arithmetic as a vector, so it matches ``unwrap`` bit for
+    bit: its first sample is kept and every later one is ``values[1:] -
+    2*pi * cumsum(ceil((d - pi) / (2*pi)))`` over the adjacent gaps ``d``.
+    The result goes to ``out`` (a new array by default), which may be
     ``values`` itself to unwrap in place.
 
     Fast path: when every gap satisfies |d| < 3, each wrap count
@@ -497,19 +497,17 @@ def _unwrap_axis(values: np.ndarray, axis: int = -1, out: np.ndarray | None = No
     """
     if out is None:
         out = np.empty_like(values)
-    values = values.swapaxes(axis, -1)
-    target = out.swapaxes(axis, -1)
     d = np.diff(values, axis=-1)
-    target[..., 0] = values[..., 0]
+    out[..., 0] = values[..., 0]
     if d.size == 0 or (d.max() < 3.0 and d.min() > -3.0):
-        np.add(values[..., 1:], 0.0, out=target[..., 1:])
+        np.add(values[..., 1:], 0.0, out=out[..., 1:])
         return out
     d -= np.pi
     d /= _TWO_PI
     np.ceil(d, out=d)
     np.cumsum(d, axis=-1, out=d)
     np.multiply(_TWO_PI, d, out=d)
-    np.subtract(values[..., 1:], d, out=target[..., 1:])
+    np.subtract(values[..., 1:], d, out=out[..., 1:])
     return out
 
 

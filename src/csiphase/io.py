@@ -297,16 +297,12 @@ def read_csv(path: str | Path) -> CsiMatrix | np.ndarray:
             f"{s_max}x{k_max} = {s_max * k_max}"
         )
 
-    if n_fields == 4:
-        values = np.empty((s_max, k_max), dtype=np.complex128)
-    else:
-        values = np.empty((s_max, k_max), dtype=np.float64)
+    values = np.empty((s_max, k_max), dtype=np.complex128 if n_fields == 4 else np.float64)
     for (s, k), v in cells.items():
         values[s - 1, k - 1] = v
-    if n_fields == 4:
-        return CsiMatrix(values)
+    # Just allocated here: read-only hands it over uncopied.
     values.setflags(write=False)
-    return values
+    return CsiMatrix(values) if n_fields == 4 else values
 
 
 # Rows converted to text at a time; bounds the memory a long table takes.

@@ -44,8 +44,9 @@ scratch stays at a few blocks whatever S is:
   windows reach w_c - 1 tracks past it; the spectra of that halo are
   kept for the next block, so every track is transformed once, and each
   block's output goes into the rows of the unwrapped grid it has already
-  transformed. Its side bands take the weight spectra of one fit term at
-  a time.
+  transformed. Its side bands take the weight spectra of every fit term
+  in one transform and form each side's band, one track per term, in
+  one product.
 
 A matrix of at most ``_BLOCK`` cells runs as one block, through the calls
 of an unblocked pass. Every step is local to one row or one track, so

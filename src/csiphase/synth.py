@@ -165,17 +165,18 @@ def gen_true_csi(channel: ChannelSpec, symbols: int, smap: SubcarrierMap) -> Csi
     base = np.exp(-2j * np.pi * np.outer(delays, smap.m) / smap.n_fft)
     gains = channel.gains
     if channel.drift_depth == 0:
-        # repeat, unlike tile, returns an array that owns its memory, so
-        # marked read-only it is handed over uncopied; the bytes are the same.
+        # repeat, unlike tile, gives an array that owns its memory.
         rows = np.repeat((gains @ base)[None, :], symbols, axis=0)
-        rows.setflags(write=False)
-        return CsiMatrix(rows)
-    starts = 2 * np.pi * np.arange(len(gains)) / len(gains)
-    s = np.arange(symbols, dtype=np.float64)[:, None]
-    modulation = 1 + channel.drift_depth * np.sin(
-        2 * np.pi * s / channel.drift_period + starts[None, :]
-    )
-    return CsiMatrix((gains[None, :] * modulation) @ base)
+    else:
+        starts = 2 * np.pi * np.arange(len(gains)) / len(gains)
+        s = np.arange(symbols, dtype=np.float64)[:, None]
+        modulation = 1 + channel.drift_depth * np.sin(
+            2 * np.pi * s / channel.drift_period + starts[None, :]
+        )
+        rows = (gains[None, :] * modulation) @ base
+    # Just allocated here: read-only hands it to the matrix uncopied.
+    rows.setflags(write=False)
+    return CsiMatrix(rows)
 
 
 def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:

@@ -23,8 +23,10 @@ The chain keeps to the package's working-set rule (a stage allocates its
 output plus at most one S x K temporary; see :mod:`csiphase.core`): the
 calibrated phase is dropped once it is smoothed, and the smoothed phase
 stays in the time-major K x S layout the smoother produced, is unwrapped
-across subcarriers and rebuilt in place, and is transposed once, at the
-end.
+across subcarriers and rebuilt in place. Only the rebuilt phase and the
+exceedance marks are transposed to S x K; the clamp counts are summed
+from the K x S masks. Every array handed to a container is one just
+allocated, marked read-only, so the container keeps it uncopied.
 
 :func:`process` bundles every calibration route in this package behind
 one entry point and always hands the untouched amplitude back to the
@@ -141,13 +143,12 @@ def _gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _unwrapped_gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_gap_stats` of the unwrapped rows, unwrapped and reduced a
-    block of rows at a time, so no S x K gap buffer exists."""
-    blocks = _row_blocks(*rows.shape)
-    if len(blocks) == 1:
-        return _gap_stats(_unwrap_axis(rows))
+    block of rows at a time, so no S x K gap buffer exists. The three rows
+    of one read-only buffer are returned, for containers to keep uncopied."""
     stats = np.empty((3, rows.shape[0]))
-    for block in blocks:
+    for block in _row_blocks(*rows.shape):
         stats[:, block] = _gap_stats(_unwrap_axis(rows[block]))
+    stats.setflags(write=False)
     return stats[0], stats[1], stats[2]
 
 
@@ -173,9 +174,9 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
     ``tracks`` is the time-major (K x S, C-contiguous, writable) layout:
     row k holds subcarrier k of every symbol, so each step of the walk
     reads and writes contiguous memory. The walk overwrites ``tracks``,
-    keeping the previous source row in a one-row buffer, and the result
-    is transposed once. The clamp masks are marked a block of symbols at
-    a time, so no S x K gap buffer exists.
+    keeping the previous source row in a one-row buffer. The clamp masks
+    are marked a block of symbols at a time, so no K x S gap buffer
+    exists.
 
     Vectorized across symbols, sequential across subcarriers; each
     elementwise update evaluates the same IEEE expressions as a scalar
@@ -187,9 +188,9 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
     phi_k``.
 
     Returns:
-        (rebuilt, low_mask, high_mask): the S x K output plus S x K
-        boolean masks of the down-/up-clamped positions (column 0 all
-        False), all C-contiguous.
+        (low, high): K x S C-contiguous boolean masks of the down- and
+        up-clamped positions, time-major like ``tracks`` (row 0 all
+        False).
     """
     k_count, s = tracks.shape
     low = np.zeros(tracks.shape, dtype=bool)
@@ -207,11 +208,7 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
         carried = tracks[k] - (src_prev - prev)
         src_prev[:] = tracks[k]
         tracks[k] = np.where(low[k], prev - d, np.where(high[k], prev + d, carried))
-    return (
-        np.ascontiguousarray(tracks.T),
-        np.ascontiguousarray(low.T),
-        np.ascontiguousarray(high.T),
-    )
+    return low, high
 
 
 def rebuild_symbol(smoothed_row: np.ndarray, d: float) -> np.ndarray:
@@ -230,8 +227,9 @@ def rebuild_symbol(smoothed_row: np.ndarray, d: float) -> np.ndarray:
         raise ValueError(f"threshold must be finite and non-negative, got {d}")
     if row.size == 1:
         return row.copy()
-    out, _, _ = _rebuild_rows(row[:, None].copy(), np.array([d]))
-    return out[0]
+    track = row[:, None].copy()
+    _rebuild_rows(track, np.array([d]))
+    return track[:, 0]
 
 
 def tsfr(
@@ -263,21 +261,24 @@ def tsfr(
     if not tracks.flags.writeable:  # degenerate pass-through: the input's own
         tracks = np.array(tracks, order="C")
     _unwrap_blocks(tracks, tracks, axis=0)
-    rebuilt, low, high = _rebuild_rows(tracks, d)
+    low, high = _rebuild_rows(tracks, d)
+    rebuilt = np.ascontiguousarray(tracks.T)
     del tracks
-    exceed = low | high
+    # The masks are disjoint, so the two counts sum to the marks per symbol.
+    down, up = low.sum(axis=0), high.sum(axis=0)
+    exceed = np.ascontiguousarray((low | high).T)
+    modified = (down + up) / (phase.subcarriers - 1)
     # Just allocated here: read-only hands them to the containers uncopied.
-    rebuilt.setflags(write=False)
-    exceed.setflags(write=False)
-    k_count = phase.subcarriers
+    for handed in (rebuilt, exceed, modified, down, up):
+        handed.setflags(write=False)
     report = TsfrReport(
         mu=mu,
         sigma=sigma,
         d=d,
         exceedance=exceed,
-        modified_fraction=exceed.sum(axis=1) / (k_count - 1),
-        clamped_down=low.sum(axis=1),
-        clamped_up=high.sum(axis=1),
+        modified_fraction=modified,
+        clamped_down=down,
+        clamped_up=up,
     )
     return PhaseMatrix(rebuilt, Stage.REBUILT), report
 

@@ -184,24 +184,29 @@ def test_rebuild_rows_match_the_scalar_walk_bytewise():
         assert (first == 1).any() != late_only
         assert (first > rows.shape[1] // 2).any()
         assert (first == 0).any()
-        # the walk takes time-major tracks (K x S) and overwrites them
-        out, low, high = _rebuild_rows(np.ascontiguousarray(rows.T), d)
+        # the walk takes time-major tracks (K x S), overwrites them and
+        # returns its masks in the same layout
+        tracks = np.ascontiguousarray(rows.T)
+        low, high = _rebuild_rows(tracks, d)
+        assert low.shape == high.shape == tracks.shape
+        assert low.flags.c_contiguous and high.flags.c_contiguous
+        out, low, high = tracks.T, low.T, high.T
         for s, row in enumerate(rows):
             expected = naive_rebuild(row, d[s])
             assert out[s].view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert_array_equal(low[:, 1:], eps < -d[:, None])
         assert_array_equal(high[:, 1:], eps > d[:, None])
         assert not (low[:, 0] | high[:, 0]).any()
-        assert out.flags.c_contiguous and low.flags.c_contiguous and high.flags.c_contiguous
 
 
 def test_rebuild_rows_without_a_clamp_return_the_input_bytes():
     rng = np.random.default_rng(37)
     rows = rng.uniform(-0.4, 0.4, size=(40, 30))
     rows[::7, ::5] = -0.0
-    out, low, high = _rebuild_rows(np.ascontiguousarray(rows.T), np.ones(40))
-    assert out.tobytes() == rows.tobytes()
-    assert not low.any() and not high.any()
+    tracks = np.ascontiguousarray(rows.T)
+    low, high = _rebuild_rows(tracks, np.ones(40))
+    assert tracks.T.tobytes() == rows.tobytes()
+    assert not low.T.any() and not high.T.any()
 
 
 @given(
