@@ -16,6 +16,10 @@ row by row (one OFDM symbol at a time) after unwrapping the row:
   out_k = -k * sin(alpha) + theta_k * cos(alpha) - (a + b).
   The rotated row has a least-squares slope of exactly
   -sin(alpha) + a * cos(alpha) = 0, so the linear trend is gone.
+
+Both work a block of rows at a time, and every sum in them is a ufunc
+reduction along one row, so no bit depends on the block size or on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def _line_fit(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     xc = x - x.mean()
     mean = u.mean(axis=-1, keepdims=True)
-    a = (u - mean) @ xc / (xc @ xc)
+    dev = u - mean
+    a = np.multiply(dev, xc, out=dev).sum(axis=-1) / (xc @ xc)
     b = mean[..., 0] - x.mean() * a
     flat = u.max(axis=-1) == u.min(axis=-1)
     return np.where(flat, 0.0, a), np.where(flat, u[..., 0], b)
@@ -174,16 +179,16 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
         if not np.isfinite(x).all() or (np.diff(x) <= 0).any():
             raise ValueError("abscissa must be finite and strictly increasing")
 
-    u = _unwrap_axis(phase.values)
-    a, b = _line_fit(u, x)
-    alpha = np.arctan(a)
-    sa = np.sin(alpha)
-    ca = np.cos(alpha)
-    r_first = a * x[0] + b
-    # -x * sa + u * ca - r_first, rotated inside the fresh unwrapped rows
-    # (a sum of two floats does not depend on their order).
-    u *= ca[:, None]
-    u += -x[None, :] * sa[:, None]
-    u -= r_first[:, None]
+    # -x * sin(alpha) + u * cos(alpha) - r_first, rotated in each block's rows
+    # of the fresh unwrapped u (a sum of two floats does not depend on order).
+    u = np.empty(phase.shape)
+    for block in _row_blocks(s, k_count):
+        rows = _unwrap_axis(phase.values[block], out=u[block])
+        a, b = _line_fit(rows, x)
+        alpha = np.arctan(a)
+        r_first = a * x[0] + b
+        rows *= np.cos(alpha)[:, None]
+        rows += -x[None, :] * np.sin(alpha)[:, None]
+        rows -= r_first[:, None]
     u.setflags(write=False)
     return PhaseMatrix(u, Stage.CALIBRATED)

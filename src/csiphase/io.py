@@ -1,6 +1,6 @@
-"""Bit-exact interchange formats for CSI matrices and feature exports.
+"""Bit-exact interchange formats for CSI matrices.
 
-Three formats live here:
+Two formats live here:
 
 * CSIF, a tiny binary container: a 16-byte little-endian header
   (magic ``CSIF``, version, payload-kind flags, row and column counts)
@@ -11,8 +11,6 @@ Three formats live here:
   are formed, without ever holding them all.
 * CSV tables with 1-based ``s,k`` coordinates and 17-significant-digit
   values, so a CSIF -> CSV -> CSIF round trip is lossless.
-* Raw feature payloads with a key=value sidecar describing shape,
-  element type, byte order and the producing pipeline parameters.
 
 Readers reject malformed input instead of repairing it; the exception
 classes below say what was wrong and where.
@@ -40,8 +38,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "write_table",
-    "export_features",
-    "import_features",
 ]
 
 _MAGIC = b"CSIF"
@@ -341,82 +337,3 @@ def write_table(
                 cells.append(block)
             writer.writerows(zip(*cells, strict=True))
 
-
-_FEATURE_DTYPES = {"float64": "<f8", "float32": "<f4"}
-
-
-def export_features(
-    path: str | Path,
-    features: np.ndarray,
-    *,
-    dtype: str = "float64",
-    params: dict | None = None,
-) -> None:
-    """Write a feature matrix as a raw payload plus a text sidecar.
-
-    The payload at ``path`` is the matrix row-major in the chosen
-    element type, little-endian. The sidecar at ``path + ".meta"``
-    records rows, cols, dtype, byte order and the producing pipeline
-    parameters (sorted by key), with nothing time-dependent, so equal
-    inputs export byte-identical files.
-    """
-    if dtype not in _FEATURE_DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_FEATURE_DTYPES)}, got {dtype!r}")
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"need a non-empty 2-D feature matrix, got shape {arr.shape}")
-    payload = np.ascontiguousarray(arr, dtype=_FEATURE_DTYPES[dtype])
-    Path(path).write_bytes(payload.tobytes(order="C"))
-
-    lines = [
-        f"rows={arr.shape[0]}",
-        f"cols={arr.shape[1]}",
-        f"dtype={dtype}",
-        "byte_order=little",
-    ]
-    for key in sorted(params or {}):
-        lines.append(f"param.{key}={params[key]}")
-    Path(f"{path}.meta").write_text("\n".join(lines) + "\n")
-
-
-def import_features(path: str | Path) -> tuple[np.ndarray, dict[str, str]]:
-    """Read a feature export back: (float64 matrix, pipeline parameters).
-
-    The sidecar is the authority on shape and element type; a payload
-    whose size disagrees with it is rejected.
-    """
-    meta_path = Path(f"{path}.meta")
-    fields: dict[str, str] = {}
-    params: dict[str, str] = {}
-    for n, line in enumerate(meta_path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{meta_path.name} line {n}: expected key=value, got {line!r}")
-        if key.startswith("param."):
-            params[key[len("param."):]] = value
-        else:
-            fields[key] = value
-
-    missing = {"rows", "cols", "dtype", "byte_order"} - fields.keys()
-    if missing:
-        raise ValueError(f"{meta_path.name}: missing fields {sorted(missing)}")
-    if fields["byte_order"] != "little":
-        raise ValueError(f"{meta_path.name}: unsupported byte_order {fields['byte_order']!r}")
-    if fields["dtype"] not in _FEATURE_DTYPES:
-        raise ValueError(f"{meta_path.name}: unsupported dtype {fields['dtype']!r}")
-    rows, cols = int(fields["rows"]), int(fields["cols"])
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{meta_path.name}: rows and cols must be at least 1")
-
-    np_dtype = np.dtype(_FEATURE_DTYPES[fields["dtype"]])
-    blob = Path(path).read_bytes()
-    expected = rows * cols * np_dtype.itemsize
-    if len(blob) != expected:
-        raise ValueError(
-            f"payload is {len(blob)} bytes, sidecar implies {rows}x{cols} "
-            f"{fields['dtype']} = {expected}"
-        )
-    arr = np.frombuffer(blob, dtype=np_dtype).reshape(rows, cols).astype(np.float64)
-    return arr, params

@@ -24,8 +24,8 @@ subcarrier track down time serves its interior and its left and right
 bands, each a sum over subcarrier offsets taken in the frequency domain
 and brought back by one inverse FFT. Edge points need only the fit
 coefficients of their anchored window: order+1 per track end in 1-D,
-(order+1)(order+2)/2 per window along the four bands of ``sg_2d`` (a
-matmul for the top and bottom, the shared spectrum for the left and
+(order+1)(order+2)/2 per window along the four bands of ``sg_2d`` (one
+einsum for the top and bottom, the shared spectrum for the left and
 right). No w x w or (w_r*w_c)^2 projection matrix is built and no loop
 runs over cells. Designs are cached per order and window(s), and their
 arrays are read-only.
@@ -34,12 +34,9 @@ Every pass runs a block of about ``core._BLOCK`` cells at a time, so its
 scratch stays at a few blocks whatever S is:
 
 * The 1-D passes unwrap each block of rows (tracks for ``sg_time``,
-  symbols for ``sg_freq``) into one reused buffer and correlate it
-  straight into the output; no S x K spectrum or inverse transform
-  exists. The edge fits are not made per block: each block copies its
-  first and last w unwrapped samples into one rows x w array per end,
-  and the two edge matmuls run once on those, with the shapes of a
-  single-block pass, so BLAS rounds them alike.
+  symbols for ``sg_freq``) into one reused buffer, and correlate and
+  edge-fit it straight into the output; no S x K spectrum or inverse
+  transform exists.
 * ``sg_2d`` runs its interior over blocks of output tracks. A block's
   windows reach w_c - 1 tracks past it; the spectra of that halo are
   kept for the next block, so every track is transformed once, and each
@@ -49,8 +46,9 @@ scratch stays at a few blocks whatever S is:
   one product.
 
 A matrix of at most ``_BLOCK`` cells runs as one block, through the calls
-of an unblocked pass. Every step is local to one row or one track, so
-the block size changes no bit.
+of an unblocked pass. Every step is local to one row or one track and
+sums by einsum or ufunc, never by a BLAS call, so no bit depends on the
+block size or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -204,6 +202,7 @@ def _correlate_rows(
     if w < _FFT_MIN_WINDOW:
         if out is None:
             out = np.empty(shape)
+        # The window view's strides keep numpy off BLAS: each sum runs in order.
         np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
         return out
     # Circular wrap-around only reaches the first w - 1 outputs of the
@@ -227,20 +226,21 @@ def _kernel_spectrum(weights: np.ndarray, length: int) -> np.ndarray | None:
     return np.fft.rfft(weights[::-1], _fast_length(length))
 
 
-def _fit_edges(out: np.ndarray, head: np.ndarray, tail: np.ndarray, kernel: SgKernel) -> None:
+def _fit_edges(out: np.ndarray, arr: np.ndarray, kernel: SgKernel) -> None:
     """Fill the first and last half columns of every row of ``out`` from
-    the fits of that row's first (``head``) and last (``tail``) w samples."""
-    half = kernel.spec.half
-    basis = _powers(kernel.spec.window, kernel.spec.order)
-    out[:, :half] = (head @ kernel.fit.T) @ basis[:half].T
-    out[:, out.shape[1] - half :] = (tail @ kernel.fit.T) @ basis[half + 1 :].T
+    the fits of the first and last w samples of that row of ``arr``."""
+    w, half = kernel.spec.window, kernel.spec.half
+    basis = _powers(w, kernel.spec.order)
+    head = np.einsum("rw,cw->rc", arr[:, :w], kernel.fit)
+    tail = np.einsum("rw,cw->rc", arr[:, arr.shape[1] - w :], kernel.fit)
+    out[:, :half] = np.einsum("rc,pc->rp", head, basis[:half])
+    out[:, out.shape[1] - half :] = np.einsum("rc,pc->rp", tail, basis[half + 1 :])
 
 
 def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
     """Filter each row of a C-contiguous (signals, length) stack."""
-    w = kernel.spec.window
     out = _correlate_rows(arr, kernel.coefficients, pad=kernel.spec.half)
-    _fit_edges(out, arr[:, :w], arr[:, -w:], kernel)
+    _fit_edges(out, arr, kernel)
     return out
 
 
@@ -338,21 +338,16 @@ def _smooth_rows(
         # One fresh C-contiguous array receives the unwrap, whatever the layout of rows.
         return _apply_stack(_unwrap_axis(rows, out=np.empty(rows.shape)), kernel)
     # Each block is copied into one reused buffer (a gather, for the strided
-    # tracks of sg_time), unwrapped there and correlated straight into the
-    # output; its first and last w unwrapped samples are gathered, and the
-    # edge fits run once, on all rows, as in one block.
-    w, half = resolved.window, resolved.half
+    # tracks of sg_time), unwrapped there, then correlated and edge-fitted into the output.
     out = np.empty(rows.shape)
-    head, tail = np.empty((rows.shape[0], w)), np.empty((rows.shape[0], w))
     unwrapped = np.empty((blocks[0].stop, length))
     spectrum = _kernel_spectrum(kernel.coefficients, length)
     for block in blocks:
         u = unwrapped[: block.stop - block.start]
         u[...] = rows[block]
         _unwrap_axis(u, out=u)
-        _correlate_rows(u, kernel.coefficients, half, out[block], spectrum)
-        head[block], tail[block] = u[:, :w], u[:, -w:]
-    _fit_edges(out, head, tail, kernel)
+        _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum)
+        _fit_edges(out[block], u, kernel)
     return out
 
 
@@ -514,7 +509,7 @@ def sg_2d(
     # their own offset. Top and bottom bands: windows over the first and
     # last w_r symbols, sliding across subcarriers, clamped at the corners.
     ends = np.stack([x[:, :w_r], x[:, s - w_r :]])
-    coef = sum(ends[:, b : b + nc] @ fit[:, :, b].T for b in range(w_c))
+    coef = np.einsum("ekrb,trb->ekt", sliding_window_view(ends, w_c, axis=1), fit)
     del ends
     start = np.clip(np.arange(k) - l_c, 0, nc - 1)
     coef = coef[:, start] * cols[np.arange(k) - start]
@@ -541,8 +536,8 @@ def sg_2d(
     del end_spectra, fit_spectra
     sides = [np.fft.irfft(band, n, axis=-1)[:, w_r - 1 : s] for band in bands]
     del bands
-    left = sides[0].T @ (rows[l_r, :, None] * cols[:l_c].T)
-    right = sides[1].T @ (rows[l_r, :, None] * cols[l_c + 1 :].T)
+    left = np.einsum("tf,tc->fc", sides[0], rows[l_r, :, None] * cols[:l_c].T)
+    right = np.einsum("tf,tc->fc", sides[1], rows[l_r, :, None] * cols[l_c + 1 :].T)
     del sides
 
     # Interior: the fit evaluated at the window center.
@@ -570,8 +565,8 @@ def sg_2d(
     del center_spectra, product
 
     out = np.empty((s, k))
-    out[:l_r] = rows[:l_r] @ coef[0].T
-    out[s - l_r :] = rows[l_r + 1 :] @ coef[1].T
+    out[:l_r] = np.einsum("at,kt->ak", rows[:l_r], coef[0])
+    out[s - l_r :] = np.einsum("at,kt->ak", rows[l_r + 1 :], coef[1])
     out[l_r : s - l_r, :l_c] = left
     out[l_r : s - l_r, k - l_c :] = right
     out[l_r : s - l_r, l_c : k - l_c] = interior.T

@@ -26,7 +26,7 @@ PCG64 stream seeded through ``SeedSequence(seed)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,13 +228,7 @@ def gen_dataset(
     ``<out>.meas.csif``. Deterministic for a given seed and specs.
     """
     true_csi = gen_true_csi(channel, symbols, imp.smap)
-    result = apply_impairments(true_csi, imp)
-    result = SynthOutput(
-        true_csi=result.true_csi,
-        measured_csi=result.measured_csi,
-        impairment=imp,
-        channel=channel,
-    )
+    result = replace(apply_impairments(true_csi, imp), channel=channel)
     if out is not None:
         write_csif(f"{out}.true.csif", result.true_csi)
         write_csif(f"{out}.meas.csif", result.measured_csi)

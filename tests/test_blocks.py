@@ -1,11 +1,11 @@
 """Row-block passes give the bytes of one whole-matrix block.
 
 Every stage pass that works a block of rows or tracks at a time (the
-unwraps, the smoothing correlations, the ``sg_2d`` interior, the gap
-statistics and the rebuild's exceedance masks) is run with
-``core._BLOCK`` shrunk, so that several blocks run and the last one is
-partial, and compared byte for byte with a run in which one block covers
-the whole input. The inputs mix calm stretches, where the unwrap takes
+calibrations, the unwraps, the smoothing correlations and edge fits, the
+``sg_2d`` interior, the gap statistics and the rebuild's exceedance
+masks) is run with ``core._BLOCK`` shrunk, so that several blocks run
+and the last one is partial, and compared byte for byte with a run in
+which one block covers the whole input. The inputs mix calm stretches, where the unwrap takes
 its fast path, with wrapping ones, so blocks differ in the path they take.
 """
 
@@ -58,6 +58,17 @@ def test_lt_calibrate_is_block_invariant(monkeypatch, per_block):
     smap = SubcarrierMap(np.r_[np.arange(-6, 0), np.arange(1, 7)] * 2, n_fft=32)
     whole, blocked = whole_and_blocked(
         monkeypatch, lambda: lt_calibrate(raw, smap), s, k, per_block
+    )
+    assert_same_bytes(whole.values, blocked.values)
+
+
+@pytest.mark.parametrize("abscissa", [None, np.r_[np.arange(-6, 0), np.arange(1, 7)] * 2])
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_lrr_calibrate_is_block_invariant(monkeypatch, per_block, abscissa):
+    s, k = 45, 12
+    raw = PhaseMatrix(mixed_phase(8, s, k), Stage.RAW)
+    whole, blocked = whole_and_blocked(
+        monkeypatch, lambda: lrr_calibrate(raw, abscissa), s, k, per_block
     )
     assert_same_bytes(whole.values, blocked.values)
 

@@ -1,4 +1,4 @@
-"""CSIF binary container, CSV tables, and feature exports."""
+"""CSIF binary container and CSV tables."""
 
 import csv
 import io
@@ -24,8 +24,6 @@ from csiphase.io import (
     CsifMagicError,
     CsifTruncatedError,
     CsifVersionError,
-    export_features,
-    import_features,
     read_csif,
     read_csv,
     write_csif,
@@ -434,63 +432,3 @@ def test_write_table_rejects_unequal_columns(tmp_path):
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.csv", ("a", "b"), (np.zeros(short), list(range(long))))
 
-
-# ---------------------------------------------------------------------------
-# feature exports
-
-
-def test_features_round_trip_float64(tmp_path):
-    rng = np.random.default_rng(5)
-    feats = rng.normal(size=(7, 3))
-    path = tmp_path / "feats.bin"
-    export_features(path, feats, params={"method": "tsfr", "sg_order": 2})
-    assert path.stat().st_size == 7 * 3 * 8
-    back, params = import_features(path)
-    assert_array_equal(back, feats)
-    assert params == {"method": "tsfr", "sg_order": "2"}
-
-
-def test_features_sidecar_is_deterministic_text(tmp_path):
-    path = tmp_path / "feats.bin"
-    export_features(path, np.ones((2, 2)), params={"b": 1, "a": "x"})
-    assert (tmp_path / "feats.bin.meta").read_text() == (
-        "rows=2\ncols=2\ndtype=float64\nbyte_order=little\nparam.a=x\nparam.b=1\n"
-    )
-
-
-def test_features_float32_narrows_but_round_trips(tmp_path):
-    feats = np.array([[1.0, 1.0 / 3.0]])
-    path = tmp_path / "f32.bin"
-    export_features(path, feats, dtype="float32")
-    assert path.stat().st_size == 2 * 4
-    back, _ = import_features(path)
-    assert_array_equal(back, feats.astype(np.float32).astype(np.float64))
-
-
-def test_features_reject_bad_inputs(tmp_path):
-    with pytest.raises(ValueError, match="dtype must be one of"):
-        export_features(tmp_path / "x.bin", np.ones((2, 2)), dtype="int8")
-    with pytest.raises(ValueError, match="2-D"):
-        export_features(tmp_path / "x.bin", np.ones(4))
-
-
-def test_features_import_validates_sidecar(tmp_path):
-    path = tmp_path / "f.bin"
-    export_features(path, np.ones((2, 3)))
-    meta = tmp_path / "f.bin.meta"
-
-    meta.write_text("rows=2\ncols=3\ndtype=float64\n")
-    with pytest.raises(ValueError, match="missing fields"):
-        import_features(path)
-
-    meta.write_text("rows=2\ncols=3\ndtype=float64\nbyte_order=big\n")
-    with pytest.raises(ValueError, match="byte_order"):
-        import_features(path)
-
-    meta.write_text("rows=2\ncols=4\ndtype=float64\nbyte_order=little\n")
-    with pytest.raises(ValueError, match="sidecar implies"):
-        import_features(path)
-
-    meta.write_text("rows=2\ncols=3\ndtype=int64\nbyte_order=little\n")
-    with pytest.raises(ValueError, match="unsupported dtype"):
-        import_features(path)

@@ -76,14 +76,15 @@ def arrays_at_peak(call):
 # one more S x K temporary in any stage fails its test.
 STAGES = {
     "lt_calibrate": (1.3, lambda x: lt_calibrate(x["raw"], x["smap"])),  # was 2.07
-    "lrr_calibrate": (2.5, lambda x: lrr_calibrate(x["raw"])),  # was 3.13
+    # The fits are made a block of rows at a time, in the unwrapped buffer.
+    "lrr_calibrate": (1.3, lambda x: lrr_calibrate(x["raw"])),  # was 3.13, then 2.15
     # The row-block passes hold no S x K spectrum, inverse transform or gap
     # buffer: their scratch is a few blocks of core._BLOCK cells.
     "sg_time": (2.25, lambda x: sg_time(x["calibrated"])),  # was 3.01
     "sg_freq": (1.6, lambda x: sg_freq(x["calibrated"])),  # was 2.10
     "sg_2d": (2.3, lambda x: sg_2d(x["calibrated"])),  # was 3.04
     "ds_series": (0.5, lambda x: ds_series(x["calibrated"])),  # was 2.04
-    "tsfr": (2.9, lambda x: tsfr(x["raw"])),  # was 4.06
+    "tsfr": (2.55, lambda x: tsfr(x["raw"])),  # was 4.06, then 2.62
     "synth.gen_true_csi with gain drift": (
         2.5, lambda x: gen_true_csi(x["drift"], S, x["smap"])
     ),  # was 4.08
