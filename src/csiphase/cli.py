@@ -6,28 +6,42 @@ Three subcommands compose the library for scripts:
 * ``process`` runs one calibration method over a CSIF file.
 * ``stats`` turns phase matrices and rebuild reports into CSV tables.
 
-Exit codes are a stable contract: 0 success, 2 usage errors, 3 I/O
-failures, 4 data or format errors, 5 out of memory. Out of memory prints
-one line, no traceback, naming the subcommand and, for ``process``, the
-method and the input's shape. Outputs never embed timestamps, so equal
-inputs and flags give byte-identical files.
+Every command opens its input once, through ``io.CsifReader``, and a
+complex input is split into amplitude and phase as it is read, so no
+command holds a complex input and a pipe (``-i /dev/stdin``) gives the
+bytes its file gives. ``process --verify-amplitude`` reads the input a
+second time, so it needs a regular file.
+
+Exit codes are a stable contract: 0 success, 2 usage errors (among
+them ``--verify-amplitude`` on an input that is not a regular file), 3
+I/O failures, 4 data or format errors, 5 out of memory. Out of memory
+prints one line, no traceback, naming the subcommand and, for
+``process``, the method and the input's shape. Outputs never embed
+timestamps, so equal inputs and flags give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .calib import lrr_calibrate
-from .core import PhaseMatrix, Stage, SubcarrierMap, _amplitude_of, _row_blocks, decompose
-from .io import _csif_shape, read_csif, write_csif, write_table
+from .core import PhaseMatrix, Stage, SubcarrierMap, _amplitude_of
+from .io import CsifReader, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
 from .synth import gen_dataset, load_scenario
 from .tsfr import METHODS, process, tsfr
+
+# Not called here, as every command reads its input through CsifReader;
+# both stay names of this module because perfbench/tracer.py wraps them.
+from .core import decompose  # noqa: F401
+from .io import read_csif  # noqa: F401
 
 __all__ = ["main"]
 
@@ -62,13 +76,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_complex(path: str):
-    matrix = read_csif(path)
-    if isinstance(matrix, np.ndarray):
+def _read_polar(reader: CsifReader, path: str):
+    """Amplitude and raw phase of a complex input, decomposed as read."""
+    if not reader.complex:
         raise ValueError(
             f"{path} holds a real payload; this command needs complex CSI"
         )
-    return matrix
+    amplitude, phase, _ = reader.read()
+    return amplitude, phase
 
 
 def _write_report(path: str, args, result, shape) -> None:
@@ -94,16 +109,20 @@ def _write_report(path: str, args, result, shape) -> None:
 
 
 def _cmd_process(args) -> int:
-    # Named by main if memory runs out, in the read of the payload too.
-    args.input_shape = _csif_shape(args.input)
-    csi = _read_complex(args.input)
-    smap = (
-        SubcarrierMap.contiguous(csi.subcarriers)
-        if args.abscissa == "physical"
-        else None
-    )
+    if args.verify_amplitude and not stat.S_ISREG(os.stat(args.input).st_mode):
+        print(
+            f"error: --verify-amplitude re-reads the input, so {args.input} "
+            f"must be a regular file, not a pipe or device",
+            file=sys.stderr,
+        )
+        return 2
+    with CsifReader(args.input) as reader:
+        # Named by main if memory runs out, in the read of the payload too.
+        args.input_shape = shape = reader.shape
+        polar = _read_polar(reader, args.input)
+    smap = SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None
     result = process(
-        csi,
+        polar,
         args.method,
         smap=smap,
         sg_order=args.sg_order,
@@ -111,32 +130,32 @@ def _cmd_process(args) -> int:
         abscissa=args.abscissa,
         separable=args.separable,
     )
+    del polar  # the raw phase, which the output no longer needs
     write_csif(args.output, result.output)
     if args.report is not None:
-        _write_report(args.report, args, result, csi.shape)
+        _write_report(args.report, args, result, shape)
     if args.verify_amplitude:
-        # np.abs of the input's values is formed afresh, a row block at a
-        # time: the input keeps the amplitude that process decomposed and
-        # passed through, so comparing with that would compare the output
-        # with itself. The output's phase is never folded.
+        # The input is read again, a row block at a time, and np.abs of its
+        # values is formed afresh: the amplitude that process passed through
+        # is the output's own, so comparing with that would compare the
+        # output with itself. The output's phase is never folded.
         amp_out = _amplitude_of(result.output)
-        for rows in _row_blocks(*csi.shape):
-            if not np.array_equal(np.abs(csi.values[rows]), amp_out[rows]):
-                raise ValueError("amplitude self-check failed: output amplitude differs")
+        with CsifReader(args.input) as reader:
+            for rows, block in reader.blocks():
+                if not np.array_equal(np.abs(block), amp_out[rows]):
+                    raise ValueError("amplitude self-check failed: output amplitude differs")
         print("amplitude check: ok (bit-identical)")
-    print(
-        f"process: {args.method} on {csi.symbols}x{csi.subcarriers} -> {args.output}"
-    )
+    print(f"process: {args.method} on {shape[0]}x{shape[1]} -> {args.output}")
     return 0
 
 
 def _calibrated_phase(path: str) -> PhaseMatrix:
     """Complex input is calibrated with lrr; real input is taken as calibrated."""
-    matrix = read_csif(path)
-    if isinstance(matrix, np.ndarray):
-        return PhaseMatrix(matrix, Stage.CALIBRATED)
-    _, raw, _ = decompose(matrix)
-    del matrix  # and the amplitude it keeps, before lrr allocates its own arrays
+    with CsifReader(path) as reader:
+        if not reader.complex:
+            return PhaseMatrix(reader.values(), Stage.CALIBRATED)
+        # The amplitude is not kept: it goes before lrr allocates its arrays.
+        raw = _read_polar(reader, path)[1]
     return lrr_calibrate(raw)
 
 
@@ -168,8 +187,9 @@ def _cmd_stats(args) -> int:
         write_table(args.output, ("s", "d", "label")[: len(columns)], columns, comments=comments)
         print(f"stats: ds for {series.d.size} symbols -> {args.output}")
     else:
-        # The matrix, and the amplitude it keeps, go before tsfr runs.
-        _, raw, _ = decompose(_read_complex(args.input))
+        # The amplitude is not kept: it goes before tsfr runs.
+        with CsifReader(args.input) as reader:
+            raw = _read_polar(reader, args.input)[1]
         _, report = tsfr(raw)
         profile = exceedance_profile(report)
         write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))

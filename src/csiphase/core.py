@@ -21,6 +21,9 @@ A ``CsiMatrix`` forms each of its views once, when it is first read:
   pair, ``abs`` and the principal ``angle``, is formed on its first
   ``decompose`` and kept, so later decomposes return the same arrays;
   a decomposed matrix therefore holds twice its payload while it lives.
+  ``io.CsifReader`` applies the same rule (``_polar_blocks``) to a file
+  as it reads it, so a caller that wants only the pair never holds the
+  complex values.
 * A matrix from ``recompose`` holds the amplitude and the phase it was
   recomposed from, nothing more. Its principal phase is folded on its
   first ``decompose``; its cartesian values are formed on first read,
@@ -82,12 +85,17 @@ class Stage(enum.IntEnum):
 def _check_grid(values: np.ndarray, name: str) -> None:
     if values.ndim != 2:
         raise ValueError(f"{name} must be 2-D (symbols x subcarriers), got shape {values.shape}")
-    s, k = values.shape
+    _check_shape(values.shape, name)
+    _check_finite(values, name)
+
+
+def _check_shape(shape: tuple[int, int], name: str) -> None:
+    """Raise unless an S x K grid has a row and two columns."""
+    s, k = shape
     if s < 1:
         raise ValueError(f"{name} needs at least one symbol row, got {s}")
     if k < 2:
         raise ValueError(f"{name} needs at least two subcarrier columns, got {k}")
-    _check_finite(values, name)
 
 
 def _check_finite(values: np.ndarray, name: str, first_row: int = 0) -> None:
@@ -266,24 +274,16 @@ class CsiMatrix(_Grid):
     def _polar(self) -> tuple[AmplitudeMatrix, PhaseMatrix, tuple[tuple[int, int], ...]]:
         """Amplitude, principal phase and zero cells, formed once."""
         if self._amplitude is None:
-            amplitude, phase = np.abs(self.values), np.angle(self.values)
-            # atan2 can return -pi when the imaginary part is a negative zero;
-            # fold it onto +pi so the (-pi, pi] contract holds.
-            np.copyto(phase, np.pi, where=phase == -np.pi)
-        else:
-            angles = self._angles
-            if angles is None:  # another thread formed both views since this read began
-                return vars(self)["_polar"]
-            amplitude, phase = self._amplitude, _wrap_pi(angles)
+            values = self.values
+            blocks = ((rows, values[rows]) for rows in _row_blocks(*self.shape))
+            return self._keep("_polar", _polar_blocks(blocks, self.shape))
+        angles = self._angles
+        if angles is None:  # another thread formed both views since this read began
+            return vars(self)["_polar"]
+        amplitude, phase = self._amplitude, _wrap_pi(angles)
         zero = amplitude == 0.0
         np.copyto(phase, 0.0, where=zero)
-        amplitude.setflags(write=False)
-        phase.setflags(write=False)
-        # Most captures have no zero cell, so the coordinate scan runs only for one.
-        zero_cells = tuple(map(tuple, np.argwhere(zero).tolist())) if zero.any() else ()
-        return self._keep(
-            "_polar", (AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW), zero_cells)
-        )
+        return self._keep("_polar", _polar_views(amplitude, phase, _zero_cells(zero)))
 
     def _keep(self, name: str, view):
         """Cache ``view`` as ``name`` unless a racing read did first, and
@@ -404,6 +404,49 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
     np.ceil(t, out=t)
     t *= _TWO_PI
     return np.subtract(x, t, out=t)
+
+
+def _zero_cells(zero: np.ndarray, first_row: int = 0) -> list[tuple[int, int]]:
+    """Coordinates of the set cells of a row block's zero-amplitude mask,
+    in row-major order; ``first_row`` is the global row of its first row."""
+    # Most captures have no zero cell, so the coordinate scan runs only for one.
+    if not zero.any():
+        return []
+    return [(first_row + row, column) for row, column in np.argwhere(zero).tolist()]
+
+
+def _polar_views(amplitude: np.ndarray, phase: np.ndarray, zero_cells: list) -> tuple:
+    """The decomposed triple, handing over the two arrays uncopied."""
+    amplitude.setflags(write=False)
+    phase.setflags(write=False)
+    return AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW), tuple(zero_cells)
+
+
+def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple:
+    """Amplitude, principal phase and zero cells of complex values that
+    come as ``(rows, values)`` row blocks covering ``shape`` in order.
+
+    This is the one decompose rule for complex values, shared by a
+    ``CsiMatrix`` built from values and by ``io.CsifReader``, which feeds
+    it the blocks of a file as they are read. Each block is split straight
+    into its rows of the two outputs: ``abs``, then ``angle`` (numpy's own
+    ``arctan2(imag, real)``), a -pi angle folded onto +pi (atan2 returns
+    -pi when the imaginary part is a negative zero, and the phase lies in
+    (-pi, pi]), and the phase of a zero-amplitude cell set to 0. Every
+    operation is elementwise, so the block size changes no bit.
+    """
+    amplitude, phase = np.empty(shape), np.empty(shape)
+    zero_cells: list[tuple[int, int]] = []
+    for rows, values in blocks:
+        a, p = amplitude[rows], phase[rows]
+        np.abs(values, out=a)
+        np.arctan2(values.imag, values.real, out=p)
+        np.copyto(p, np.pi, where=p == -np.pi)
+        zero = a == 0.0
+        np.copyto(p, 0.0, where=zero)
+        zero_cells += _zero_cells(zero, rows.start)
+    del values  # a file's last block: its scratch goes before the arrays are checked
+    return _polar_views(amplitude, phase, zero_cells)
 
 
 def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[int, int]]]:

@@ -8,7 +8,12 @@ Two formats live here:
   (re, im) pairs for complex payloads. Round trips are byte-identical.
   Writes stream: no copy of the whole payload is made, and a matrix
   from ``recompose`` is written in row blocks as its cartesian values
-  are formed, without ever holding them all.
+  are formed, without ever holding them all. Reads can stream too:
+  :class:`CsifReader` opens a file once, knows its shape from the
+  header before the payload is read, and splits a complex payload into
+  amplitude and principal phase a row block at a time as it is read,
+  with the bytes of ``decompose(read_csif(path))``. As the file is
+  opened once, a pipe reads like a regular file.
 * CSV tables with 1-based ``s,k`` coordinates and 17-significant-digit
   values, so a CSIF -> CSV -> CSIF round trip is lossless.
 
@@ -26,7 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AmplitudeMatrix, CsiMatrix, PhaseMatrix
+from .core import (
+    AmplitudeMatrix,
+    CsiMatrix,
+    PhaseMatrix,
+    _check_finite,
+    _check_shape,
+    _polar_blocks,
+    _row_blocks,
+)
 
 __all__ = [
     "CsifError",
@@ -35,6 +48,7 @@ __all__ = [
     "CsifTruncatedError",
     "write_csif",
     "read_csif",
+    "CsifReader",
     "write_csv",
     "read_csv",
     "write_table",
@@ -150,18 +164,123 @@ def _check_payload(actual: int, expected: int) -> None:
         )
 
 
-def _csif_shape(path: str | Path) -> tuple[int, int]:
-    """Rows and columns a CSIF file declares, read from its header alone."""
-    with open(path, "rb") as fh:
-        _, s, k = _read_header(fh)
-    return s, k
+class CsifReader:
+    """A CSIF file opened once, with its header parsed and checked.
+
+    ``shape`` and ``complex`` are known as soon as the reader is built,
+    before any payload byte is read, and a regular file's size is checked
+    against the header then too. The payload is then read once, front to
+    back, by one of:
+
+    * :meth:`read`, which splits a complex payload into amplitude and
+      principal phase a row block of about ``core._BLOCK`` cells at a
+      time, as it is read, so the complex payload never exists whole;
+    * :meth:`blocks`, which yields the payload's row blocks as read;
+    * :meth:`values`, which reads the whole payload as one array.
+
+    The file is opened once, so a pipe (``/dev/stdin``) reads like a
+    regular file. Use the reader as a context manager; it closes the file
+    on exit. On a regular file every error is raised as by
+    :func:`read_csif`; on a pipe, where the size is learned only by
+    reading, a bad cell is reported before a truncation that follows it.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self._fh = open(path, "rb")
+        try:
+            self.dtype, s, k = _read_header(self._fh)
+            self.shape = (s, k)
+            self._expected = s * k * self.dtype.itemsize
+            self._seen = 0
+            # A regular file's size is checked before its payload is read, so
+            # a header that declares more than the file holds allocates nothing.
+            info = os.fstat(self._fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                _check_payload(info.st_size - _HEADER.size, self._expected)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "CsifReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    @property
+    def complex(self) -> bool:
+        """Whether the payload is complex (else real float64)."""
+        return self.dtype.kind == "c"
+
+    def _account(self, got: int, want: int) -> None:
+        """Count ``got`` of ``want`` payload bytes just read. Raises
+        ``CsifTruncatedError`` when the file ended early, or when bytes
+        follow the end of the payload."""
+        self._seen += got
+        if self._seen == self._expected:
+            _check_payload(self._seen + len(self._fh.read()), self._expected)
+        elif got < want:
+            _check_payload(self._seen, self._expected)
+
+    def values(self) -> np.ndarray:
+        """The whole payload as one read-only array, viewed over the bytes
+        read without a copy."""
+        blob = self._fh.read(self._expected)
+        self._account(len(blob), self._expected)
+        return np.frombuffer(blob, dtype=self.dtype).reshape(self.shape)
+
+    def blocks(self):
+        """Yield ``(rows, block)``: consecutive row slices of about
+        ``core._BLOCK`` cells, and the payload's rows there as read.
+
+        Every block is a read-only view of one scratch buffer, which the
+        next block is read into: a block is valid until the next is asked
+        for, and the scratch stays at one block whatever the file size.
+        """
+        k = self.shape[1]
+        row_bytes = k * self.dtype.itemsize
+        slices = _row_blocks(*self.shape)
+        scratch = bytearray(slices[0].stop * row_bytes)
+        block_rows = np.frombuffer(scratch, dtype=self.dtype).reshape(-1, k)
+        block_rows.setflags(write=False)
+        view = memoryview(scratch)
+        for rows in slices:
+            count = rows.stop - rows.start
+            want, got = count * row_bytes, 0
+            while got < want and (n := self._fh.readinto(view[got:want])):
+                got += n
+            self._account(got, want)
+            yield rows, block_rows[:count]
+
+    def read(self):
+        """What the payload holds, decomposed as it is read.
+
+        Returns:
+            For a complex payload, ``(amplitude, phase, zero_cells)`` bit
+            for bit as ``decompose(read_csif(path))`` gives them: each
+            block is checked for non-finite cells (the error names the
+            global row and column, as ``CsiMatrix`` does) and split by the
+            rule ``decompose`` applies to a matrix built from values. For
+            a real payload, the read-only array ``read_csif`` returns.
+        """
+        if not self.complex:
+            return self.values()
+        _check_shape(self.shape, "CSI matrix")
+        amplitude, phase, zero_cells = _polar_blocks(self._checked_blocks(), self.shape)
+        return amplitude, phase, list(zero_cells)
+
+    def _checked_blocks(self):
+        for rows, block in self.blocks():
+            _check_finite(block, "CSI matrix", rows.start)
+            yield rows, block
 
 
 def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
     """Read a CSIF file.
 
     The header is parsed and checked first; then exactly the declared
-    payload is read, and the file must end there.
+    payload is read, and the file must end there. :class:`CsifReader`
+    reads the same files, and can decompose a complex payload as it reads.
 
     Returns:
         A ``CsiMatrix`` for complex payloads, or a plain read-only
@@ -175,20 +294,10 @@ def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
             or trailing bytes follow the payload.
         CsifError: the flags or dimension fields are invalid.
     """
-    with open(path, "rb") as fh:
-        dtype, s, k = _read_header(fh)
-        expected = s * k * dtype.itemsize
-        # A regular file's size is checked before its payload is read, so a
-        # header that declares more than the file holds allocates nothing.
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            _check_payload(info.st_size - _HEADER.size, expected)
-        blob = fh.read(expected)
-        _check_payload(len(blob) + (len(fh.read()) if len(blob) == expected else 0), expected)
-
-    # A view over the immutable payload is read-only without a copy.
-    values = np.frombuffer(blob, dtype=dtype).reshape(s, k)
-    return CsiMatrix(values) if dtype.kind == "c" else values
+    with CsifReader(path) as reader:
+        # A view over the immutable payload is read-only without a copy.
+        values = reader.values()
+    return CsiMatrix(values) if reader.complex else values
 
 
 _CSV_WHAT = {"complex": ("s", "k", "re", "im"), "phase": ("s", "k", "value"), "amplitude": ("s", "k", "value")}

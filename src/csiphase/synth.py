@@ -31,7 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CsiMatrix, PhaseMatrix, Stage, SubcarrierMap, _freeze, decompose, recompose
+from .core import (
+    CsiMatrix,
+    PhaseMatrix,
+    Stage,
+    SubcarrierMap,
+    _freeze,
+    _row_blocks,
+    decompose,
+    recompose,
+)
 from .io import write_csif
 
 __all__ = [
@@ -205,8 +214,19 @@ def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
     np.add(phase.values, measured, out=measured)
     measured += imp.gamma[:, None]
     if imp.noise_sigma > 0:
+        # Drawn a row block at a time into one scratch block: bit for bit
+        # rng.normal(0.0, sigma, size=measured.shape), which forms each draw
+        # as 0.0 + sigma * z from the same stream of standard normals z.
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(imp.seed)))
-        measured += rng.normal(0.0, imp.noise_sigma, size=measured.shape)
+        blocks = _row_blocks(*measured.shape)
+        scratch = np.empty((blocks[0].stop, measured.shape[1]))
+        for rows in blocks:
+            noise = scratch[: rows.stop - rows.start]
+            rng.standard_normal(out=noise)
+            noise *= imp.noise_sigma
+            noise += 0.0
+            measured[rows] += noise
+        del noise, scratch  # before the phase matrix checks its cells
     measured.setflags(write=False)
     return SynthOutput(
         true_csi=true_csi,

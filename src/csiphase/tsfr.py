@@ -42,11 +42,13 @@ import numpy as np
 
 from .calib import lrr_calibrate, lt_calibrate
 from .core import (
+    AmplitudeMatrix,
     CsiMatrix,
     PhaseMatrix,
     Stage,
     SubcarrierMap,
     _freeze,
+    _require_stage,
     _row_blocks,
     _unwrap_axis,
     _unwrap_blocks,
@@ -289,7 +291,7 @@ class ProcessResult(NamedTuple):
 
 
 def process(
-    csi: CsiMatrix,
+    csi: CsiMatrix | tuple[AmplitudeMatrix, PhaseMatrix],
     method: str,
     *,
     smap: SubcarrierMap | None = None,
@@ -305,7 +307,11 @@ def process(
     which is handed through untouched.
 
     Args:
-        csi: complex CSI matrix.
+        csi: complex CSI matrix, or its decomposed ``(amplitude, phase)``
+            pair with a raw-stage phase: the first two items that
+            ``decompose`` or ``io.CsifReader.read`` return. A file
+            decomposed as it is read is thus processed without its
+            complex payload ever existing.
         method: one of ``METHODS``: "raw" (decompose/recompose only),
             "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr".
         smap: physical subcarrier map; required for "lt" and for the
@@ -327,19 +333,29 @@ def process(
         raise ValueError(f"abscissa must be 'ordinal' or 'physical', got {abscissa!r}")
     if abscissa == "physical" and smap is None:
         raise ValueError("the physical abscissa needs a subcarrier map")
-    if smap is not None and len(smap) != csi.subcarriers:
+    if isinstance(csi, tuple):
+        amplitude, raw = csi
+        if not (isinstance(amplitude, AmplitudeMatrix) and isinstance(raw, PhaseMatrix)):
+            raise TypeError("expected an (AmplitudeMatrix, PhaseMatrix) pair")
+        if amplitude.shape != raw.shape:
+            raise ValueError(
+                f"amplitude shape {amplitude.shape} does not match phase shape {raw.shape}"
+            )
+        _require_stage(raw, "process", Stage.RAW)
+    else:
+        amplitude, raw, _ = decompose(csi)
+    if smap is not None and len(smap) != raw.subcarriers:
         raise ValueError(
-            f"subcarrier map length {len(smap)} does not match matrix columns {csi.subcarriers}"
+            f"subcarrier map length {len(smap)} does not match matrix columns {raw.subcarriers}"
         )
 
-    amplitude, raw, _ = decompose(csi)
     x = smap.m.astype(np.float64) if abscissa == "physical" else None
     report: TsfrReport | None = None
 
     if method == "raw":
         out_phase = raw
     elif method == "lt":
-        out_phase = lt_calibrate(raw, smap if smap is not None else SubcarrierMap.contiguous(csi.subcarriers))
+        out_phase = lt_calibrate(raw, smap if smap is not None else SubcarrierMap.contiguous(raw.subcarriers))
     elif method == "lrr":
         out_phase = lrr_calibrate(raw, x)
     elif method == "lrr+sgfreq":

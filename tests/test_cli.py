@@ -1,5 +1,7 @@
 """Command-line behavior: flags, exit codes, file outputs, determinism."""
 
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +268,44 @@ def test_process_verify_amplitude_passes_and_reports(tmp_path, capsys):
     )
     assert code == 0
     assert "amplitude check: ok" in out
+
+
+def csiphase(stdin: bytes, *argv):
+    """The CLI in a fresh process, with ``stdin`` piped to it."""
+    return subprocess.run(
+        [sys.executable, "-m", "csiphase", *argv], input=stdin, capture_output=True
+    )
+
+
+def test_piped_input_gives_the_bytes_of_the_file_input(tmp_path, capsys):
+    # The input is opened once: its header is not consumed by a first open.
+    meas, _ = make_pair(tmp_path, capsys, symbols=300, subcarriers=20)
+    runs = {
+        "process": ["process", "--method", "tsfr", "--report", "{}.txt"],
+        "exceed": ["stats", "exceed"],
+    }
+    for name, argv in runs.items():
+        file_out, pipe_out = tmp_path / f"{name}.file", tmp_path / f"{name}.pipe"
+        code, _, _ = run(capsys, *(a.format(file_out) for a in argv),
+                         "-i", str(meas), "-o", str(file_out))
+        assert code == 0
+        proc = csiphase(meas.read_bytes(), *(a.format(pipe_out) for a in argv),
+                        "-i", "/dev/stdin", "-o", str(pipe_out))
+        assert proc.returncode == 0, proc.stderr
+        assert pipe_out.read_bytes() == file_out.read_bytes()
+    assert (tmp_path / "process.pipe.txt").read_bytes() == (tmp_path / "process.file.txt").read_bytes()
+
+
+def test_verify_amplitude_on_a_pipe_is_a_usage_error(tmp_path, capsys):
+    # The check reads the input a second time, which a pipe cannot give.
+    meas, _ = make_pair(tmp_path, capsys)
+    proc = csiphase(meas.read_bytes(), "process", "-i", "/dev/stdin",
+                    "-o", str(tmp_path / "o.csif"), "--method", "raw", "--verify-amplitude")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and "re-reads the input" in lines[0]
+    assert not (tmp_path / "o.csif").exists()
 
 
 def test_process_report_file_documents_the_rebuild(tmp_path, capsys):

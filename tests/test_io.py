@@ -1,15 +1,22 @@
 """CSIF binary container and CSV tables."""
 
+import contextlib
 import csv
 import io
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import csiphase.core as core
 from csiphase.core import (
     _FILL_BLOCK,
     AmplitudeMatrix,
@@ -17,11 +24,13 @@ from csiphase.core import (
     PhaseMatrix,
     Stage,
     SubcarrierMap,
+    decompose,
     recompose,
 )
 from csiphase.io import (
     CsifError,
     CsifMagicError,
+    CsifReader,
     CsifTruncatedError,
     CsifVersionError,
     read_csif,
@@ -282,6 +291,142 @@ def test_csif_errors_are_value_errors():
     for cls in (CsifMagicError, CsifVersionError, CsifTruncatedError):
         assert issubclass(cls, CsifError)
         assert issubclass(cls, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# row-block reader
+
+
+def reference_polar(values):
+    """The decompose rule, written out once over the whole matrix."""
+    amplitude, phase = np.abs(values), np.angle(values)
+    phase[phase == -np.pi] = np.pi
+    phase[amplitude == 0.0] = 0.0
+    return amplitude, phase, [tuple(c) for c in np.argwhere(amplitude == 0.0).tolist()]
+
+
+def drawn_values(rng, s, k):
+    """Complex cells with signed-zero cells and -pi folds (a negative real
+    part with a -0.0 imaginary part) scattered among them."""
+    values = rng.normal(size=(s, k)) + 1j * rng.normal(size=(s, k))
+    zero = rng.random((s, k)) < 0.1
+    values.real[zero] = rng.choice([-0.0, 0.0], size=zero.sum())
+    values.imag[zero] = rng.choice([-0.0, 0.0], size=zero.sum())
+    fold = ~zero & (rng.random((s, k)) < 0.1)
+    values.real[fold] = -np.abs(values.real[fold])
+    values.imag[fold] = -0.0
+    return values
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A path that reads ``data`` through a pipe rather than a regular file."""
+    assert len(data) < 1 << 16  # fits the pipe buffer, so no writer thread
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+def outcome(call):
+    """The result of ``call()``, or the type and message it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reader_read(path):
+    with CsifReader(path) as reader:
+        return reader.read()
+
+
+def test_reader_knows_the_shape_before_the_payload_is_read(tmp_path):
+    path = tmp_path / "cap.csif"
+    write_csif(path, CsiMatrix(drawn_values(np.random.default_rng(1), 5, 3)))
+    with CsifReader(path) as reader:
+        assert reader.shape == (5, 3) and reader.complex
+        assert reader._seen == 0
+    write_csif(path, PhaseMatrix(np.zeros((2, 4))))
+    with CsifReader(path) as reader:
+        assert reader.shape == (2, 4) and not reader.complex
+        assert_array_equal(reader.read(), np.zeros((2, 4)))
+
+
+def test_reader_blocks_are_read_only_views_of_one_scratch_buffer(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK", 2 * 3)
+    values = drawn_values(np.random.default_rng(2), 7, 3)
+    path = tmp_path / "cap.csif"
+    write_csif(path, CsiMatrix(values))
+    with CsifReader(path) as reader:
+        seen = [(rows, block.copy(), block.base, block.flags.writeable)
+                for rows, block in reader.blocks()]
+    assert [rows for rows, *_ in seen] == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
+    assert len({id(base) for *_, base, _ in seen}) == 1
+    assert not any(writeable for *_, writeable in seen)
+    assert np.concatenate([block for _, block, *_ in seen]).tobytes() == values.tobytes()
+
+
+@st.composite
+def csif_cases(draw):
+    s = draw(st.integers(1, 60))
+    k = draw(st.integers(2, 40))
+    block = draw(st.integers(k, 8 * k))  # one to eight rows per block
+    fault = draw(st.sampled_from([None, "truncated", "trailing", "nonfinite", "real"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return s, k, block, fault, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(csif_cases())
+def test_reader_is_read_csif_then_decompose_bit_for_bit(case):
+    s, k, block, fault, seed = case
+    rng = np.random.default_rng(seed)
+    values = drawn_values(rng, s, k)
+    if fault == "nonfinite":
+        part = values.real if rng.random() < 0.5 else values.imag
+        part[rng.integers(s), rng.integers(k)] = rng.choice([np.nan, np.inf, -np.inf])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cap.csif")
+        if fault == "real":
+            write_csif(path, values.real)
+        else:
+            write_csif(path, values if fault == "nonfinite" else CsiMatrix(values))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if fault == "truncated":
+            data = data[: -int(rng.integers(1, s * k * 16 + 1))]
+        elif fault == "trailing":
+            data += bytes(int(rng.integers(1, 40)))
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+        if fault == "real":
+            # Both reads hand process a plain array, which it refuses alike.
+            want = outcome(lambda: process(read_csif(path), "raw"))
+            got = outcome(lambda: process(reader_read(path), "raw"))
+            assert got == want and want[0] is TypeError
+            return
+        want = outcome(lambda: decompose(read_csif(path)))
+        with mock.patch.object(core, "_BLOCK", block):
+            got = outcome(lambda: reader_read(path))
+            with piped(data) as pipe:
+                got_piped = outcome(lambda: reader_read(pipe))
+
+    if fault is not None:
+        assert isinstance(want, tuple) and isinstance(want[1], str)
+        assert got == want == got_piped
+        return
+    oracle = reference_polar(values)
+    for result in (got, got_piped):
+        amplitude, phase, zero_cells = result
+        for mine, theirs, plain in zip((amplitude, phase), want, oracle):
+            assert mine.values.tobytes() == theirs.values.tobytes() == plain.tobytes()
+        assert phase.stage is Stage.RAW
+        assert zero_cells == want[2] == oracle[2]
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,29 @@ def test_process_rejects_mismatched_map():
         process(csi, "lt", smap=smap)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_process_of_the_decomposed_pair_is_process_of_the_matrix(method):
+    smap = SubcarrierMap(np.arange(-8, 8) * 2 + 1, n_fft=64)
+    csi = random_csi(np.random.default_rng(12), s=40)
+    amplitude, phase, _ = decompose(csi)
+    whole = process(csi, method, smap=smap, abscissa="physical")
+    paired = process((amplitude, phase), method, smap=smap, abscissa="physical")
+    assert paired.output.values.tobytes() == whole.output.values.tobytes()
+    assert decompose(paired.output)[0].values is amplitude.values
+    if method == "tsfr":
+        assert paired.report.d.tobytes() == whole.report.d.tobytes()
+
+
+def test_process_rejects_a_pair_that_is_not_a_raw_polar_pair():
+    amplitude, phase, _ = decompose(random_csi(np.random.default_rng(13)))
+    with pytest.raises(TypeError, match="pair"):
+        process((phase, amplitude), "raw")
+    with pytest.raises(ValueError, match="does not match"):
+        process((amplitude, PhaseMatrix(phase.values[:-1])), "raw")
+    with pytest.raises(ValueError, match="raw-stage"):
+        process((amplitude, PhaseMatrix(phase.values, Stage.CALIBRATED)), "lrr")
+
+
 def test_process_raw_is_a_faithful_round_trip():
     csi = random_csi(np.random.default_rng(3))
     result = process(csi, "raw")

@@ -26,6 +26,7 @@ from csiphase.core import (
     decompose,
     recompose,
 )
+from csiphase.io import CsifReader, write_csif
 from csiphase.savgol import _time_tracks, sg_2d, sg_freq, sg_time
 from csiphase.stats import ds_series
 from csiphase.synth import (
@@ -41,7 +42,7 @@ S, K = 10000, 52
 
 
 @pytest.fixture(scope="module")
-def inputs():
+def inputs(tmp_path_factory):
     rng = np.random.default_rng(41)
     raw = PhaseMatrix(rng.uniform(-np.pi, np.pi, (S, K)), Stage.RAW)
     smap = SubcarrierMap.contiguous(K, n_fft=64)
@@ -49,10 +50,13 @@ def inputs():
     read = amplitude.values * np.exp(1j * raw.values)
     read.setflags(write=False)  # a CsiMatrix keeps it, as it keeps a file's payload
     calibrated = lrr_calibrate(raw)
+    csif = tmp_path_factory.mktemp("csif") / "read.csif"
+    write_csif(csif, CsiMatrix(read))
     return {
         "raw": raw,
         "amplitude": amplitude,
         "read": read,
+        "csif": csif,
         "calibrated": calibrated,
         "tracks": _time_tracks(calibrated, None, 2, 0.1),
         "smap": smap,
@@ -90,9 +94,10 @@ STAGES = {
     ),  # was 4.08
     # Each call gets a fresh matrix, as a matrix's views form only once; a
     # CsiMatrix keeps the read-only values it is given, so this copies nothing.
+    # The noise is drawn a row block at a time into one scratch block.
     "synth.apply_impairments": (
-        4.5, lambda x: apply_impairments(CsiMatrix(x["true"].values), x["impairments"])
-    ),  # was 7.00
+        3.2, lambda x: apply_impairments(CsiMatrix(x["true"].values), x["impairments"])
+    ),  # was 7.00, then 4.00
     "recompose": (0.01, lambda x: recompose(x["amplitude"], x["raw"])),  # was 2.00
     "decompose of a recomposed matrix": (
         1.5, lambda x: decompose(recompose(x["amplitude"], x["raw"]))
@@ -101,7 +106,15 @@ STAGES = {
         2.25, lambda x: recompose(x["amplitude"], x["raw"]).values
     ),  # was 3.07
     "decompose of a read matrix": (2.5, lambda x: decompose(CsiMatrix(x["read"]))),  # 2.25, unchanged
+    # Each row block is split into the two outputs as it is read, into one
+    # reused block of scratch: the complex payload never exists whole.
+    "read and decompose a CSIF file": (2.35, lambda x: read_decomposed(x["csif"])),  # was 4.25
 }
+
+
+def read_decomposed(path):
+    with CsifReader(path) as reader:
+        return reader.read()
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -122,17 +135,35 @@ def test_tsfr_rebuild_and_report_hand_over_what_they_allocate(inputs, monkeypatc
     assert arrays_at_peak(lambda: tsfr(inputs["raw"])) <= 2.4
 
 
-def test_process_verify_amplitude_sets_no_peak_of_its_own(tmp_path):
-    # The check compares the input's np.abs with the output amplitude a row
-    # block at a time and folds no phase, so the command's peak stays that
-    # of tsfr: the payload, its polar pair and tsfr's working set.
-    base = tmp_path / "cap"
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli") / "cap"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--symbols", str(S), "--subcarriers", str(K),
                      "--seed", "3", "-o", str(base)]) == 0
-        argv = ["process", "-i", f"{base}.meas.csif", "-o", str(tmp_path / "out.csif"),
-                "--method", "tsfr"]
-        plain = arrays_at_peak(lambda: main(argv))
-        checked = arrays_at_peak(lambda: main(argv + ["--verify-amplitude"]))
+    return base
+
+
+def cli_arrays_at_peak(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return arrays_at_peak(lambda: main(argv))
+
+
+def test_process_verify_amplitude_sets_no_peak_of_its_own(capture):
+    # The input is decomposed as it is read, so no complex payload exists:
+    # the peak is its polar pair plus tsfr's working set. The check reads the
+    # input again a row block at a time, compares np.abs of each block with
+    # the output amplitude and folds no phase.
+    argv = ["process", "-i", f"{capture}.meas.csif", "-o", f"{capture}.out.csif",
+            "--method", "tsfr"]
+    plain = cli_arrays_at_peak(argv)
+    checked = cli_arrays_at_peak(argv + ["--verify-amplitude"])
     assert checked <= plain + 0.05
-    assert checked <= 6.9  # was 8.08
+    assert checked <= 4.5  # was 8.08, then 6.43
+
+
+def test_stats_ds_holds_no_complex_input(capture):
+    # The amplitude is dropped as soon as the input is read, so the peak is
+    # that of the read: the phase and the amplitude, plus one scratch block.
+    argv = ["stats", "ds", "-i", f"{capture}.meas.csif", "-o", f"{capture}.ds.csv"]
+    assert cli_arrays_at_peak(argv) <= 2.4  # was 4.26
