@@ -9,8 +9,9 @@ Three subcommands compose the library for scripts:
 Every command opens its input once, through ``io.CsifReader``, and a
 complex input is split into amplitude and phase as it is read, so no
 command holds a complex input and a pipe (``-i /dev/stdin``) gives the
-bytes its file gives. ``process --verify-amplitude`` reads the input a
-second time, so it needs a regular file.
+bytes its file gives. Zero cells are where the amplitude is zero; their
+phase is 0. ``process --verify-amplitude`` reads the input a second
+time, so it needs a regular file.
 
 Exit codes are a stable contract: 0 success, 2 usage errors (among
 them ``--verify-amplitude`` on an input that is not a regular file), 3
@@ -82,8 +83,7 @@ def _read_polar(reader: CsifReader, path: str):
         raise ValueError(
             f"{path} holds a real payload; this command needs complex CSI"
         )
-    amplitude, phase, _ = reader.read()
-    return amplitude, phase
+    return reader.read()
 
 
 def _write_report(path: str, args, result, shape) -> None:
@@ -155,7 +155,7 @@ def _calibrated_phase(path: str) -> PhaseMatrix:
         if not reader.complex:
             return PhaseMatrix(reader.values(), Stage.CALIBRATED)
         # The amplitude is not kept: it goes before lrr allocates its arrays.
-        raw = _read_polar(reader, path)[1]
+        raw = reader.read()[1]
     return lrr_calibrate(raw)
 
 

@@ -235,11 +235,11 @@ class CsiMatrix(_Grid):
       by :func:`recompose` forms them from its amplitude (``_amplitude``)
       and the phase it was recomposed from (``_angles``), in checked row
       blocks.
-    * ``_polar`` is what :func:`decompose` returns: the amplitude, the
-      principal phase and the zero-magnitude cells. A matrix built from
-      values forms it from ``abs`` and ``angle`` of its values and holds
-      it beside them, twice its payload in all. A recomposed matrix
-      keeps its exact amplitude and folds ``_angles`` into (-pi, pi].
+    * ``_polar`` is what :func:`decompose` returns: the amplitude and
+      the principal phase. A matrix built from values forms it from
+      ``abs`` and ``angle`` of its values and holds it beside them, twice
+      its payload in all. A recomposed matrix keeps its exact amplitude
+      and folds ``_angles`` into (-pi, pi].
 
     ``_angles`` is dropped once both views exist. ``shape``, ``symbols``,
     ``subcarriers`` and ``io.write_csif`` form neither view (the writer
@@ -271,8 +271,8 @@ class CsiMatrix(_Grid):
         return self._keep("values", values)
 
     @functools.cached_property
-    def _polar(self) -> tuple[AmplitudeMatrix, PhaseMatrix, tuple[tuple[int, int], ...]]:
-        """Amplitude, principal phase and zero cells, formed once."""
+    def _polar(self) -> tuple[AmplitudeMatrix, PhaseMatrix]:
+        """Amplitude and principal phase, formed once."""
         if self._amplitude is None:
             values = self.values
             blocks = ((rows, values[rows]) for rows in _row_blocks(*self.shape))
@@ -281,9 +281,8 @@ class CsiMatrix(_Grid):
         if angles is None:  # another thread formed both views since this read began
             return vars(self)["_polar"]
         amplitude, phase = self._amplitude, _wrap_pi(angles)
-        zero = amplitude == 0.0
-        np.copyto(phase, 0.0, where=zero)
-        return self._keep("_polar", _polar_views(amplitude, phase, _zero_cells(zero)))
+        np.copyto(phase, 0.0, where=amplitude == 0.0)
+        return self._keep("_polar", _polar_views(amplitude, phase))
 
     def _keep(self, name: str, view):
         """Cache ``view`` as ``name`` unless a racing read did first, and
@@ -406,25 +405,16 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
     return np.subtract(x, t, out=t)
 
 
-def _zero_cells(zero: np.ndarray, first_row: int = 0) -> list[tuple[int, int]]:
-    """Coordinates of the set cells of a row block's zero-amplitude mask,
-    in row-major order; ``first_row`` is the global row of its first row."""
-    # Most captures have no zero cell, so the coordinate scan runs only for one.
-    if not zero.any():
-        return []
-    return [(first_row + row, column) for row, column in np.argwhere(zero).tolist()]
-
-
-def _polar_views(amplitude: np.ndarray, phase: np.ndarray, zero_cells: list) -> tuple:
-    """The decomposed triple, handing over the two arrays uncopied."""
+def _polar_views(amplitude: np.ndarray, phase: np.ndarray) -> tuple[AmplitudeMatrix, PhaseMatrix]:
+    """The decomposed pair, handing over the two arrays uncopied."""
     amplitude.setflags(write=False)
     phase.setflags(write=False)
-    return AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW), tuple(zero_cells)
+    return AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW)
 
 
-def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple:
-    """Amplitude, principal phase and zero cells of complex values that
-    come as ``(rows, values)`` row blocks covering ``shape`` in order.
+def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple[AmplitudeMatrix, PhaseMatrix]:
+    """Amplitude and principal phase of complex values that come as
+    ``(rows, values)`` row blocks covering ``shape`` in order.
 
     This is the one decompose rule for complex values, shared by a
     ``CsiMatrix`` built from values and by ``io.CsifReader``, which feeds
@@ -436,41 +426,35 @@ def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple:
     operation is elementwise, so the block size changes no bit.
     """
     amplitude, phase = np.empty(shape), np.empty(shape)
-    zero_cells: list[tuple[int, int]] = []
     for rows, values in blocks:
         a, p = amplitude[rows], phase[rows]
         np.abs(values, out=a)
         np.arctan2(values.imag, values.real, out=p)
         np.copyto(p, np.pi, where=p == -np.pi)
-        zero = a == 0.0
-        np.copyto(p, 0.0, where=zero)
-        zero_cells += _zero_cells(zero, rows.start)
+        np.copyto(p, 0.0, where=a == 0.0)
     del values  # a file's last block: its scratch goes before the arrays are checked
-    return _polar_views(amplitude, phase, zero_cells)
+    return _polar_views(amplitude, phase)
 
 
-def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix, list[tuple[int, int]]]:
+def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix]:
     """Split a CSI matrix into amplitude and principal phase.
 
-    The phase lies in (-pi, pi]. A zero-magnitude element has no defined
-    phase; it is reported as 0 and its (row, column) coordinates are
-    collected in the returned warning list instead of producing NaN.
+    The phase lies in (-pi, pi]. A zero-magnitude cell has no defined
+    phase; its phase is +0.0, never NaN. Zero cells are where the
+    amplitude is zero: ``amplitude.values == 0`` is their mask.
 
     The pair is formed on the first call and kept on ``csi``; later
-    calls return the same matrices. If ``csi`` was built by
+    calls return the same pair. If ``csi`` was built by
     :func:`recompose`, the exact amplitude it was built from is returned
     with its phase folded into (-pi, pi] (no cartesian round trip), and
     its cartesian values are not formed.
 
     Returns:
-        (amplitude, phase, zero_cells) where ``phase`` is tagged
-        :attr:`Stage.RAW` and ``zero_cells`` lists the 0-based coordinates
-        of zero-magnitude elements.
+        (amplitude, phase) where ``phase`` is tagged :attr:`Stage.RAW`.
     """
     if not isinstance(csi, CsiMatrix):
         raise TypeError(f"expected CsiMatrix, got {type(csi).__name__}")
-    amplitude, phase, zero_cells = csi._polar
-    return amplitude, phase, list(zero_cells)
+    return csi._polar
 
 
 def _amplitude_of(csi: CsiMatrix) -> np.ndarray:

@@ -256,18 +256,18 @@ class CsifReader:
         """What the payload holds, decomposed as it is read.
 
         Returns:
-            For a complex payload, ``(amplitude, phase, zero_cells)`` bit
-            for bit as ``decompose(read_csif(path))`` gives them: each
-            block is checked for non-finite cells (the error names the
-            global row and column, as ``CsiMatrix`` does) and split by the
-            rule ``decompose`` applies to a matrix built from values. For
-            a real payload, the read-only array ``read_csif`` returns.
+            For a complex payload, ``(amplitude, phase)`` bit for bit as
+            ``decompose(read_csif(path))`` gives them: each block is
+            checked for non-finite cells (the error names the global row
+            and column, as ``CsiMatrix`` does) and split by the rule
+            ``decompose`` applies to a matrix built from values. Zero
+            cells are where the amplitude is zero; their phase is +0.0.
+            For a real payload, the read-only array ``read_csif`` returns.
         """
         if not self.complex:
             return self.values()
         _check_shape(self.shape, "CSI matrix")
-        amplitude, phase, zero_cells = _polar_blocks(self._checked_blocks(), self.shape)
-        return amplitude, phase, list(zero_cells)
+        return _polar_blocks(self._checked_blocks(), self.shape)
 
     def _checked_blocks(self):
         for rows, block in self.blocks():
@@ -300,34 +300,26 @@ def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
     return CsiMatrix(values) if reader.complex else values
 
 
-_CSV_WHAT = {"complex": ("s", "k", "re", "im"), "phase": ("s", "k", "value"), "amplitude": ("s", "k", "value")}
+_CSV_COMPLEX = ("s", "k", "re", "im")
+_CSV_REAL = ("s", "k", "value")
+_CSV_SCHEMA = {CsiMatrix: _CSV_COMPLEX, PhaseMatrix: _CSV_REAL, AmplitudeMatrix: _CSV_REAL}
 
 
-def write_csv(path: str | Path, matrix, what: str | None = None) -> None:
+def write_csv(path: str | Path, matrix) -> None:
     """Write a matrix as a CSV table with 1-based (s, k) coordinates.
 
-    ``what`` picks the schema: "complex" (columns s,k,re,im) for a
-    ``CsiMatrix``, "phase" or "amplitude" (columns s,k,value) for the
-    matching real container. When omitted it is inferred from the
-    matrix type. Values carry 17 significant digits, enough for an
-    exact float64 round trip.
+    The matrix type picks the schema: columns s,k,re,im for a
+    ``CsiMatrix``, s,k,value for a ``PhaseMatrix`` or an
+    ``AmplitudeMatrix``. Values carry 17 significant digits, enough for
+    an exact float64 round trip.
     """
-    if what is None:
-        what = {CsiMatrix: "complex", PhaseMatrix: "phase", AmplitudeMatrix: "amplitude"}.get(type(matrix))
-        if what is None:
-            raise ValueError(f"cannot infer CSV schema for {type(matrix).__name__}")
-    if what not in _CSV_WHAT:
-        raise ValueError(f"what must be one of {sorted(_CSV_WHAT)}, got {what!r}")
-    expected_type = {"complex": CsiMatrix, "phase": PhaseMatrix, "amplitude": AmplitudeMatrix}[what]
-    if not isinstance(matrix, expected_type):
-        raise ValueError(
-            f"schema {what!r} needs a {expected_type.__name__}, got {type(matrix).__name__}"
-        )
-
+    header = _CSV_SCHEMA.get(type(matrix))
+    if header is None:
+        raise ValueError(f"cannot infer CSV schema for {type(matrix).__name__}")
     s, k = (np.indices(matrix.values.shape) + 1).reshape(2, -1)
     values = matrix.values.ravel()
-    parts = (values.real, values.imag) if what == "complex" else (values,)
-    write_table(path, _CSV_WHAT[what], (s, k, *parts))
+    parts = (values.real, values.imag) if header is _CSV_COMPLEX else (values,)
+    write_table(path, header, (s, k, *parts))
 
 
 def _parse_coord(text: str, name: str, line: int) -> int:
@@ -364,9 +356,9 @@ def read_csv(path: str | Path) -> CsiMatrix | np.ndarray:
     if not rows:
         raise ValueError("empty CSV file")
     header = tuple(h.strip() for h in rows[0])
-    if header == _CSV_WHAT["complex"]:
+    if header == _CSV_COMPLEX:
         n_fields = 4
-    elif header == _CSV_WHAT["phase"]:
+    elif header == _CSV_REAL:
         n_fields = 3
     else:
         raise ValueError(

@@ -82,7 +82,10 @@ def diff_histogram(phase: PhaseMatrix, bins: int = 101) -> Histogram:
     std = float(diffs.std())
     half_span = 4 * std if std > 0 else 0.5
     edges = np.linspace(mean - half_span, mean + half_span, bins + 1)
-    idx = np.clip(np.searchsorted(edges, diffs, side="right") - 1, 0, bins - 1)
+    # Binned in the one index buffer: no second S*(K-1) index array exists.
+    idx = np.searchsorted(edges, diffs, side="right")
+    idx -= 1
+    np.clip(idx, 0, bins - 1, out=idx)
     counts = np.bincount(idx, minlength=bins)
     return Histogram(bin_edges=edges, counts=counts, fitted_mean=mean, fitted_std=std)
 

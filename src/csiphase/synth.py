@@ -206,7 +206,7 @@ def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
             f"subcarrier map length {len(imp.smap)} does not match matrix "
             f"columns {true_csi.subcarriers}"
         )
-    amplitude, phase, _ = decompose(true_csi)
+    amplitude, phase = decompose(true_csi)
     # phase + tilt + gamma (+ noise), summed in the one tilt buffer; float
     # sums and products do not depend on the order of their two operands.
     measured = np.outer(imp.delta_t, imp.smap.m)

@@ -308,10 +308,10 @@ def process(
 
     Args:
         csi: complex CSI matrix, or its decomposed ``(amplitude, phase)``
-            pair with a raw-stage phase: the first two items that
-            ``decompose`` or ``io.CsifReader.read`` return. A file
-            decomposed as it is read is thus processed without its
-            complex payload ever existing.
+            pair with a raw-stage phase: what ``decompose`` or
+            ``io.CsifReader.read`` returns. A file decomposed as it is
+            read is thus processed without its complex payload ever
+            existing.
         method: one of ``METHODS``: "raw" (decompose/recompose only),
             "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr".
         smap: physical subcarrier map; required for "lt" and for the
@@ -343,7 +343,7 @@ def process(
             )
         _require_stage(raw, "process", Stage.RAW)
     else:
-        amplitude, raw, _ = decompose(csi)
+        amplitude, raw = decompose(csi)
     if smap is not None and len(smap) != raw.subcarriers:
         raise ValueError(
             f"subcarrier map length {len(smap)} does not match matrix columns {raw.subcarriers}"

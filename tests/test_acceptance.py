@@ -224,11 +224,11 @@ def test_criterion_07_all_methods_preserve_amplitude_bitwise():
     # input amplitudes bit-identically.
     out = gen_dataset(demo_channel(), demo_impairments(1000, DEMO_MAP, seed=0), 1000)
     measured = out.measured_csi
-    amp_in, _, _ = decompose(measured)
+    amp_in, _ = decompose(measured)
     failures = []
     for method in METHODS:
         result = process(measured, method)
-        amp_out, _, _ = decompose(result.output)
+        amp_out, _ = decompose(result.output)
         if not np.array_equal(amp_out.values, amp_in.values):
             failures.append(method)
     verdict(7, not failures, f"bit-identical amplitudes for {len(METHODS)} methods"
@@ -250,8 +250,8 @@ def test_criterion_08_injected_errors_are_recovered():
     )
     true_csi = gen_true_csi(demo_channel(), symbols, DEMO_MAP)
     measured = apply_impairments(true_csi, imp).measured_csi
-    _, raw_true, _ = decompose(true_csi)
-    _, raw_meas, _ = decompose(measured)
+    _, raw_true = decompose(true_csi)
+    _, raw_meas = decompose(measured)
 
     diff = lt_calibrate(raw_meas, DEMO_MAP).values - lt_calibrate(raw_true, DEMO_MAP).values
     expected = -(2 * np.pi * imp.delta_t / 64) * DEMO_MAP.m.mean()
@@ -274,7 +274,7 @@ def test_criterion_09_difference_histogram_fits_noise_spread():
         noise_sigma=sigma, seed=109, smap=DEMO_MAP,
     )
     measured = apply_impairments(flat, imp).measured_csi
-    _, raw, _ = decompose(measured)
+    _, raw = decompose(measured)
     hist = diff_histogram(lrr_calibrate(raw))
     expected = np.sqrt(2) * sigma
     rel = abs(hist.fitted_std - expected) / expected

@@ -110,7 +110,7 @@ def test_diff_histogram_gaussian_noise_fits_root_two_sigma():
         noise_sigma=sigma, seed=13, smap=smap,
     )
     out = apply_impairments(flat, imp)
-    _, raw, _ = decompose(out.measured_csi)
+    _, raw = decompose(out.measured_csi)
     h = diff_histogram(lrr_calibrate(raw))
     expected = np.sqrt(2) * sigma
     assert abs(h.fitted_std - expected) / expected < 0.05

@@ -80,7 +80,7 @@ def test_flat_channel_is_all_ones():
 def test_single_delay_gives_linear_phase_and_unit_amplitude():
     smap = SubcarrierMap.contiguous(13, n_fft=64)
     csi = gen_true_csi(ChannelSpec(paths=((3.0, 1.0),)), 2, smap)
-    amp, phase, _ = decompose(csi)
+    amp, phase = decompose(csi)
     assert_allclose(amp.values, 1.0, atol=1e-12)
     expected = wrap(-2 * np.pi * smap.m * 3.0 / 64)
     assert_allclose(phase.values, np.tile(expected, (2, 1)), atol=1e-12)
@@ -149,8 +149,8 @@ def test_no_impairments_is_an_exact_no_op():
     out = apply_impairments(true_csi, no_op_impairments(6, smap))
     # The measured matrix is rebuilt from polar parts, so compare those
     # exactly and the cartesian values to strict tolerance.
-    amp_t, phase_t, _ = decompose(true_csi)
-    amp_m, phase_m, _ = decompose(out.measured_csi)
+    amp_t, phase_t = decompose(true_csi)
+    amp_m, phase_m = decompose(out.measured_csi)
     assert_array_equal(amp_m.values, amp_t.values)
     assert_array_equal(phase_m.values, phase_t.values)
     assert_allclose(out.measured_csi.values, true_csi.values, rtol=1e-15, atol=1e-15)
@@ -163,7 +163,7 @@ def test_timing_lag_adds_the_documented_linear_tilt():
     true_csi = gen_true_csi(ChannelSpec(paths=((0.0, 1.0),)), 4, smap)
     imp = no_op_impairments(4, smap, delta_t=np.ones(4))
     out = apply_impairments(true_csi, imp)
-    _, phase, _ = decompose(out.measured_csi)
+    _, phase = decompose(out.measured_csi)
     expected = wrap(2 * np.pi * smap.m / 64)
     assert_allclose(phase.values, np.tile(expected, (4, 1)), atol=1e-12)
 
@@ -173,8 +173,8 @@ def test_carrier_offset_shifts_every_phase_in_the_symbol():
     true_csi = gen_true_csi(demo_channel(), 3, smap)
     imp = no_op_impairments(3, smap, gamma=np.full(3, np.pi / 3))
     out = apply_impairments(true_csi, imp)
-    _, phase_t, _ = decompose(true_csi)
-    _, phase_m, _ = decompose(out.measured_csi)
+    _, phase_t = decompose(true_csi)
+    _, phase_m = decompose(out.measured_csi)
     assert_allclose(phase_m.values, wrap(phase_t.values + np.pi / 3), atol=1e-12)
 
 
@@ -183,8 +183,8 @@ def test_injection_is_phase_only_amplitude_is_bit_identical():
     true_csi = gen_true_csi(demo_channel(), 200, smap)
     imp = demo_impairments(200, smap, seed=3, noise_sigma=0.3)
     out = apply_impairments(true_csi, imp)
-    amp_t, _, _ = decompose(true_csi)
-    amp_m, _, _ = decompose(out.measured_csi)
+    amp_t, _ = decompose(true_csi)
+    amp_m, _ = decompose(out.measured_csi)
     assert_array_equal(amp_m.values, amp_t.values)
 
 
@@ -196,7 +196,7 @@ def test_injection_matches_its_expression_bitwise(noise_sigma):
     true_csi = gen_true_csi(ChannelSpec(((0.0, 1.0), (3.0, -0.5j))), 300, smap)
     imp = demo_impairments(300, smap, seed=9, noise_sigma=noise_sigma)
     out = apply_impairments(true_csi, imp)
-    amplitude, phase, _ = decompose(true_csi)
+    amplitude, phase = decompose(true_csi)
     tilt = (2 * np.pi / imp.smap.n_fft) * np.outer(imp.delta_t, imp.smap.m)
     measured = phase.values + tilt + imp.gamma[:, None]
     if noise_sigma > 0:
@@ -204,8 +204,8 @@ def test_injection_matches_its_expression_bitwise(noise_sigma):
         measured = measured + rng.normal(0.0, imp.noise_sigma, size=measured.shape)
     assert out.measured_csi._angles.tobytes() == measured.tobytes()
     expected = recompose(amplitude, PhaseMatrix(measured, Stage.RAW))
-    got_amp, got_phase, _ = decompose(out.measured_csi)
-    want_amp, want_phase, _ = decompose(expected)
+    got_amp, got_phase = decompose(out.measured_csi)
+    want_amp, want_phase = decompose(expected)
     assert got_amp.values.tobytes() == want_amp.values.tobytes()
     assert got_phase.values.tobytes() == want_phase.values.tobytes()
     assert out.measured_csi.values.tobytes() == expected.values.tobytes()
@@ -216,7 +216,7 @@ def test_noise_matches_its_nominal_level():
     true_csi = gen_true_csi(ChannelSpec(paths=((0.0, 1.0),)), 2000, smap)
     imp = no_op_impairments(2000, smap, noise_sigma=0.2, seed=11)
     out = apply_impairments(true_csi, imp)
-    _, phase, _ = decompose(out.measured_csi)
+    _, phase = decompose(out.measured_csi)
     assert abs(phase.values.std() - 0.2) < 0.006
     assert abs(phase.values.mean()) < 0.005
 
@@ -263,8 +263,8 @@ def test_lt_sees_exactly_the_injected_tilt():
     # Calibrating measured and true and subtracting isolates the tilt
     # as a per-symbol constant: -(2 pi delta_t / N) * mean(m).
     smap, true_csi, out, imp = recovery_fixture(seed=21)
-    _, raw_t, _ = decompose(true_csi)
-    _, raw_m, _ = decompose(out.measured_csi)
+    _, raw_t = decompose(true_csi)
+    _, raw_m = decompose(out.measured_csi)
     diff = lt_calibrate(raw_m, smap).values - lt_calibrate(raw_t, smap).values
     expected = -(2 * np.pi * imp.delta_t / 64) * smap.m.mean()
     assert_allclose(diff, np.tile(expected[:, None], (1, 52)), atol=1e-9)
@@ -272,8 +272,8 @@ def test_lt_sees_exactly_the_injected_tilt():
 
 def test_lrr_outputs_correlate_across_the_injection():
     smap, true_csi, out, _ = recovery_fixture(seed=22)
-    _, raw_t, _ = decompose(true_csi)
-    _, raw_m, _ = decompose(out.measured_csi)
+    _, raw_t = decompose(true_csi)
+    _, raw_m = decompose(out.measured_csi)
     san_t = lrr_calibrate(raw_t).values
     san_m = lrr_calibrate(raw_m).values
     for s in range(san_t.shape[0]):

@@ -28,7 +28,7 @@ from csiphase.core import (
 )
 from csiphase.io import CsifReader, write_csif
 from csiphase.savgol import _time_tracks, sg_2d, sg_freq, sg_time
-from csiphase.stats import ds_series
+from csiphase.stats import diff_histogram, ds_series
 from csiphase.synth import (
     ChannelSpec,
     apply_impairments,
@@ -52,11 +52,17 @@ def inputs(tmp_path_factory):
     calibrated = lrr_calibrate(raw)
     csif = tmp_path_factory.mktemp("csif") / "read.csif"
     write_csif(csif, CsiMatrix(read))
+    zero = np.zeros((S, K), dtype=np.complex128)
+    zero.setflags(write=False)
+    zero_csif = csif.with_name("zero.csif")
+    write_csif(zero_csif, CsiMatrix(zero))
     return {
         "raw": raw,
         "amplitude": amplitude,
         "read": read,
         "csif": csif,
+        "zero": zero,
+        "zero_csif": zero_csif,
         "calibrated": calibrated,
         "tracks": _time_tracks(calibrated, None, 2, 0.1),
         "smap": smap,
@@ -88,6 +94,8 @@ STAGES = {
     "sg_freq": (1.6, lambda x: sg_freq(x["calibrated"])),  # was 2.10
     "sg_2d": (2.3, lambda x: sg_2d(x["calibrated"])),  # was 3.04
     "ds_series": (0.5, lambda x: ds_series(x["calibrated"])),  # was 2.04
+    # The differences plus one index buffer, clipped in place.
+    "diff_histogram": (2.1, lambda x: diff_histogram(x["calibrated"])),  # was 2.94
     "tsfr": (2.55, lambda x: tsfr(x["raw"])),  # was 4.06, then 2.62
     "synth.gen_true_csi with gain drift": (
         2.5, lambda x: gen_true_csi(x["drift"], S, x["smap"])
@@ -109,6 +117,14 @@ STAGES = {
     # Each row block is split into the two outputs as it is read, into one
     # reused block of scratch: the complex payload never exists whole.
     "read and decompose a CSIF file": (2.35, lambda x: read_decomposed(x["csif"])),  # was 4.25
+    # Zero cells are where the amplitude is zero, so a capture whose cells
+    # are all zero decomposes in the working set of any other.
+    "decompose of a read matrix whose cells are all zero": (
+        2.5, lambda x: decompose(CsiMatrix(x["zero"]))
+    ),  # was 15.5
+    "read and decompose an all-zero CSIF file": (
+        2.35, lambda x: read_decomposed(x["zero_csif"])
+    ),  # was 15.7
 }
 
 
