@@ -1,84 +1,24 @@
 """Phase calibration, smoothing and reconstruction for OFDM channel state information."""
 
-from .calib import LtFit, RegressionFit, lrr_calibrate, lt_calibrate, lt_fit, regress_symbol
-from .core import (
-    AmplitudeMatrix,
-    CsiMatrix,
-    PhaseMatrix,
-    Stage,
-    SubcarrierMap,
-    decompose,
-    recompose,
-    unwrap,
-)
-from .savgol import DegenerateWindowWarning, SgKernel, SgSpec, sg_2d, sg_apply, sg_design, sg_freq, sg_time
-from .stats import DsSeries, Histogram, diff_histogram, ds_series, exceedance_profile
-from .synth import (
-    ChannelSpec,
-    ImpairmentSpec,
-    SynthOutput,
-    apply_impairments,
-    demo_channel,
-    demo_impairments,
-    gen_dataset,
-    gen_true_csi,
-)
-from .tsfr import (
-    METHODS,
-    GapThreshold,
-    ProcessResult,
-    TsfrReport,
-    gap_stats,
-    process,
-    rebuild_symbol,
-    tsfr,
-)
+# The package re-exports the __all__ of each module below (io and cli stay
+# submodules) and adds only its version. csiphase.tsfr is the function,
+# bound by the last wildcard import, not the module.
+from . import calib, core, savgol, stats, synth, tsfr as _tsfr
+from .calib import *  # noqa: F403
+from .core import *  # noqa: F403
+from .savgol import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .tsfr import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeMatrix",
-    "ChannelSpec",
-    "CsiMatrix",
-    "DegenerateWindowWarning",
-    "DsSeries",
-    "GapThreshold",
-    "Histogram",
-    "ImpairmentSpec",
-    "LtFit",
-    "METHODS",
-    "PhaseMatrix",
-    "ProcessResult",
-    "RegressionFit",
-    "SgKernel",
-    "SgSpec",
-    "Stage",
-    "SubcarrierMap",
-    "SynthOutput",
-    "TsfrReport",
-    "apply_impairments",
-    "decompose",
-    "demo_channel",
-    "demo_impairments",
-    "diff_histogram",
-    "ds_series",
-    "exceedance_profile",
-    "gap_stats",
-    "gen_dataset",
-    "gen_true_csi",
-    "lrr_calibrate",
-    "lt_calibrate",
-    "lt_fit",
-    "process",
-    "rebuild_symbol",
-    "recompose",
-    "regress_symbol",
-    "sg_2d",
-    "sg_apply",
-    "sg_design",
-    "sg_freq",
-    "sg_time",
-    "tsfr",
-    "unwrap",
+    *calib.__all__,
+    *core.__all__,
+    *savgol.__all__,
+    *stats.__all__,
+    *synth.__all__,
+    *_tsfr.__all__,
     "__version__",
 ]

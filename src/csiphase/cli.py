@@ -77,15 +77,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_polar(reader: CsifReader, path: str):
-    """Amplitude and raw phase of a complex input, decomposed as read."""
-    if not reader.complex:
-        raise ValueError(
-            f"{path} holds a real payload; this command needs complex CSI"
-        )
-    return reader.read()
-
-
 def _write_report(path: str, args, result, shape) -> None:
     lines = [
         f"report_version={_REPORT_VERSION}",
@@ -119,7 +110,7 @@ def _cmd_process(args) -> int:
     with CsifReader(args.input) as reader:
         # Named by main if memory runs out, in the read of the payload too.
         args.input_shape = shape = reader.shape
-        polar = _read_polar(reader, args.input)
+        polar = reader.read()
     smap = SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None
     result = process(
         polar,
@@ -189,7 +180,7 @@ def _cmd_stats(args) -> int:
     else:
         # The amplitude is not kept: it goes before tsfr runs.
         with CsifReader(args.input) as reader:
-            raw = _read_polar(reader, args.input)[1]
+            raw = reader.read()[1]
         _, report = tsfr(raw)
         profile = exceedance_profile(report)
         write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))

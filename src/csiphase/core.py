@@ -383,11 +383,11 @@ class SubcarrierMap:
         return int(self.m.size)
 
     @classmethod
-    def contiguous(cls, k: int, n_fft: int | None = None, start: int = 1) -> "SubcarrierMap":
-        """Map for K contiguous indices start..start+K-1 (default 1..K)."""
+    def contiguous(cls, k: int, n_fft: int | None = None) -> "SubcarrierMap":
+        """Map for K contiguous indices 1..K."""
         if k < 2:
             raise ValueError(f"need at least 2 subcarriers, got {k}")
-        return cls(np.arange(start, start + k, dtype=np.int64), n_fft if n_fft is not None else k)
+        return cls(np.arange(1, k + 1, dtype=np.int64), n_fft if n_fft is not None else k)
 
 
 def _wrap_pi(x: np.ndarray) -> np.ndarray:

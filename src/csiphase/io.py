@@ -174,9 +174,11 @@ class CsifReader:
 
     * :meth:`read`, which splits a complex payload into amplitude and
       principal phase a row block of about ``core._BLOCK`` cells at a
-      time, as it is read, so the complex payload never exists whole;
+      time, as it is read, so the complex payload never exists whole,
+      and refuses a real payload;
     * :meth:`blocks`, which yields the payload's row blocks as read;
-    * :meth:`values`, which reads the whole payload as one array.
+    * :meth:`values`, which reads the whole payload, complex or real, as
+      one array.
 
     The file is opened once, so a pipe (``/dev/stdin``) reads like a
     regular file. Use the reader as a context manager; it closes the file
@@ -252,20 +254,23 @@ class CsifReader:
             self._account(got, want)
             yield rows, block_rows[:count]
 
-    def read(self):
-        """What the payload holds, decomposed as it is read.
+    def read(self) -> tuple[AmplitudeMatrix, PhaseMatrix]:
+        """The complex payload, decomposed as it is read.
 
         Returns:
-            For a complex payload, ``(amplitude, phase)`` bit for bit as
+            ``(amplitude, phase)`` bit for bit as
             ``decompose(read_csif(path))`` gives them: each block is
             checked for non-finite cells (the error names the global row
             and column, as ``CsiMatrix`` does) and split by the rule
             ``decompose`` applies to a matrix built from values. Zero
             cells are where the amplitude is zero; their phase is +0.0.
-            For a real payload, the read-only array ``read_csif`` returns.
+
+        Raises:
+            ValueError: the payload is real, naming the file; read a
+                real payload with :meth:`values`.
         """
         if not self.complex:
-            return self.values()
+            raise ValueError(f"{self._fh.name} holds a real payload, not complex CSI")
         _check_shape(self.shape, "CSI matrix")
         return _polar_blocks(self._checked_blocks(), self.shape)
 

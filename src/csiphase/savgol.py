@@ -484,11 +484,7 @@ def sg_2d(
     if s < 3:
         raise ValueError(f"2-D smoothing needs at least 3 symbols, got {s}")
     row_spec = _resolve_spec(spec, order, fraction, s)
-    if freq_spec is None:
-        eff_order = row_spec.order if row_spec is not None else order
-        col_spec = _resolve_spec(None, eff_order, fraction, k)
-    else:
-        col_spec = freq_spec if freq_spec.window <= k else None
+    col_spec = _resolve_spec(freq_spec, row_spec.order if row_spec else order, fraction, k)
     if row_spec is None or col_spec is None:
         _warn_degenerate("time-frequency grid", min(s, k))
         return PhaseMatrix(phase.values, Stage.TIME_SMOOTHED)

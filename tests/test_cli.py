@@ -308,6 +308,20 @@ def test_verify_amplitude_on_a_pipe_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o.csif").exists()
 
 
+@pytest.mark.parametrize("command", [["process", "--method", "lrr"], ["stats", "exceed"]])
+def test_real_payload_is_one_error_line_naming_the_input(tmp_path, command):
+    phase_file = tmp_path / "phase.csif"
+    write_csif(phase_file, PhaseMatrix(np.zeros((3, 4)), Stage.CALIBRATED))
+    for path, stdin in ((str(phase_file), b""), ("/dev/stdin", phase_file.read_bytes())):
+        proc = csiphase(stdin, *command, "-i", path, "-o", str(tmp_path / "o"))
+        assert proc.returncode == 4
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {path} holds a real payload, not complex CSI"
+        ]
+        assert not (tmp_path / "o").exists()
+
+
 def test_process_report_file_documents_the_rebuild(tmp_path, capsys):
     meas, _ = make_pair(tmp_path, capsys, symbols=30, subcarriers=12)
     report_path = tmp_path / "report.txt"

@@ -1,5 +1,6 @@
-"""Containers, decompose/recompose and unwrap behavior."""
+"""Containers, decompose/recompose and unwrap behavior, and the package's names."""
 
+import importlib
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+import csiphase
 from csiphase import (
     AmplitudeMatrix,
     CsiMatrix,
@@ -469,3 +471,14 @@ def test_unwrap_of_a_wrapped_capture_stays_near_its_input_size():
         tracemalloc.stop()
     assert same_bytes(out, reference_unwrap(values))
     assert peak <= 2.5 * values.nbytes
+
+
+def test_the_package_exports_each_module_interface_and_its_version():
+    modules = [importlib.import_module(f"csiphase.{name}")
+               for name in ("calib", "core", "savgol", "stats", "synth", "tsfr")]
+    exported = {name: module for module in modules for name in module.__all__}
+    assert sorted(csiphase.__all__) == sorted([*exported, "__version__"])
+    for name, module in exported.items():
+        assert getattr(csiphase, name) is getattr(module, name)
+    assert isinstance(csiphase.__version__, str)
+    assert callable(csiphase.tsfr)  # the function, not its module

@@ -353,7 +353,7 @@ def test_reader_knows_the_shape_before_the_payload_is_read(tmp_path):
     write_csif(path, PhaseMatrix(np.zeros((2, 4))))
     with CsifReader(path) as reader:
         assert reader.shape == (2, 4) and not reader.complex
-        assert_array_equal(reader.read(), np.zeros((2, 4)))
+        assert_array_equal(reader.values(), np.zeros((2, 4)))
 
 
 def test_reader_blocks_are_read_only_views_of_one_scratch_buffer(tmp_path, monkeypatch):
@@ -405,10 +405,15 @@ def test_reader_is_read_csif_then_decompose_bit_for_bit(case):
             fh.write(data)
 
         if fault == "real":
-            # Both reads hand process a plain array, which it refuses alike.
-            want = outcome(lambda: process(read_csif(path), "raw"))
-            got = outcome(lambda: process(reader_read(path), "raw"))
-            assert got == want and want[0] is TypeError
+            # values() returns a real payload; read() refuses it, naming
+            # the file, whether it is a file or a pipe.
+            with CsifReader(path) as reader:
+                assert reader.values().tobytes() == values.real.tobytes()
+            assert outcome(lambda: reader_read(path)) == (
+                ValueError, f"{path} holds a real payload, not complex CSI")
+            with piped(data) as pipe:
+                assert outcome(lambda: reader_read(pipe)) == (
+                    ValueError, f"{pipe} holds a real payload, not complex CSI")
             return
         want = outcome(lambda: decompose(read_csif(path)))
         with mock.patch.object(core, "_BLOCK", block):

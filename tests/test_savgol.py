@@ -186,6 +186,33 @@ def test_correlation_engine_matches_numpy_on_both_paths():
         assert_allclose(_correlate_rows(stack, weights), want, rtol=0.0, atol=1e-12)
 
 
+@st.composite
+def direct_correlations(draw):
+    """A window the direct path takes, and a stack of rows that each hold
+    at least two windows."""
+    w = draw(st.sampled_from(range(3, _FFT_MIN_WINDOW, 2)))
+    rows = draw(st.integers(1, 40))
+    outputs = draw(st.integers(2, 120))
+    return w, rows, w - 1 + outputs, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(direct_correlations())
+def test_direct_correlation_is_a_fixed_order_sum_bit_for_bit(case):
+    # Pins numpy's choice to keep the strided matmul off BLAS: every output
+    # is 0 + w[0]*x[j] + w[1]*x[j+1] + ..., summed front to back. A window
+    # as long as the row (one output) is left out: numpy hands that
+    # product to BLAS.
+    w, rows, length, seed = case
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(rows, length))
+    weights = rng.normal(size=w)
+    want = np.zeros((rows, length - w + 1))
+    for p in range(w):
+        want += weights[p] * stack[:, p : p + want.shape[1]]
+    assert _correlate_rows(stack, weights).tobytes() == want.tobytes()
+
+
 def test_apply_short_vector_warns_and_passes_through():
     v = np.arange(4.0)
     with pytest.warns(DegenerateWindowWarning):
@@ -251,11 +278,15 @@ def test_window_fractions_above_one_take_the_whole_dimension(length):
         assert _window_from_fraction(length, 2, fraction) == whole
 
 
-@pytest.mark.parametrize("smoother", [sg_time, sg_freq, sg_2d])
-def test_a_number_is_not_a_spec(smoother):
+@pytest.mark.parametrize(
+    "smoother, keyword",
+    [(sg_time, "spec"), (sg_freq, "spec"), (sg_2d, "spec"), (sg_2d, "freq_spec")],
+    ids=["sg_time", "sg_freq", "sg_2d", "sg_2d-freq_spec"],
+)
+def test_a_number_is_not_a_spec(smoother, keyword):
     phase = PhaseMatrix(np.zeros((20, 20)), Stage.CALIBRATED)
     with pytest.raises(TypeError, match="fraction="):
-        smoother(phase, 0.2)
+        smoother(phase, **{keyword: 0.2})
 
 
 # ------------------------------------------------------------- matrix variants
