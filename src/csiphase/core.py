@@ -21,7 +21,7 @@ A ``CsiMatrix`` forms each of its views once, when it is first read:
   pair, ``abs`` and the principal ``angle``, is formed on its first
   ``decompose`` and kept, so later decomposes return the same arrays;
   a decomposed matrix therefore holds twice its payload while it lives.
-  ``io.CsifReader`` applies the same rule (``_polar_blocks``) to a file
+  ``io.CsifReader`` applies the same rule (``_polar_block``) to a file
   as it reads it, so a caller that wants only the pair never holds the
   complex values.
 * A matrix from ``recompose`` holds the amplitude and the phase it was
@@ -412,26 +412,32 @@ def _polar_views(amplitude: np.ndarray, phase: np.ndarray) -> tuple[AmplitudeMat
     return AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW)
 
 
-def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple[AmplitudeMatrix, PhaseMatrix]:
-    """Amplitude and principal phase of complex values that come as
-    ``(rows, values)`` row blocks covering ``shape`` in order.
+def _polar_block(values: np.ndarray, a: np.ndarray, p: np.ndarray) -> None:
+    """Split complex ``values`` into amplitude ``a`` and principal phase
+    ``p``, arrays of their shape.
 
     This is the one decompose rule for complex values, shared by a
-    ``CsiMatrix`` built from values and by ``io.CsifReader``, which feeds
-    it the blocks of a file as they are read. Each block is split straight
-    into its rows of the two outputs: ``abs``, then ``angle`` (numpy's own
+    ``CsiMatrix`` built from values, by ``io.CsifReader``, which applies it
+    to the blocks of a file as they are read, and by the streamed
+    ``synth.gen_dataset``: ``abs``, then ``angle`` (numpy's own
     ``arctan2(imag, real)``), a -pi angle folded onto +pi (atan2 returns
     -pi when the imaginary part is a negative zero, and the phase lies in
     (-pi, pi]), and the phase of a zero-amplitude cell set to 0. Every
     operation is elementwise, so the block size changes no bit.
     """
+    np.abs(values, out=a)
+    np.arctan2(values.imag, values.real, out=p)
+    np.copyto(p, np.pi, where=p == -np.pi)
+    np.copyto(p, 0.0, where=a == 0.0)
+
+
+def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple[AmplitudeMatrix, PhaseMatrix]:
+    """Amplitude and principal phase of complex values that come as
+    ``(rows, values)`` row blocks covering ``shape`` in order, each split
+    straight into its rows of the two outputs by :func:`_polar_block`."""
     amplitude, phase = np.empty(shape), np.empty(shape)
     for rows, values in blocks:
-        a, p = amplitude[rows], phase[rows]
-        np.abs(values, out=a)
-        np.arctan2(values.imag, values.real, out=p)
-        np.copyto(p, np.pi, where=p == -np.pi)
-        np.copyto(p, 0.0, where=a == 0.0)
+        _polar_block(values, amplitude[rows], phase[rows])
     del values  # a file's last block: its scratch goes before the arrays are checked
     return _polar_views(amplitude, phase)
 

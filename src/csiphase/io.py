@@ -8,7 +8,9 @@ Two formats live here:
   (re, im) pairs for complex payloads. Round trips are byte-identical.
   Writes stream: no copy of the whole payload is made, and a matrix
   from ``recompose`` is written in row blocks as its cartesian values
-  are formed, without ever holding them all. Reads can stream too:
+  are formed, without ever holding them all. One block writer serves
+  ``write_csif`` and the streamed ``synth.gen_dataset``; an error during
+  a write leaves no partial file behind. Reads can stream too:
   :class:`CsifReader` opens a file once, knows its shape from the
   header before the payload is read, and splits a complex payload into
   amplitude and principal phase a row block at a time as it is read,
@@ -23,6 +25,7 @@ classes below say what was wrong and where.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import stat
@@ -88,6 +91,33 @@ def _payload_array(matrix) -> tuple[np.ndarray, int]:
     return np.ascontiguousarray(arr, dtype="<f8"), _FLAG_REAL
 
 
+def _payload_dtype(flags: int) -> np.dtype:
+    return np.dtype("<c16" if flags == _FLAG_COMPLEX else "<f8")
+
+
+@contextlib.contextmanager
+def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_COMPLEX):
+    """Open ``path`` as a CSIF file of an S x K payload of the kind
+    ``flags`` names, write its header, and give a function that appends
+    row blocks; the caller writes exactly the declared rows, in order.
+
+    A contiguous block of the payload's dtype is written from its own
+    buffer, so no copy is made. Any error inside the ``with`` block
+    removes the partial file; a target that is not a regular file (a
+    pipe, /dev/stdout) is never removed.
+    """
+    dtype = _payload_dtype(flags)
+    with open(path, "wb") as fh:
+        try:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, *shape))
+            yield lambda block: fh.write(np.ascontiguousarray(block, dtype=dtype).view(np.uint8))
+        except BaseException:
+            fh.close()
+            if Path(path).is_file():
+                Path(path).unlink()
+            raise
+
+
 def write_csif(path: str | Path, matrix) -> None:
     """Write a complex or real matrix as a CSIF file.
 
@@ -98,32 +128,17 @@ def write_csif(path: str | Path, matrix) -> None:
     been read is written row block by row block as the blocks are
     formed, and its values stay unformed; any other payload is written
     from its own buffer. Either way no copy of the whole payload is made.
-    A non-finite cell found while streaming raises ``ValueError`` and
-    leaves no file behind.
+    A non-finite cell found while streaming raises ``ValueError`` and,
+    like any error during the write, leaves no file behind.
     """
     if isinstance(matrix, CsiMatrix):
-        s, k = matrix.shape
-        flags, dtype = _FLAG_COMPLEX, "<c16"
-        blocks = matrix._row_blocks()
+        shape, flags, blocks = matrix.shape, _FLAG_COMPLEX, matrix._row_blocks()
     else:
         arr, flags = _payload_array(matrix)
-        s, k = arr.shape
-        dtype, blocks = arr.dtype, (arr,)
-    header = _HEADER.pack(_MAGIC, _VERSION, flags, s, k)
-    with open(path, "wb") as fh:
-        try:
-            fh.write(header)
-            for block in blocks:
-                # The contiguous block's own buffer, as bytes: no copy is made.
-                fh.write(np.ascontiguousarray(block, dtype=dtype).view(np.uint8))
-        except ValueError:
-            # Only a streamed block that fails to form lands here. The
-            # partial file goes; a target that is not a regular file
-            # (a pipe, /dev/stdout) is never removed.
-            fh.close()
-            if Path(path).is_file():
-                Path(path).unlink()
-            raise
+        shape, blocks = arr.shape, (arr,)
+    with _csif_writer(path, shape, flags) as write:
+        for block in blocks:
+            write(block)
 
 
 def _read_header(fh) -> tuple[np.dtype, int, int]:
@@ -148,7 +163,7 @@ def _read_header(fh) -> tuple[np.dtype, int, int]:
         )
     if s < 1 or k < 1:
         raise CsifError(f"dimensions {s}x{k} in header must both be at least 1")
-    return np.dtype("<c16" if flags == _FLAG_COMPLEX else "<f8"), s, k
+    return _payload_dtype(flags), s, k
 
 
 def _check_payload(actual: int, expected: int) -> None:

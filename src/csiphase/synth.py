@@ -22,6 +22,15 @@ so the measured amplitude equals the clean amplitude bit for bit.
 
 Everything is deterministic given the seed; noise comes from one
 PCG64 stream seeded through ``SeedSequence(seed)``.
+
+Every rule is local to one symbol row: the drift rows are summed over
+the paths in a fixed order, and the noise stream carries on from one row
+block to the next. So :func:`gen_dataset` given an ``out`` basename
+streams: each row block of about ``core._BLOCK`` cells is generated,
+written to ``<out>.true.csif``, split into amplitude and phase by the
+decompose rule, impaired, and filled back to cartesian values for
+``<out>.meas.csif``. No S x K array exists, and the files hold the bytes
+that ``io.write_csif`` writes for the in-memory pair at any block size.
 """
 
 from __future__ import annotations
@@ -36,12 +45,20 @@ from .core import (
     PhaseMatrix,
     Stage,
     SubcarrierMap,
+    _cartesian_blocks,
+    _check_finite,
     _freeze,
+    _polar_block,
     _row_blocks,
     decompose,
     recompose,
 )
-from .io import write_csif
+from .io import _csif_writer
+
+# Not called here, as gen_dataset streams its files through the block
+# writer that write_csif is built on; it stays a name of this module
+# because perfbench/tracer.py wraps it.
+from .io import write_csif  # noqa: F401
 
 __all__ = [
     "ChannelSpec",
@@ -157,12 +174,9 @@ class SynthOutput:
             )
 
 
-def gen_true_csi(channel: ChannelSpec, symbols: int, smap: SubcarrierMap) -> CsiMatrix:
-    """Clean channel frequency response over ``symbols`` rows.
-
-    Without gain drift every row is the same response; with drift the
-    rows vary only through the per-path gain modulation.
-    """
+def _path_responses(channel: ChannelSpec, symbols: int, smap: SubcarrierMap) -> np.ndarray:
+    """The (P, K) per-path responses on the reported grid, once the
+    symbol count and the path delays are checked."""
     if symbols < 1:
         raise ValueError(f"need at least one symbol, got {symbols}")
     delays = channel.delays
@@ -170,63 +184,122 @@ def gen_true_csi(channel: ChannelSpec, symbols: int, smap: SubcarrierMap) -> Csi
         raise ValueError(
             f"path delays must be below the DFT size {smap.n_fft}, got {delays.max()}"
         )
-    # (P, K) per-path response on the reported grid.
-    base = np.exp(-2j * np.pi * np.outer(delays, smap.m) / smap.n_fft)
+    return np.exp(-2j * np.pi * np.outer(delays, smap.m) / smap.n_fft)
+
+
+def _clean_rows(channel: ChannelSpec, base: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """Rows ``rows`` of the clean response into ``out``, from the per-path
+    responses ``base``.
+
+    Without gain drift every row is ``gains @ base``. With drift each row
+    is summed over the paths in their order, one product per path added to
+    the first, so its bytes depend on its symbol index alone and the block
+    split changes no bit (a BLAS product does not promise that). An
+    overflow shows as a non-finite cell, which the caller's check names.
+    """
     gains = channel.gains
-    if channel.drift_depth == 0:
-        # repeat, unlike tile, gives an array that owns its memory.
-        rows = np.repeat((gains @ base)[None, :], symbols, axis=0)
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if channel.drift_depth == 0:
+            out[...] = gains @ base
+            return
         starts = 2 * np.pi * np.arange(len(gains)) / len(gains)
-        s = np.arange(symbols, dtype=np.float64)[:, None]
+        s = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
         modulation = 1 + channel.drift_depth * np.sin(
             2 * np.pi * s / channel.drift_period + starts[None, :]
         )
-        rows = (gains[None, :] * modulation) @ base
+        weights = gains[None, :] * modulation
+        np.multiply(weights[:, :1], base[0], out=out)
+        for path in range(1, len(gains)):
+            out += weights[:, path, None] * base[path]
+
+
+def gen_true_csi(channel: ChannelSpec, symbols: int, smap: SubcarrierMap) -> CsiMatrix:
+    """Clean channel frequency response over ``symbols`` rows.
+
+    Without gain drift every row is the same response; with drift the
+    rows vary only through the per-path gain modulation. Rows are formed
+    a row block at a time, with the bytes of the streamed
+    :func:`gen_dataset`.
+    """
+    base = _path_responses(channel, symbols, smap)
+    rows = np.empty((symbols, len(smap)), dtype=np.complex128)
+    for block in _row_blocks(*rows.shape):
+        _clean_rows(channel, base, block, rows[block])
     # Just allocated here: read-only hands it to the matrix uncopied.
     rows.setflags(write=False)
     return CsiMatrix(rows)
+
+
+def _check_cover(imp: ImpairmentSpec, shape: tuple[int, int]) -> None:
+    """Raise unless ``imp`` covers an S x K matrix of clean CSI."""
+    if imp.symbols != shape[0]:
+        raise ValueError(
+            f"impairments cover {imp.symbols} symbols, matrix has {shape[0]}"
+        )
+    if len(imp.smap) != shape[1]:
+        raise ValueError(
+            f"subcarrier map length {len(imp.smap)} does not match matrix "
+            f"columns {shape[1]}"
+        )
+
+
+def _noise_rng(imp: ImpairmentSpec) -> np.random.Generator | None:
+    """The one PCG64 stream of the phase noise, or None without noise."""
+    if imp.noise_sigma == 0:
+        return None
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(imp.seed)))
+
+
+def _impair_rows(
+    phase: np.ndarray,
+    rows: slice,
+    imp: ImpairmentSpec,
+    rng: np.random.Generator | None,
+    out: np.ndarray,
+    noise: np.ndarray,
+) -> None:
+    """Rows ``rows`` of the measured phase into ``out``, from those rows of
+    the clean ``phase``.
+
+    phase + tilt + gamma (+ noise), summed in the ``out`` buffer that holds
+    the tilt; float sums and products do not depend on the order of their
+    two operands. The noise is the next ``out.size`` standard normals of
+    ``rng``, drawn into the scratch ``noise`` of ``out``'s shape and formed
+    as 0.0 + sigma * z, so consecutive row blocks give bit for bit
+    ``rng.normal(0.0, sigma, size=(S, K))``. An overflow shows as a
+    non-finite cell, which the caller's check names.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(imp.delta_t[rows, None], imp.smap.m, out=out)
+        out *= 2 * np.pi / imp.smap.n_fft
+        np.add(phase, out, out=out)
+        out += imp.gamma[rows, None]
+        if rng is not None:
+            rng.standard_normal(out=noise)
+            noise *= imp.noise_sigma
+            noise += 0.0
+            out += noise
 
 
 def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
     """Inject the per-symbol phase errors into a clean CSI matrix.
 
     The clean matrix is split into amplitude and phase, the three error
-    terms are added to the phase, and the matrix is rebuilt around the
-    untouched amplitude. The returned ``true_csi`` is the given matrix,
-    which keeps the amplitude and phase of that split for as long as it
-    lives (see the README's "Useful guarantees").
+    terms are added to the phase a row block at a time, and the matrix is
+    rebuilt around the untouched amplitude. The returned ``true_csi`` is
+    the given matrix, which keeps the amplitude and phase of that split
+    for as long as it lives (see the README's "Useful guarantees").
     """
-    if imp.symbols != true_csi.symbols:
-        raise ValueError(
-            f"impairments cover {imp.symbols} symbols, matrix has {true_csi.symbols}"
-        )
-    if len(imp.smap) != true_csi.subcarriers:
-        raise ValueError(
-            f"subcarrier map length {len(imp.smap)} does not match matrix "
-            f"columns {true_csi.subcarriers}"
-        )
+    _check_cover(imp, true_csi.shape)
     amplitude, phase = decompose(true_csi)
-    # phase + tilt + gamma (+ noise), summed in the one tilt buffer; float
-    # sums and products do not depend on the order of their two operands.
-    measured = np.outer(imp.delta_t, imp.smap.m)
-    measured *= 2 * np.pi / imp.smap.n_fft
-    np.add(phase.values, measured, out=measured)
-    measured += imp.gamma[:, None]
-    if imp.noise_sigma > 0:
-        # Drawn a row block at a time into one scratch block: bit for bit
-        # rng.normal(0.0, sigma, size=measured.shape), which forms each draw
-        # as 0.0 + sigma * z from the same stream of standard normals z.
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(imp.seed)))
-        blocks = _row_blocks(*measured.shape)
-        scratch = np.empty((blocks[0].stop, measured.shape[1]))
-        for rows in blocks:
-            noise = scratch[: rows.stop - rows.start]
-            rng.standard_normal(out=noise)
-            noise *= imp.noise_sigma
-            noise += 0.0
-            measured[rows] += noise
-        del noise, scratch  # before the phase matrix checks its cells
+    rng = _noise_rng(imp)
+    measured = np.empty(true_csi.shape)
+    blocks = _row_blocks(*measured.shape)
+    noise = np.empty((blocks[0].stop, measured.shape[1]))
+    for rows in blocks:
+        count = rows.stop - rows.start
+        _impair_rows(phase.values[rows], rows, imp, rng, measured[rows], noise[:count])
+    del noise  # before the phase matrix checks its cells
     measured.setflags(write=False)
     return SynthOutput(
         true_csi=true_csi,
@@ -235,24 +308,63 @@ def apply_impairments(true_csi: CsiMatrix, imp: ImpairmentSpec) -> SynthOutput:
     )
 
 
+def _write_dataset(channel: ChannelSpec, imp: ImpairmentSpec, symbols: int, out) -> None:
+    """Write the pair of :func:`gen_dataset` a row block at a time.
+
+    Each block of clean rows is written to ``<out>.true.csif``, split by
+    the decompose rule, impaired, filled back to cartesian values in the
+    clean block's buffer and written to ``<out>.meas.csif``. The scratch
+    is a few blocks of ``core._BLOCK`` cells whatever S is. A non-finite
+    cell raises ``ValueError`` with its global row and column, as the
+    in-memory matrices do, and leaves neither file behind.
+    """
+    base = _path_responses(channel, symbols, imp.smap)
+    shape = (symbols, len(imp.smap))
+    _check_cover(imp, shape)
+    rng = _noise_rng(imp)
+    blocks = _row_blocks(*shape)
+    block_shape = (blocks[0].stop, shape[1])
+    values = np.empty(block_shape, dtype=np.complex128)
+    amplitude, phase, measured, noise = (np.empty(block_shape) for _ in range(4))
+    with (
+        _csif_writer(f"{out}.true.csif", shape) as write_true,
+        _csif_writer(f"{out}.meas.csif", shape) as write_measured,
+    ):
+        for rows in blocks:
+            count = rows.stop - rows.start
+            v, a, p, m = values[:count], amplitude[:count], phase[:count], measured[:count]
+            _clean_rows(channel, base, rows, v)
+            _check_finite(v, "CSI matrix", rows.start)
+            write_true(v)
+            _polar_block(v, a, p)
+            _impair_rows(p, rows, imp, rng, m, noise[:count])
+            _check_finite(m, "phase matrix", rows.start)
+            for block in _cartesian_blocks(a, m, "CSI matrix", v):
+                write_measured(block)
+
+
 def gen_dataset(
     channel: ChannelSpec,
     imp: ImpairmentSpec,
     symbols: int,
     *,
     out: str | Path | None = None,
-) -> SynthOutput:
-    """Generate a clean/measured pair and optionally write both as CSIF.
+) -> SynthOutput | None:
+    """Generate a clean/measured pair, in memory or straight to CSIF.
 
-    With ``out`` given, the pair lands in ``<out>.true.csif`` and
-    ``<out>.meas.csif``. Deterministic for a given seed and specs.
+    Without ``out`` the pair is returned as a :class:`SynthOutput`. With
+    ``out`` it is written to ``<out>.true.csif`` and ``<out>.meas.csif``
+    a row block of about ``core._BLOCK`` cells at a time, and nothing is
+    returned: no S x K array exists at any point, so the working set
+    stays at a few blocks whatever S is. The files hold the bytes that
+    ``io.write_csif`` writes for the in-memory pair. Deterministic for a
+    given seed and specs.
     """
-    true_csi = gen_true_csi(channel, symbols, imp.smap)
-    result = replace(apply_impairments(true_csi, imp), channel=channel)
     if out is not None:
-        write_csif(f"{out}.true.csif", result.true_csi)
-        write_csif(f"{out}.meas.csif", result.measured_csi)
-    return result
+        _write_dataset(channel, imp, symbols, out)
+        return None
+    true_csi = gen_true_csi(channel, symbols, imp.smap)
+    return replace(apply_impairments(true_csi, imp), channel=channel)
 
 
 def demo_channel() -> ChannelSpec:

@@ -3,7 +3,8 @@
 Every stage pass that works a block of rows or tracks at a time (the
 calibrations, the unwraps, the smoothing correlations and edge fits, the
 ``sg_2d`` interior, the gap statistics and the rebuild's exceedance
-masks) is run with ``core._BLOCK`` shrunk, so that several blocks run
+masks), and the streamed ``synth`` that writes its CSIF pair a block at
+a time, is run with ``core._BLOCK`` shrunk, so that several blocks run
 and the last one is partial, and compared byte for byte with a run in
 which one block covers the whole input. The inputs mix calm stretches, where the unwrap takes
 its fast path, with wrapping ones, so blocks differ in the path they take.
@@ -15,8 +16,10 @@ import pytest
 import csiphase.core as core
 from csiphase.calib import lrr_calibrate, lt_calibrate
 from csiphase.core import PhaseMatrix, Stage, SubcarrierMap
+from csiphase.io import write_csif
 from csiphase.savgol import _FFT_MIN_WINDOW, SgSpec, sg_2d, sg_freq, sg_time
 from csiphase.stats import ds_series
+from csiphase.synth import ChannelSpec, demo_channel, demo_impairments, gen_dataset
 from csiphase.tsfr import tsfr
 
 
@@ -144,3 +147,41 @@ def test_tsfr_is_block_invariant(monkeypatch, per_block):
     for name in ("mu", "sigma", "d", "exceedance", "modified_fraction",
                  "clamped_down", "clamped_up"):
         assert_same_bytes(getattr(report_whole, name), getattr(report_blocked, name))
+
+
+# The Intel 5300's 30 reported subcarriers: -28..28 in steps of 2, with
+# -1 and +1 in the middle.
+INTEL_5300 = SubcarrierMap(np.r_[np.arange(-28, -1, 2), -1, 1, np.arange(2, 29, 2)], n_fft=64)
+DRIFT = ChannelSpec(
+    ((0.0, 1.0), (3.0, 0.4 + 0.2j), (7.0, 0.1 - 0.3j)), drift_depth=0.3, drift_period=11
+)
+
+
+@pytest.mark.parametrize(
+    "channel,smap",
+    [(demo_channel(), SubcarrierMap.contiguous(20, n_fft=64)), (DRIFT, INTEL_5300)],
+    ids=["demo", "drift"],
+)
+def test_streamed_synth_is_block_invariant_and_writes_the_in_memory_pair(
+    monkeypatch, tmp_path, channel, smap
+):
+    # 29 rows of 7 per block: five blocks, the last one a single row
+    s, per_block = 29, 7
+    imp = demo_impairments(s, smap, seed=12)
+    runs = iter(range(2))
+
+    def files():
+        run = tmp_path / str(next(runs))
+        run.mkdir()
+        assert gen_dataset(channel, imp, s, out=run / "streamed") is None
+        pair = gen_dataset(channel, imp, s)
+        write_csif(run / "memory.true.csif", pair.true_csi)
+        write_csif(run / "memory.meas.csif", pair.measured_csi)
+        return {f.name: f.read_bytes() for f in run.iterdir()}
+
+    whole, blocked = whole_and_blocked(monkeypatch, files, s, len(smap), per_block)
+    assert core._row_blocks(s, len(smap))[-1] == slice(s - 1, s)
+    assert len(whole) == 4 and whole == blocked
+    for kind in ("true", "meas"):
+        assert whole[f"streamed.{kind}.csif"] == whole[f"memory.{kind}.csif"]
+    assert whole["streamed.true.csif"] != whole["streamed.meas.csif"]

@@ -136,6 +136,22 @@ def test_synth_scenario_errors(tmp_path, capsys):
     assert "delay:gain" in err
 
 
+def test_synth_whose_tilt_overflows_fails_with_one_line_and_leaves_no_file(tmp_path):
+    # The true rows of a block are written before its measured phase is
+    # formed, so the stream has a partial true file to remove. In a fresh
+    # process, where a numpy RuntimeWarning would reach stderr.
+    spec = tmp_path / "scene.txt"
+    spec.write_text("delta_t = 1e308\n")
+    proc = csiphase(b"", "synth", "--spec", str(spec), "--symbols", "50",
+                    "-o", str(tmp_path / "z"))
+    assert proc.returncode == 4
+    assert proc.stderr.decode().splitlines() == [
+        "error: phase matrix has a non-finite value at row 0, column 1 (0-based)"
+    ]
+    assert not (tmp_path / "z.true.csif").exists()
+    assert not (tmp_path / "z.meas.csif").exists()
+
+
 # ---------------------------------------------------------------------------
 # process
 

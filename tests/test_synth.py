@@ -289,10 +289,12 @@ def test_gen_dataset_echoes_specs_and_writes_files(tmp_path):
     smap = SubcarrierMap.contiguous(16, n_fft=64)
     channel = demo_channel()
     imp = demo_impairments(30, smap, seed=9)
-    out = gen_dataset(channel, imp, 30, out=tmp_path / "demo")
+    out = gen_dataset(channel, imp, 30)
     assert out.channel is channel
     assert out.impairment is imp
     assert out.true_csi.shape == (30, 16)
+    # Written straight to the files, the pair is not also returned.
+    assert gen_dataset(channel, imp, 30, out=tmp_path / "demo") is None
     assert (tmp_path / "demo.true.csif").exists()
     assert (tmp_path / "demo.meas.csif").exists()
 

@@ -10,6 +10,10 @@ before the measurement starts.
 import contextlib
 import importlib
 import io
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +38,7 @@ from csiphase.synth import (
     apply_impairments,
     demo_channel,
     demo_impairments,
+    gen_dataset,
     gen_true_csi,
 )
 from csiphase.tsfr import tsfr
@@ -183,3 +188,51 @@ def test_stats_ds_holds_no_complex_input(capture):
     # that of the read: the phase and the amplitude, plus one scratch block.
     argv = ["stats", "ds", "-i", f"{capture}.meas.csif", "-o", f"{capture}.ds.csv"]
     assert cli_arrays_at_peak(argv) <= 2.4  # was 4.26
+
+
+def synth_argv(base, symbols):
+    return ["synth", "--symbols", str(symbols), "--subcarriers", str(K), "--seed", "7",
+            "-o", str(base)]
+
+
+def test_synth_streams_its_pair_in_a_working_set_flat_in_s(tmp_path):
+    # The pair is generated, impaired and written a row block at a time: no
+    # S x K array exists (was 5.18). What grows with S is what the command
+    # draws per symbol, the 16 bytes of delta_t and gamma.
+    peaks = {s: cli_arrays_at_peak(synth_argv(tmp_path / str(s), s)) for s in (S, 4 * S)}
+    assert peaks[S] <= 1.1
+    drawn = (4 * S - S) * 16 / (S * K * 8)  # delta_t and gamma of the added symbols
+    assert peaks[4 * S] <= 1.05 * peaks[S] + drawn
+    # Given its specs, the stream itself is flat in S.
+    stream = {}
+    for s in (S, 4 * S):
+        imp = demo_impairments(s, seed=7)
+        stream[s] = arrays_at_peak(
+            lambda: gen_dataset(demo_channel(), imp, s, out=tmp_path / "specs")
+        )
+    assert stream[4 * S] <= 1.05 * stream[S]
+
+
+def test_synth_of_a_long_capture_runs_where_holding_it_ran_out(tmp_path):
+    # Holding the 200000x52 pair in memory took more than 500 MiB of address
+    # space and exited 5 under this limit; the stream needs a few row blocks
+    # (it also ran under 120 MiB). The limit binds the child alone.
+    limit = 250 << 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    base = tmp_path / "long"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "csiphase", *synth_argv(base, 200000)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "long.meas.csif").stat().st_size == 16 + 200000 * K * 16
+    finally:
+        for kind in ("true", "meas"):
+            (tmp_path / f"long.{kind}.csif").unlink(missing_ok=True)
