@@ -18,17 +18,24 @@ The 1-D passes run on one row-correlation engine. Windows shorter than
 ``_FFT_MIN_WINDOW`` are correlated by direct sliding-window sums; longer
 ones by real FFT, so a window that grows with S costs O(S log S) per
 track instead of O(S^2). The choice depends on the window alone, which
-keeps ``sg_freq`` and the transposed ``sg_time`` on the same path.
-``sg_2d`` makes no per-offset engine calls: one real FFT of every
-subcarrier track down time serves its interior and its left and right
-bands, each a sum over subcarrier offsets taken in the frequency domain
-and brought back by one inverse FFT. Edge points need only the fit
-coefficients of their anchored window: order+1 per track end in 1-D,
-(order+1)(order+2)/2 per window along the four bands of ``sg_2d`` (one
-einsum for the top and bottom, the shared spectrum for the left and
-right). No w x w or (w_r*w_c)^2 projection matrix is built and no loop
-runs over cells. Designs are cached per order and window(s), and their
-arrays are read-only.
+keeps ``sg_freq`` and the transposed ``sg_time`` on the same path. Every
+FFT correlation, ``sg_2d``'s too, transforms the tracks and the reversed
+taps at ``_fast_length(S)`` and keeps samples w - 1 to S - 1 of the
+inverse transform of their product (``_taps_spectra``,
+``_valid_correlation``). ``sg_2d`` makes no per-offset engine calls: one
+real FFT of every subcarrier track down time serves its interior, and
+one of its first and last w_c tracks its left and right bands, each a
+sum over subcarrier offsets taken in the frequency domain. Edge points
+need only the fit coefficients of their anchored window: order+1 per
+track end in 1-D, (order+1)(order+2)/2 per window along the four bands
+of ``sg_2d`` (one einsum for the top and bottom, the weight spectra of
+every fit term for the left and right). No w x w or (w_r*w_c)^2
+projection matrix is built and no loop runs over cells. Designs are
+cached per order and window(s), and their arrays are read-only.
+
+An axis shorter than its window (an explicit ``SgSpec``, or any window
+its fraction gives) passes through unchanged, a fresh copy in 1-D, with
+one :class:`DegenerateWindowWarning` from ``_warn_degenerate`` naming it.
 
 Every pass runs a block of about ``core._BLOCK`` cells at a time, so its
 scratch stays at a few blocks whatever S is:
@@ -41,9 +48,7 @@ scratch stays at a few blocks whatever S is:
   windows reach w_c - 1 tracks past it; the spectra of that halo are
   kept for the next block, so every track is transformed once, and each
   block's output goes into the rows of the unwrapped grid it has already
-  transformed. Its side bands take the weight spectra of every fit term
-  in one transform and form each side's band, one track per term, in
-  one product.
+  transformed.
 
 A matrix of at most ``_BLOCK`` cells runs as one block, through the calls
 of an unblocked pass. Every step is local to one row or one track and
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +150,7 @@ def _powers(window: int, order: int) -> np.ndarray:
     return np.vander(t, order + 1, increasing=True)
 
 
-# Designs kept per process; a run uses a handful of window pairs.
+# Designs and FFT lengths kept per process; a run uses a handful of each.
 _DESIGN_CACHE_SIZE = 64
 
 
@@ -166,6 +172,7 @@ def sg_design(spec: SgSpec) -> SgKernel:
 _FFT_MIN_WINDOW = 32
 
 
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _fast_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length the real FFT handles quickly."""
     best = 1 << (n - 1).bit_length()
@@ -179,12 +186,23 @@ def _fast_length(n: int) -> int:
     return best
 
 
+def _taps_spectra(taps: np.ndarray, length: int) -> np.ndarray:
+    """Spectra of the reversed taps along the last axis, for tracks of ``length``."""
+    return np.fft.rfft(taps[..., ::-1], _fast_length(length), axis=-1)
+
+
+def _valid_correlation(product: np.ndarray, w: int, length: int) -> np.ndarray:
+    """Valid correlation of tracks with w taps from the product of their
+    spectra; circular wrap-around only reaches the w - 1 samples it drops."""
+    return np.fft.irfft(product, _fast_length(length), axis=-1)[..., w - 1 : length]
+
+
 def _correlate_rows(
     arr: np.ndarray,
     weights: np.ndarray,
     pad: int = 0,
     out: np.ndarray | None = None,
-    spectrum: np.ndarray | None = None,
+    spectrum: Callable[[], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Valid correlation of every row of a C-contiguous (signals, length)
     stack with one kernel: out[i, pad + j] = sum_p weights[p] * arr[i, j + p].
@@ -194,7 +212,8 @@ def _correlate_rows(
     ``out`` when given; otherwise direct sums land straight in a new
     result, and the FFT path allocates it only after its spectrum is gone,
     which keeps its peak lower. A caller that correlates many blocks of
-    one length passes the FFT path's ``_kernel_spectrum`` in ``spectrum``.
+    one length passes a cached call of ``_taps_spectra(weights, length)``
+    in ``spectrum``, which only the FFT path calls.
     """
     w = weights.size
     length = arr.shape[1]
@@ -205,25 +224,14 @@ def _correlate_rows(
         # The window view's strides keep numpy off BLAS: each sum runs in order.
         np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
         return out
-    # Circular wrap-around only reaches the first w - 1 outputs of the
-    # full correlation, which the valid part drops, so length suffices.
-    n = _fast_length(length)
-    product = np.fft.rfft(arr, n, axis=1)
-    product *= _kernel_spectrum(weights, length) if spectrum is None else spectrum
-    full = np.fft.irfft(product, n, axis=1)
+    product = np.fft.rfft(arr, _fast_length(length), axis=1)
+    product *= _taps_spectra(weights, length) if spectrum is None else spectrum()
+    valid = _valid_correlation(product, w, length)
     del product
     if out is None:
         out = np.empty(shape)
-    out[:, pad : shape[1] - pad] = full[:, w - 1 : length]
+    out[:, pad : shape[1] - pad] = valid
     return out
-
-
-def _kernel_spectrum(weights: np.ndarray, length: int) -> np.ndarray | None:
-    """What the FFT path of :func:`_correlate_rows` multiplies rows of
-    ``length`` samples by, or None for a window it correlates directly."""
-    if weights.size < _FFT_MIN_WINDOW:
-        return None
-    return np.fft.rfft(weights[::-1], _fast_length(length))
 
 
 def _fit_edges(out: np.ndarray, arr: np.ndarray, kernel: SgKernel) -> None:
@@ -256,12 +264,7 @@ def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("sg_apply expects finite samples")
     if v.size < spec.window:
-        warnings.warn(
-            f"vector of length {v.size} is shorter than window {spec.window}; "
-            "returning it unchanged",
-            DegenerateWindowWarning,
-            stacklevel=2,
-        )
+        _warn_degenerate("vector", v.size, spec)
         return v.copy()
     kernel = sg_design(spec)
     return _apply_stack(np.ascontiguousarray(v[None, :]), kernel)[0]
@@ -304,10 +307,12 @@ def _resolve_spec(
     return SgSpec(order, w) if w is not None else None
 
 
-def _warn_degenerate(what: str, length: int, stacklevel: int = 3) -> None:
+def _warn_degenerate(what: str, length: int, spec: SgSpec | None, stacklevel: int = 3) -> None:
+    """Warn that an axis is shorter than the explicit ``spec``, or than any
+    window when it is None; by default the caller's caller is blamed."""
+    window = "any valid window" if spec is None else f"window {spec.window}"
     warnings.warn(
-        f"{what} of size {length} is shorter than any valid window; "
-        "returning the input unchanged",
+        f"{what} of size {length} is shorter than {window}; returning the input unchanged",
         DegenerateWindowWarning,
         stacklevel=stacklevel,
     )
@@ -325,13 +330,13 @@ def _smooth_rows(
     stacklevel: int,
 ) -> np.ndarray:
     """Unwrap and smooth every row with the window resolved for the row
-    length; rows too short for any window are returned unchanged, with a
-    :class:`DegenerateWindowWarning` attributed ``stacklevel`` frames up."""
+    length, into a fresh C-contiguous array. Rows too short for the window
+    are copied unchanged, and warned of ``stacklevel`` frames up."""
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
     if resolved is None:
-        _warn_degenerate(what, length, stacklevel=stacklevel)
-        return rows
+        _warn_degenerate(what, length, spec, stacklevel=stacklevel)
+        return np.array(rows, order="C")
     kernel = sg_design(resolved)
     blocks = _row_blocks(*rows.shape)
     if len(blocks) == 1:
@@ -341,7 +346,7 @@ def _smooth_rows(
     # tracks of sg_time), unwrapped there, then correlated and edge-fitted into the output.
     out = np.empty(rows.shape)
     unwrapped = np.empty((blocks[0].stop, length))
-    spectrum = _kernel_spectrum(kernel.coefficients, length)
+    spectrum = functools.cache(functools.partial(_taps_spectra, kernel.coefficients, length))
     for block in blocks:
         u = unwrapped[: block.stop - block.start]
         u[...] = rows[block]
@@ -356,10 +361,9 @@ def _time_tracks(
 ) -> np.ndarray:
     """Time-smoothed subcarrier tracks of ``phase``, time-major (K x S).
 
-    The work of :func:`sg_time` short of its final transpose. The result
-    is a fresh C-contiguous array, except in the degenerate pass-through,
-    which returns the read-only transposed input. Errors and warnings
-    are those of ``sg_time``, attributed to the caller's caller.
+    The work of :func:`sg_time` short of its final transpose, in a fresh
+    C-contiguous array. Errors and warnings are those of ``sg_time``,
+    attributed to the caller's caller.
     """
     s = phase.symbols
     if s < 3:
@@ -486,7 +490,8 @@ def sg_2d(
     row_spec = _resolve_spec(spec, order, fraction, s)
     col_spec = _resolve_spec(freq_spec, row_spec.order if row_spec else order, fraction, k)
     if row_spec is None or col_spec is None:
-        _warn_degenerate("time-frequency grid", min(s, k))
+        failed = ("time axis", s, spec) if row_spec is None else ("frequency axis", k, freq_spec)
+        _warn_degenerate(*failed)
         return PhaseMatrix(phase.values, Stage.TIME_SMOOTHED)
     if row_spec.order != col_spec.order:
         raise ValueError(
@@ -510,43 +515,38 @@ def sg_2d(
     start = np.clip(np.arange(k) - l_c, 0, nc - 1)
     coef = coef[:, start] * cols[np.arange(k) - start]
 
-    # Every other window is a sum over its w_c subcarrier offsets b of
-    # time correlations of track b with column b of some weights, so one
-    # real FFT of every track serves them all. Circular wrap-around only
-    # reaches the first w_r - 1 outputs, which the valid part drops. The
-    # interior runs in blocks of output tracks, each spanning at least the
-    # w_c - 1 tracks its windows reach past it (its halo).
+    # Every other window sums time correlations of its w_c tracks with the
+    # columns of some weights. Left and right bands: windows over the first
+    # and last w_c subcarriers, sliding down time; one spectrum per fit term.
     n = _fast_length(s)
-    halo = w_c - 1
-    blocks = _row_blocks(nc, s, min_rows=halo)
-    if len(blocks) == 1:
-        spectra = np.fft.rfft(x, n, axis=1)
-        del x
-        end_spectra = (spectra[:w_c], spectra[k - w_c :])
-    else:
-        end_spectra = (np.fft.rfft(x[:w_c], n, axis=1), np.fft.rfft(x[k - w_c :], n, axis=1))
-    # Left and right bands: windows over the first and last w_c
-    # subcarriers, sliding down time; one spectrum per fit term.
-    fit_spectra = np.fft.rfft(fit[:, ::-1].transpose(0, 2, 1), n, axis=-1)
-    bands = [np.einsum("bf,tbf->tf", end, fit_spectra) for end in end_spectra]
-    del end_spectra, fit_spectra
-    sides = [np.fft.irfft(band, n, axis=-1)[:, w_r - 1 : s] for band in bands]
-    del bands
+    fit_spectra = _taps_spectra(fit.transpose(0, 2, 1), s)
+    sides = []
+    for end in (x[:w_c], x[k - w_c :]):
+        band = np.einsum("bf,tbf->tf", np.fft.rfft(end, n, axis=1), fit_spectra)
+        sides.append(_valid_correlation(band, w_r, s))
+    del fit_spectra, band, end  # end views x, which the one-block interior frees
     left = np.einsum("tf,tc->fc", sides[0], rows[l_r, :, None] * cols[:l_c].T)
     right = np.einsum("tf,tc->fc", sides[1], rows[l_r, :, None] * cols[l_c + 1 :].T)
     del sides
 
-    # Interior: the fit evaluated at the window center.
+    # Interior: the fit evaluated at the window center, in blocks of output
+    # tracks, each spanning at least the w_c - 1 tracks its windows reach
+    # past it (its halo).
     center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
-    center_spectra = np.fft.rfft(center[::-1].T, n, axis=-1)
+    halo = w_c - 1
+    blocks = _row_blocks(nc, s, min_rows=halo)
     if len(blocks) == 1:
-        product = _interior_spectra(spectra, center_spectra)
+        # x goes before the center spectra exist, which keeps the peak lower.
+        spectra = np.fft.rfft(x, n, axis=1)
+        del x
+        product = _interior_spectra(spectra, _taps_spectra(center.T, s))
         del spectra
-        interior = np.fft.irfft(product, n, axis=1)[:, w_r - 1 : s]
+        interior = _valid_correlation(product, w_r, s)
     else:
         # The spectra of a block's halo are kept for the next block, so
         # every track is transformed once; the block's output tracks go
         # into the rows of x it has already transformed.
+        center_spectra = _taps_spectra(center.T, s)
         spectra = np.empty((blocks[0].stop + halo, n // 2 + 1), dtype=np.complex128)
         np.fft.rfft(x[:halo], n, axis=1, out=spectra[:halo])
         for block in blocks:
@@ -554,11 +554,11 @@ def sg_2d(
             np.fft.rfft(x[block.start + halo : block.stop + halo], n, axis=1,
                         out=spectra[halo : halo + count])
             product = _interior_spectra(spectra[: halo + count], center_spectra)
-            x[block, : s - w_r + 1] = np.fft.irfft(product, n, axis=1)[:, w_r - 1 : s]
+            x[block, : s - w_r + 1] = _valid_correlation(product, w_r, s)
             spectra[:halo] = spectra[count : count + halo]
         interior = x[:nc, : s - w_r + 1]
-        del spectra, x
-    del center_spectra, product
+        del spectra, x, center_spectra
+    del product
 
     out = np.empty((s, k))
     out[:l_r] = np.einsum("at,kt->ak", rows[:l_r], coef[0])

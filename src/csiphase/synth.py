@@ -432,9 +432,10 @@ def demo_impairments(
 # scenario files
 
 
-def _parse_scenario(text: str, source: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
-    entries: dict[str, str] = {}
+def _parse_scenario(text: str, source: str) -> dict[str, tuple[str, str]]:
+    """Parse ``key = value`` lines; ``#`` starts a comment. Each key maps to
+    where its line is (``<source> line <n>``) and its value."""
+    entries: dict[str, tuple[str, str]] = {}
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -450,7 +451,7 @@ def _parse_scenario(text: str, source: str) -> dict[str, str]:
             )
         if key in entries:
             raise ValueError(f"{source} line {n}: duplicate key {key!r}")
-        entries[key] = value
+        entries[key] = (f"{source} line {n}", value)
     return entries
 
 
@@ -517,15 +518,18 @@ def load_scenario(
 
     Raises:
         OSError: the file cannot be read.
-        ValueError: a line, key or value is malformed.
+        ValueError: a line, key or value is malformed; the message starts
+            with the file, line and key of a malformed value.
     """
     entries = {} if path is None else _parse_scenario(Path(path).read_text(), Path(path).name)
     if subcarriers is not None:
-        entries["subcarriers"] = f"1:{subcarriers}"
-    v = {
-        key: parse(entries[key]) if key in entries else default
-        for key, (parse, default) in _SCENARIO.items()
-    }
+        entries["subcarriers"] = ("the subcarriers argument", f"1:{subcarriers}")
+    v = {key: default for key, (_, default) in _SCENARIO.items()}
+    for key, (where, value) in entries.items():
+        try:
+            v[key] = _SCENARIO[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key}: {exc}") from None
     channel = ChannelSpec(v["paths"], v["gain_drift_depth"], v["gain_drift_period"])
     smap = SubcarrierMap(v["subcarriers"], n_fft=v["n_fft"])
     return channel, _seeded_impairments(

@@ -260,8 +260,6 @@ def tsfr(
     # walks, unwrapped across subcarriers (axis 0) in place.
     tracks = _time_tracks(calibrated, None, order, fraction)
     del calibrated
-    if not tracks.flags.writeable:  # degenerate pass-through: the input's own
-        tracks = np.array(tracks, order="C")
     _unwrap_blocks(tracks, tracks, axis=0)
     low, high = _rebuild_rows(tracks, d)
     rebuilt = np.ascontiguousarray(tracks.T)

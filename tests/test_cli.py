@@ -136,6 +136,22 @@ def test_synth_scenario_errors(tmp_path, capsys):
     assert "delay:gain" in err
 
 
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("subcarriers = 1:x\n", "bad.txt line 1: subcarriers: "),
+        ("n_fft = 64\npaths = 0:1, 2:zz\n", "bad.txt line 2: paths: "),
+    ],
+    ids=["subcarriers", "paths"],
+)
+def test_synth_scenario_value_errors_name_file_line_and_key(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, _, err = run(capsys, "synth", "--spec", str(bad), "-o", str(tmp_path / "z"))
+    assert code == 4
+    assert err.startswith(f"error: {where}")
+
+
 def test_synth_whose_tilt_overflows_fails_with_one_line_and_leaves_no_file(tmp_path):
     # The true rows of a block are written before its measured phase is
     # formed, so the stream has a partial true file to remove. In a fresh

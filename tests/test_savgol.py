@@ -215,7 +215,7 @@ def test_direct_correlation_is_a_fixed_order_sum_bit_for_bit(case):
 
 def test_apply_short_vector_warns_and_passes_through():
     v = np.arange(4.0)
-    with pytest.warns(DegenerateWindowWarning):
+    with pytest.warns(DegenerateWindowWarning, match="^vector of size 4 is shorter than window 9; "):
         out = sg_apply(v, SgSpec(2, 9))
     assert_array_equal(out, v)
 
@@ -366,6 +366,29 @@ def test_sg_time_explicit_window_longer_than_axis_warns():
         out = sg_time(phase, SgSpec(2, 9))
     assert_array_equal(out.values, phase.values)
     assert out.stage is Stage.TIME_SMOOTHED
+
+
+@pytest.mark.parametrize(
+    "smooth,shape,message",
+    [
+        (lambda p: sg_time(p, SgSpec(2, 41)), (20, 6), "time axis of size 20 is shorter than window 41; "),
+        (lambda p: sg_2d(p, SgSpec(2, 41)), (20, 6), "time axis of size 20 is shorter than window 41; "),
+        (sg_2d, (10, 2), "frequency axis of size 2 is shorter than any valid window; "),
+    ],
+    ids=["sg_time-explicit", "sg_2d-explicit", "sg_2d-frequency"],
+)
+def test_degenerate_warning_names_the_axis_and_window(smooth, shape, message):
+    phase = PhaseMatrix(np.random.default_rng(8).uniform(-3, 3, size=shape), Stage.CALIBRATED)
+    with pytest.warns(DegenerateWindowWarning, match=f"^{message}") as record:
+        out = smooth(phase)
+    assert len(record) == 1 and record[0].filename == __file__
+    assert out.values.tobytes() == phase.values.tobytes()
+    assert out.stage is Stage.TIME_SMOOTHED
+
+
+def test_sg_2d_needs_three_symbols():
+    with pytest.raises(ValueError, match="2-D smoothing needs at least 3 symbols, got 2"):
+        sg_2d(PhaseMatrix(np.zeros((2, 20)), Stage.CALIBRATED))
 
 
 # ------------------------------------------------------------------------- 2-D

@@ -329,6 +329,30 @@ def test_demo_impairments_are_reproducible_and_in_range():
     assert demo_impairments(10, seed=8).seed != imp.seed
 
 
+@pytest.mark.parametrize(
+    "text,check",
+    [
+        ("delta_t = -1.5:0.5\n",
+         lambda imp: (-1.5 <= imp.delta_t.min() < -1.0) and (0.0 < imp.delta_t.max() < 0.5)),
+        ("subcarriers = -3, -1, 2, 5\n", lambda imp: imp.smap.m.tolist() == [-3, -1, 2, 5]),
+        ("delta_t = 2:1\n", r"^s\.txt line 1: delta_t: range '2:1' has its endpoints reversed$"),
+        ("gamma = 0:1:2\n", r"^s\.txt line 1: gamma: expected a constant or low:high, got '0:1:2'$"),
+        ("n_fft = 64\nnoise_sigma 0.1\n", r"^s\.txt line 2: expected 'key = value'"),
+        ("gamma = 0\n# again\ngamma = 1\n", r"^s\.txt line 3: duplicate key 'gamma'$"),
+    ],
+    ids=["range", "comma-list", "reversed-range", "three-part-range", "no-equals", "duplicate"],
+)
+def test_scenario_ranges_lists_and_line_errors(tmp_path, text, check):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    if isinstance(check, str):
+        with pytest.raises(ValueError, match=check):
+            load_scenario(path, seed=4, symbols=400)
+    else:
+        _, imp = load_scenario(path, seed=4, symbols=400)
+        assert check(imp)
+
+
 @pytest.mark.parametrize("seed,symbols", [(0, 50), (7, 1000)])
 def test_empty_scenario_is_the_demo(seed, symbols):
     channel, imp = load_scenario(None, seed=seed, symbols=symbols, subcarriers=52)

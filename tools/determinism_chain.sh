@@ -13,11 +13,14 @@
 # 2..122), and lrr+sg2d, bivariate and separable, on a 4000x256 capture.
 # At 10000x52 the stages run in several row blocks of 64K cells, most of
 # them ending in a partial block; lrr+sgtime there takes sg_time's
-# multi-block FFT path outside tsfr. synth streams its pair a row block
-# at a time; the 2521-symbol drift scene on 26 subcarriers runs two blocks
-# of 2520 rows and a last one of a single row. The input is opened once,
-# so process and stats exceed read a capture piped into /dev/stdin as they
-# read its file, to the byte.
+# multi-block FFT path outside tsfr. A 1000x52 capture (52000 cells) runs
+# as one block: lrr+sgtime and tsfr there take sg_time's one-block FFT path
+# (window 101), and lrr+sg2d, bivariate and separable, sg_2d's one-block
+# interior and the 1-D passes it chains. synth streams its pair a row
+# block at a time; the 2521-symbol drift scene on 26 subcarriers runs two
+# blocks of 2520 rows and a last one of a single row. The input is opened
+# once, so process and stats exceed read a capture piped into /dev/stdin
+# as they read its file, to the byte.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
 # and its parent, say) are compared by running the script in each and
@@ -57,6 +60,11 @@ for run in a b c; do
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds_labels.csv" --labels "$det/labels.txt"
   csiphase synth --spec "$det/scene.txt" --symbols 500 --seed 3 -o "$out/scene"
   csiphase synth --spec "$det/scene.txt" --symbols 2521 --seed 5 -o "$out/scene2521"
+  csiphase synth --symbols 1000 --subcarriers 52 --seed 13 -o "$out/one"
+  csiphase process -i "$out/one.meas.csif" -o "$out/one.sgtime.csif" --method lrr+sgtime --report "$out/one.sgtime.txt"
+  csiphase process -i "$out/one.meas.csif" -o "$out/one.tsfr.csif" --method tsfr --report "$out/one.tsfr.txt"
+  csiphase process -i "$out/one.meas.csif" -o "$out/one.sg2d.csif" --method lrr+sg2d --report "$out/one.sg2d.txt"
+  csiphase process -i "$out/one.meas.csif" -o "$out/one.sg2d_sep.csif" --method lrr+sg2d --separable --report "$out/one.sg2d_sep.txt"
   csiphase synth --symbols 10000 --subcarriers 52 --seed 11 -o "$out/long"
   for method in tsfr lrr+sg2d lrr+sgfreq lrr+sgtime; do
     csiphase process -i "$out/long.meas.csif" -o "$out/long.$method.csif" --method "$method" --report "$out/long.$method.txt"
