@@ -245,9 +245,12 @@ def _fit_edges(out: np.ndarray, arr: np.ndarray, kernel: SgKernel) -> None:
     out[:, out.shape[1] - half :] = np.einsum("rc,pc->rp", tail, basis[half + 1 :])
 
 
-def _apply_stack(arr: np.ndarray, kernel: SgKernel) -> np.ndarray:
-    """Filter each row of a C-contiguous (signals, length) stack."""
-    out = _correlate_rows(arr, kernel.coefficients, pad=kernel.spec.half)
+def _apply_stack(
+    arr: np.ndarray, kernel: SgKernel, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Filter each row of a C-contiguous (signals, length) stack, into
+    ``out`` when given."""
+    out = _correlate_rows(arr, kernel.coefficients, kernel.spec.half, out)
     _fit_edges(out, arr, kernel)
     return out
 
@@ -328,23 +331,33 @@ def _smooth_rows(
     fraction: float,
     what: str,
     stacklevel: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unwrap and smooth every row with the window resolved for the row
-    length, into a fresh C-contiguous array. Rows too short for the window
-    are copied unchanged, and warned of ``stacklevel`` frames up."""
+    length, into ``out``, by default a fresh C-contiguous array. Rows too
+    short for the window are copied unchanged, and warned of ``stacklevel``
+    frames up.
+
+    ``out`` may be ``rows`` itself, in any layout: the rows are unwrapped
+    into scratch, a block at a time, before their output is written.
+    """
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
     if resolved is None:
         _warn_degenerate(what, length, spec, stacklevel=stacklevel)
-        return np.array(rows, order="C")
+        if out is None:
+            out = np.empty(rows.shape)
+        out[...] = rows
+        return out
     kernel = sg_design(resolved)
     blocks = _row_blocks(*rows.shape)
     if len(blocks) == 1:
         # One fresh C-contiguous array receives the unwrap, whatever the layout of rows.
-        return _apply_stack(_unwrap_axis(rows, out=np.empty(rows.shape)), kernel)
+        return _apply_stack(_unwrap_axis(rows, out=np.empty(rows.shape)), kernel, out)
     # Each block is copied into one reused buffer (a gather, for the strided
     # tracks of sg_time), unwrapped there, then correlated and edge-fitted into the output.
-    out = np.empty(rows.shape)
+    if out is None:
+        out = np.empty(rows.shape)
     unwrapped = np.empty((blocks[0].stop, length))
     spectrum = functools.cache(functools.partial(_taps_spectra, kernel.coefficients, length))
     for block in blocks:
@@ -354,21 +367,6 @@ def _smooth_rows(
         _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum)
         _fit_edges(out[block], u, kernel)
     return out
-
-
-def _time_tracks(
-    phase: PhaseMatrix, spec: SgSpec | None, order: int, fraction: float
-) -> np.ndarray:
-    """Time-smoothed subcarrier tracks of ``phase``, time-major (K x S).
-
-    The work of :func:`sg_time` short of its final transpose, in a fresh
-    C-contiguous array. Errors and warnings are those of ``sg_time``,
-    attributed to the caller's caller.
-    """
-    s = phase.symbols
-    if s < 3:
-        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    return _smooth_rows(phase.values.T, spec, order, fraction, "time axis", stacklevel=5)
 
 
 def sg_time(
@@ -394,7 +392,11 @@ def sg_time(
         Time-smoothed-stage matrix of the same shape.
     """
     _require_stage(phase, "sg_time", *_SMOOTHABLE)
-    out = np.ascontiguousarray(_time_tracks(phase, spec, order, fraction).T)
+    s = phase.symbols
+    if s < 3:
+        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
+    tracks = _smooth_rows(phase.values.T, spec, order, fraction, "time axis", stacklevel=4)
+    out = np.ascontiguousarray(tracks.T)
     out.setflags(write=False)
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)
 

@@ -475,15 +475,15 @@ def _parse_paths(value: str) -> tuple[tuple[float, complex], ...]:
 def _parse_range(value: str) -> tuple[float, float]:
     """A constant c or a uniform range a:b (negative endpoints allowed)."""
     parts = value.split(":")
-    if len(parts) == 1:
-        c = float(parts[0])
-        return c, c
-    if len(parts) == 2:
-        lo, hi = float(parts[0]), float(parts[1])
-        if hi < lo:
-            raise ValueError(f"range {value!r} has its endpoints reversed")
-        return lo, hi
-    raise ValueError(f"expected a constant or low:high, got {value!r}")
+    if len(parts) > 2:
+        raise ValueError(f"expected a constant or low:high, got {value!r}")
+    lo, hi = float(parts[0]), float(parts[-1])
+    if hi < lo:
+        raise ValueError(f"range {value!r} has its endpoints reversed")
+    # Also a constant: inf - inf is nan.
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"range {value!r} must have finite endpoints and width")
+    return lo, hi
 
 
 # Each scenario key: its parser, and the value a missing key takes.
@@ -518,20 +518,32 @@ def load_scenario(
 
     Raises:
         OSError: the file cannot be read.
-        ValueError: a line, key or value is malformed; the message starts
-            with the file, line and key of a malformed value.
+        ValueError: a line, key or value is malformed, or the values fail
+            a check of the specs; the message starts with the file, line
+            and key of the malformed value, or of each entry the failing
+            check reads.
     """
     entries = {} if path is None else _parse_scenario(Path(path).read_text(), Path(path).name)
     if subcarriers is not None:
         entries["subcarriers"] = ("the subcarriers argument", f"1:{subcarriers}")
-    v = {key: default for key, (_, default) in _SCENARIO.items()}
-    for key, (where, value) in entries.items():
+
+    def checked(keys, make, *args, **kwargs):
+        """``make(*args, **kwargs)``; a ValueError it raises names where
+        the entries ``keys``, which its failing check reads, are set."""
         try:
-            v[key] = _SCENARIO[key][0](value)
+            return make(*args, **kwargs)
         except ValueError as exc:
-            raise ValueError(f"{where}: {key}: {exc}") from None
-    channel = ChannelSpec(v["paths"], v["gain_drift_depth"], v["gain_drift_period"])
-    smap = SubcarrierMap(v["subcarriers"], n_fft=v["n_fft"])
-    return channel, _seeded_impairments(
-        seed, symbols, smap, v["delta_t"], v["gamma"], v["noise_sigma"]
-    )
+            where = " and ".join(f"{entries[key][0]}: {key}" for key in keys if key in entries)
+            raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+    v = {key: default for key, (_, default) in _SCENARIO.items()}
+    for key, (_, value) in entries.items():
+        v[key] = checked((key,), _SCENARIO[key][0], value)
+    # Each check runs on the entries it reads alone: the paths before the
+    # drift, the noise level after the draws, which no entry can fail.
+    channel = checked(("paths",), ChannelSpec, v["paths"])
+    channel = checked(("gain_drift_depth", "gain_drift_period"), replace, channel,
+                      drift_depth=v["gain_drift_depth"], drift_period=v["gain_drift_period"])
+    smap = checked(("subcarriers", "n_fft"), SubcarrierMap, v["subcarriers"], n_fft=v["n_fft"])
+    imp = _seeded_impairments(seed, symbols, smap, v["delta_t"], v["gamma"], _NOISE_SIGMA)
+    return channel, checked(("noise_sigma",), replace, imp, noise_sigma=v["noise_sigma"])

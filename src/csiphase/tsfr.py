@@ -20,13 +20,16 @@ gaps beyond it are clamped to exactly +/- d_s:
 A row whose gaps all satisfy the threshold passes through bit for bit.
 
 The chain keeps to the package's working-set rule (a stage allocates its
-output plus at most one S x K temporary; see :mod:`csiphase.core`): the
-calibrated phase is dropped once it is smoothed, and the smoothed phase
-stays in the time-major K x S layout the smoother produced, is unwrapped
-across subcarriers and rebuilt in place. Only the rebuilt phase and the
-exceedance marks are transposed to S x K; the clamp counts are summed
-from the K x S masks. Every array handed to a container is one just
-allocated, marked read-only, so the container keeps it uncopied.
+output plus at most one S x K temporary; see :mod:`csiphase.core`) with
+one S x K phase array: the one the calibration has just allocated. The
+subcarrier tracks are smoothed over it, and the rebuild then takes a
+block of symbol rows at a time into a time-major (K x rows) copy, where
+they are unwrapped across subcarriers and walked, and writes the block
+back. The block's clamp masks give its rows of the S x K exceedance
+marks and its clamp counts, so beyond a few blocks of scratch no K x S
+mask, transposed copy or second phase array exists. Every array handed
+to a container is one just allocated, marked read-only, so the container
+keeps it uncopied.
 
 :func:`process` bundles every calibration route in this package behind
 one entry point and always hands the untouched amplitude back to the
@@ -55,7 +58,7 @@ from .core import (
     decompose,
     recompose,
 )
-from .savgol import _time_tracks, sg_2d, sg_freq, sg_time
+from .savgol import _smooth_rows, sg_2d, sg_freq, sg_time
 
 __all__ = [
     "GapThreshold",
@@ -256,20 +259,42 @@ def tsfr(
     """
     calibrated = lrr_calibrate(phase, abscissa)
     mu, sigma, d = _unwrapped_gap_stats(calibrated.values)
-    # sg_time short of its transpose: the time-major tracks the rebuild
-    # walks, unwrapped across subcarriers (axis 0) in place.
-    tracks = _time_tracks(calibrated, None, order, fraction)
+    s, k = calibrated.shape
+    if s < 3:
+        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
+    # The calibration hands over the read-only array it has just allocated;
+    # once its matrix is dropped nothing else holds it, and the chain runs in it.
+    phi = calibrated.values
     del calibrated
-    _unwrap_blocks(tracks, tracks, axis=0)
-    low, high = _rebuild_rows(tracks, d)
-    rebuilt = np.ascontiguousarray(tracks.T)
-    del tracks
-    # The masks are disjoint, so the two counts sum to the marks per symbol.
-    down, up = low.sum(axis=0), high.sum(axis=0)
-    exceed = np.ascontiguousarray((low | high).T)
-    modified = (down + up) / (phase.subcarriers - 1)
+    if phi.flags.owndata:
+        phi.setflags(write=True)
+    else:
+        phi = phi.copy()
+    # sg_time's smoothing of the subcarrier tracks, written over them. A matrix
+    # of one block is smoothed into a fresh time-major array instead: it is
+    # then the copy its one block of symbols is walked in, which spares two
+    # transposed copies of the block.
+    blocks = _row_blocks(s, k)
+    smoothed = _smooth_rows(phi.T, None, order, fraction, "time axis", stacklevel=4,
+                            out=phi.T if len(blocks) > 1 else None)
+    exceed = np.empty((s, k), dtype=bool)
+    down = np.empty(s, dtype=np.int64)
+    up = np.empty(s, dtype=np.int64)
+    for rows in blocks:
+        # Each block of symbols is unwrapped across subcarriers and walked in
+        # a time-major copy, then written back.
+        tracks = np.ascontiguousarray(smoothed[:, rows])
+        _unwrap_blocks(tracks, tracks, axis=0)
+        low, high = _rebuild_rows(tracks, d[rows])
+        phi[rows] = tracks.T
+        exceed[rows] = (low | high).T
+        # The masks are disjoint, so the two counts sum to the marks per symbol.
+        low.sum(axis=0, out=down[rows])
+        high.sum(axis=0, out=up[rows])
+        del tracks, low, high  # before the next block's are made
+    modified = (down + up) / (k - 1)
     # Just allocated here: read-only hands them to the containers uncopied.
-    for handed in (rebuilt, exceed, modified, down, up):
+    for handed in (phi, exceed, modified, down, up):
         handed.setflags(write=False)
     report = TsfrReport(
         mu=mu,
@@ -280,7 +305,7 @@ def tsfr(
         clamped_down=down,
         clamped_up=up,
     )
-    return PhaseMatrix(rebuilt, Stage.REBUILT), report
+    return PhaseMatrix(phi, Stage.REBUILT), report
 
 
 class ProcessResult(NamedTuple):

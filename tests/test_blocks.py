@@ -17,7 +17,14 @@ import csiphase.core as core
 from csiphase.calib import lrr_calibrate, lt_calibrate
 from csiphase.core import PhaseMatrix, Stage, SubcarrierMap
 from csiphase.io import write_csif
-from csiphase.savgol import _FFT_MIN_WINDOW, SgSpec, sg_2d, sg_freq, sg_time
+from csiphase.savgol import (
+    _FFT_MIN_WINDOW,
+    DegenerateWindowWarning,
+    SgSpec,
+    sg_2d,
+    sg_freq,
+    sg_time,
+)
 from csiphase.stats import ds_series
 from csiphase.synth import ChannelSpec, demo_channel, demo_impairments, gen_dataset
 from csiphase.tsfr import tsfr
@@ -147,6 +154,20 @@ def test_tsfr_is_block_invariant(monkeypatch, per_block):
     for name in ("mu", "sigma", "d", "exceedance", "modified_fraction",
                  "clamped_down", "clamped_up"):
         assert_same_bytes(getattr(report_whole, name), getattr(report_blocked, name))
+
+
+def test_tsfr_passes_a_degenerate_window_through_in_blocks(monkeypatch):
+    # order 3 needs a window of 5: three symbols pass through unsmoothed, in
+    # place over the calibrated phase when the time tracks run in blocks
+    s, k = 3, 8
+    raw = PhaseMatrix(mixed_phase(9, s, k), Stage.RAW)
+    with pytest.warns(DegenerateWindowWarning):
+        whole, blocked = whole_and_blocked(
+            monkeypatch, lambda: tsfr(raw, order=3), s, k, per_block=1
+        )
+    assert len(core._row_blocks(k, s)) > 1
+    assert_same_bytes(whole[0].values, blocked[0].values)
+    assert_same_bytes(whole[1].exceedance, blocked[1].exceedance)
 
 
 # The Intel 5300's 30 reported subcarriers: -28..28 in steps of 2, with

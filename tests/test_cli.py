@@ -141,8 +141,23 @@ def test_synth_scenario_errors(tmp_path, capsys):
     [
         ("subcarriers = 1:x\n", "bad.txt line 1: subcarriers: "),
         ("n_fft = 64\npaths = 0:1, 2:zz\n", "bad.txt line 2: paths: "),
+        # Values that parse but fail a check of the channel, the map or the
+        # impairments name the entries that check reads.
+        ("subcarriers = -40:40\n",
+         "bad.txt line 1: subcarriers: n_fft=64 cannot cover the index span 81"),
+        ("subcarriers = 5\n", "bad.txt line 1: subcarriers: subcarrier map must be"),
+        ("noise_sigma = -1\n", "bad.txt line 1: noise_sigma: noise_sigma -1.0 must be"),
+        ("gain_drift_depth = -3\n",
+         "bad.txt line 1: gain_drift_depth: drift_depth -3.0 must be within [0, 1]"),
+        ("n_fft = 64\npaths = 0:1\nsubcarriers = -40:40\n",
+         "bad.txt line 3: subcarriers and bad.txt line 1: n_fft: n_fft=64 cannot cover"),
+        ("paths = 0:1\ngain_drift_depth = 0.5\n",
+         "bad.txt line 2: gain_drift_depth: a positive drift_depth needs a positive"),
+        ("delta_t = -1e308:1e308\n", "bad.txt line 1: delta_t: range '-1e308:1e308' must"),
+        ("gamma = inf\n", "bad.txt line 1: gamma: range 'inf' must have finite"),
     ],
-    ids=["subcarriers", "paths"],
+    ids=["subcarriers", "paths", "map-span", "map-size", "noise", "drift-depth",
+         "map-span-and-n_fft", "drift-period", "range-width", "range-constant"],
 )
 def test_synth_scenario_value_errors_name_file_line_and_key(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.txt"

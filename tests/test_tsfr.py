@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import csiphase.core as core
 from csiphase.calib import lrr_calibrate
 from csiphase.core import (
     CsiMatrix,
@@ -418,19 +419,54 @@ def old_tsfr_chain(raw, order=2, fraction=0.1):
     return rebuilt, mu, sigma, d
 
 
-@pytest.mark.parametrize("fraction", [0.1, 0.5])  # direct sums, then FFT smoothing
-def test_tsfr_in_place_walk_matches_the_step_by_step_chain_bitwise(fraction):
+# Fractions 0.1 and 0.5 smooth by direct sums, then by FFT. core._BLOCK in
+# cells: by default one block covers the 130 x 26 capture; 20 rows of 26 cells
+# give 7 row blocks and 7 blocks of 4 tracks; 130 cells give 26 row blocks of
+# 5 rows and one track per block, the layout of every capture longer than
+# _BLOCK / 2 symbols.
+@pytest.mark.parametrize(
+    "fraction,block",
+    [(0.1, None), (0.5, None), (0.1, 20 * 26), (0.5, 20 * 26), (0.1, 130), (0.5, 130)],
+    ids=["0.1", "0.5", "0.1-blocks", "0.5-blocks", "0.1-one-track-blocks",
+         "0.5-one-track-blocks"],
+)
+def test_tsfr_in_place_walk_matches_the_step_by_step_chain_bitwise(monkeypatch, fraction, block):
     rng = np.random.default_rng(47)
     s, k = 130, 26
-    walk = np.cumsum(rng.uniform(-1.2, 1.2, size=(s, k)), axis=1)
-    walk[::5, 1:] += 2.0  # a jump into column 1 on some symbols
+    # Straight rows, whose smoothed gaps stay within their thresholds, with a
+    # jump into column 1 on every fifth symbol of the second half.
+    walk = rng.uniform(-1.2, 1.2, size=(s, 1)) * np.arange(k) + rng.uniform(-3, 3, size=(s, 1))
+    walk[s // 2 :: 5, 1:] += 2.0
     raw = PhaseMatrix(wrap(walk + rng.normal(0.0, 0.2, size=(s, k))), Stage.RAW)
-    rebuilt, report = tsfr(raw, fraction=fraction)
     want, mu, sigma, d = old_tsfr_chain(raw, fraction=fraction)
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK", block)
+    rows, tracks = core._row_blocks(s, k), core._row_blocks(k, s)
+    assert (len(rows) > 1 and len(tracks) > 1) == (block is not None)
+    assert block != 130 or all(t.stop - t.start == 1 for t in tracks)
+    rebuilt, report = tsfr(raw, fraction=fraction)
     assert report.exceedance[:, 1].any()
+    clamps = [report.exceedance[r].any() for r in rows]
+    assert clamps[-1] and (block is None or not all(clamps))
     assert rebuilt.values.tobytes() == want.tobytes()
     for got, expected in ((report.mu, mu), (report.sigma, sigma), (report.d, d)):
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 20 * 26], ids=["whole", "blocks"])
+def test_tsfr_that_clamps_nothing_is_the_unwrapped_time_smoothing(monkeypatch, block):
+    # Straight rows whose smoothed gaps all stay within their thresholds: the
+    # rebuild passes every row through, so the output is sg_time's, unwrapped.
+    rng = np.random.default_rng(47)
+    s, k = 130, 26
+    walk = rng.uniform(-1.2, 1.2, size=(s, 1)) * np.arange(k) + rng.uniform(-3, 3, size=(s, 1))
+    raw = PhaseMatrix(wrap(walk + rng.normal(0.0, 0.2, size=(s, k))), Stage.RAW)
+    want, _, _, _ = old_tsfr_chain(raw, fraction=0.5)
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK", block)
+    rebuilt, report = tsfr(raw, fraction=0.5)
+    assert not report.exceedance.any()
+    assert rebuilt.values.tobytes() == want.tobytes()
 
 
 def test_tsfr_keeps_the_time_smoother_errors_and_warnings():

@@ -18,9 +18,14 @@
 # (window 101), and lrr+sg2d, bivariate and separable, sg_2d's one-block
 # interior and the 1-D passes it chains. synth streams its pair a row
 # block at a time; the 2521-symbol drift scene on 26 subcarriers runs two
-# blocks of 2520 rows and a last one of a single row. The input is opened
-# once, so process and stats exceed read a capture piped into /dev/stdin
-# as they read its file, to the byte.
+# blocks of 2520 rows and a last one of a single row. tsfr smooths in
+# blocks of subcarrier tracks and walks blocks of symbols: at 1000x52,
+# 2000x52 and 10000x52 every symbol clamps, on the VHT80 capture none does,
+# and on a 3000x52 capture with n_fft 128 411 symbols do, spread over its
+# three row blocks. A 40000x8 capture runs one track per smoothing block,
+# as every capture longer than 32768 symbols does, through tsfr and
+# lrr+sgtime. The input is opened once, so process and stats exceed read a
+# capture piped into /dev/stdin as they read its file, to the byte.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
 # and its parent, say) are compared by running the script in each and
@@ -38,6 +43,7 @@ awk 'BEGIN { for (s = 0; s < 2000; s++) print (s % 3 ? "walk" : "sit, \"still\""
 printf 'n_fft = 64\nsubcarriers = -26:-1\npaths = 0:1, 3:0.4+0.2j\ngain_drift_depth = 0.2\ngain_drift_period = 100\ndelta_t = -1:1\n' > "$det/scene.txt"
 awk 'BEGIN { printf "n_fft = 256\nsubcarriers = -122"; for (m = -121; m <= 122; m++) if (m < -1 || m > 1) printf ", %d", m; print "" }' > "$det/vht80.txt"
 printf 'n_fft = 512\n' > "$det/wide.txt"
+printf 'n_fft = 128\n' > "$det/n128.txt"
 for run in a b c; do
   out="$det/$run"
   mkdir -p "$out"
@@ -72,6 +78,13 @@ for run in a b c; do
   csiphase synth --spec "$det/vht80.txt" --symbols 2500 --seed 9 -o "$out/vht80"
   for method in lrr lrr+sgfreq lrr+sgtime lrr+sg2d tsfr; do
     csiphase process -i "$out/vht80.meas.csif" -o "$out/vht80.$method.csif" --method "$method" --report "$out/vht80.$method.txt"
+  done
+  csiphase synth --spec "$det/n128.txt" --symbols 3000 --subcarriers 52 --seed 7 -o "$out/n128"
+  csiphase process -i "$out/n128.meas.csif" -o "$out/n128.tsfr.csif" --method tsfr --report "$out/n128.tsfr.txt"
+  csiphase stats exceed -i "$out/n128.meas.csif" -o "$out/n128.exceed.csv"
+  csiphase synth --symbols 40000 --subcarriers 8 --seed 15 -o "$out/narrow"
+  for method in tsfr lrr+sgtime; do
+    csiphase process -i "$out/narrow.meas.csif" -o "$out/narrow.$method.csif" --method "$method" --report "$out/narrow.$method.txt"
   done
   csiphase synth --spec "$det/wide.txt" --symbols 4000 --subcarriers 256 --seed 9 -o "$out/wide"
   csiphase process -i "$out/wide.meas.csif" -o "$out/wide.sg2d.csif" --method lrr+sg2d --report "$out/wide.sg2d.txt"
