@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, SubcarrierMap, _require_stage, _row_blocks, _unwrap_axis
+from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _require_stage, _row_blocks,
+                   _unwrap_axis)
 
 __all__ = [
     "LtFit",
@@ -91,9 +92,8 @@ def _line_fit(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def lt_fit(row: np.ndarray, smap: SubcarrierMap) -> LtFit:
     """Fit the endpoint slope and mean offset of one unwrapped row."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size != len(smap):
-        raise ValueError(f"row of length {row.shape} does not match map of length {len(smap)}")
+    row = _as_row(row, "lt_fit")
+    smap._check_length(row.size, "row length")
     epsilon, tau = _endpoint_line(row, smap.m.astype(np.float64))
     return LtFit(epsilon=float(epsilon), tau=float(tau))
 
@@ -114,10 +114,7 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
         Calibrated-stage phase matrix of the same shape.
     """
     _require_stage(phase, "lt_calibrate", Stage.RAW)
-    if len(smap) != phase.subcarriers:
-        raise ValueError(
-            f"subcarrier map length {len(smap)} does not match matrix columns {phase.subcarriers}"
-        )
+    smap._check_length(phase.subcarriers)
     m = smap.m.astype(np.float64)
     # The unwrapped rows are fresh: the trend comes off in place, a block
     # of rows at a time.
@@ -137,9 +134,7 @@ def regress_symbol(row: np.ndarray) -> RegressionFit:
     A constant row comes back with slope exactly 0 and intercept equal to
     the constant.
     """
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size < 2:
-        raise ValueError(f"need a 1-D row of at least 2 samples, got shape {row.shape}")
+    row = _as_row(row, "regress_symbol", 2)
     a, b = _line_fit(row, np.arange(1, row.size + 1, dtype=np.float64))
     a, b = float(a), float(b)
     return RegressionFit(a=a, b=b, alpha=float(np.arctan(a)), r1=a + b)

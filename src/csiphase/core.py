@@ -89,6 +89,24 @@ def _check_grid(values: np.ndarray, name: str) -> None:
     _check_finite(values, name)
 
 
+def _as_row(values, name: str, min_size: int = 1) -> np.ndarray:
+    """``values`` as a 1-D float64 row; raise unless it has at least
+    ``min_size`` samples and every one is finite. The message names the
+    function ``name`` and, for a non-finite sample, its index.
+
+    The one input rule of every per-row function in the package.
+    """
+    row = np.asarray(values, dtype=np.float64)
+    if row.ndim != 1 or row.size < min_size:
+        samples = "sample" if min_size == 1 else "samples"
+        raise ValueError(
+            f"{name} needs a 1-D row of at least {min_size} {samples}, got shape {row.shape}"
+        )
+    if not np.isfinite(row).all():
+        raise ValueError(f"{name} got a non-finite value at index {np.argmin(np.isfinite(row))}")
+    return row
+
+
 def _check_shape(shape: tuple[int, int], name: str) -> None:
     """Raise unless an S x K grid has a row and two columns."""
     s, k = shape
@@ -382,11 +400,14 @@ class SubcarrierMap:
     def __len__(self) -> int:
         return int(self.m.size)
 
+    def _check_length(self, count: int, what: str = "matrix columns") -> None:
+        """Raise unless the map has one index per column: ``count`` of them."""
+        if len(self) != count:
+            raise ValueError(f"subcarrier map length {len(self)} does not match {what} {count}")
+
     @classmethod
     def contiguous(cls, k: int, n_fft: int | None = None) -> "SubcarrierMap":
         """Map for K contiguous indices 1..K."""
-        if k < 2:
-            raise ValueError(f"need at least 2 subcarriers, got {k}")
         return cls(np.arange(1, k + 1, dtype=np.int64), n_fft if n_fft is not None else k)
 
 
@@ -499,14 +520,7 @@ def unwrap(v: np.ndarray) -> np.ndarray:
     The pass is idempotent: running it on its own output returns the input
     unchanged, bit for bit.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"unwrap expects a 1-D vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("unwrap expects at least one sample")
-    if not np.isfinite(v).all():
-        raise ValueError(f"non-finite value at index {int(np.argwhere(~np.isfinite(v))[0][0])}")
-    return _unwrap_axis(v)
+    return _unwrap_axis(_as_row(v, "unwrap"))
 
 
 def _unwrap_axis(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

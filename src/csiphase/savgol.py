@@ -69,6 +69,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     PhaseMatrix,
     Stage,
+    _as_row,
     _freeze,
     _require_stage,
     _row_blocks,
@@ -261,11 +262,7 @@ def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
     A vector shorter than the window cannot support the fit; it is
     returned unchanged and a :class:`DegenerateWindowWarning` is issued.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"sg_apply expects a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("sg_apply expects finite samples")
+    v = _as_row(v, "sg_apply")
     if v.size < spec.window:
         _warn_degenerate("vector", v.size, spec)
         return v.copy()

@@ -236,11 +236,7 @@ def _check_cover(imp: ImpairmentSpec, shape: tuple[int, int]) -> None:
         raise ValueError(
             f"impairments cover {imp.symbols} symbols, matrix has {shape[0]}"
         )
-    if len(imp.smap) != shape[1]:
-        raise ValueError(
-            f"subcarrier map length {len(imp.smap)} does not match matrix "
-            f"columns {shape[1]}"
-        )
+    imp.smap._check_length(shape[1])
 
 
 def _noise_rng(imp: ImpairmentSpec) -> np.random.Generator | None:

@@ -22,14 +22,15 @@ A row whose gaps all satisfy the threshold passes through bit for bit.
 The chain keeps to the package's working-set rule (a stage allocates its
 output plus at most one S x K temporary; see :mod:`csiphase.core`) with
 one S x K phase array: the one the calibration has just allocated. The
-subcarrier tracks are smoothed over it, and the rebuild then takes a
-block of symbol rows at a time into a time-major (K x rows) copy, where
-they are unwrapped across subcarriers and walked, and writes the block
-back. The block's clamp masks give its rows of the S x K exceedance
-marks and its clamp counts, so beyond a few blocks of scratch no K x S
-mask, transposed copy or second phase array exists. Every array handed
-to a container is one just allocated, marked read-only, so the container
-keeps it uncopied.
+subcarrier tracks are smoothed over it, and the rebuild then takes one
+row block of symbols at a time (see ``core._row_blocks``) into a
+time-major (K x rows) copy. There the whole block is unwrapped across
+subcarriers and its clamps are marked, one call each, and it is walked
+and written back. The block's clamp masks give its rows of the S x K
+exceedance marks and its clamp counts, so beyond a few blocks of scratch
+no K x S mask, transposed copy or second phase array exists. Every
+array handed to a container is one just allocated, marked read-only, so
+the container keeps it uncopied.
 
 :func:`process` bundles every calibration route in this package behind
 one entry point and always hands the untouched amplitude back to the
@@ -50,11 +51,11 @@ from .core import (
     PhaseMatrix,
     Stage,
     SubcarrierMap,
+    _as_row,
     _freeze,
     _require_stage,
     _row_blocks,
     _unwrap_axis,
-    _unwrap_blocks,
     decompose,
     recompose,
 )
@@ -164,12 +165,7 @@ def gap_stats(row: np.ndarray) -> GapThreshold:
     deviation of the absolute gaps (both over the K-1 gap positions),
     and d their sum.
     """
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size < 2:
-        raise ValueError(f"need a 1-D row of at least 2 samples, got shape {row.shape}")
-    if not np.isfinite(row).all():
-        raise ValueError("gap_stats expects finite samples")
-    mu, sigma, d = _gap_stats(row)
+    mu, sigma, d = _gap_stats(_as_row(row, "gap_stats", 2))
     return GapThreshold(mu=float(mu), sigma=float(sigma), d=float(d))
 
 
@@ -179,9 +175,10 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
     ``tracks`` is the time-major (K x S, C-contiguous, writable) layout:
     row k holds subcarrier k of every symbol, so each step of the walk
     reads and writes contiguous memory. The walk overwrites ``tracks``,
-    keeping the previous source row in a one-row buffer. The clamp masks
-    are marked a block of symbols at a time, so no K x S gap buffer
-    exists.
+    keeping the previous source row in a one-row buffer. Callers hand it
+    at most one ``_row_blocks`` block of symbols (``tsfr`` its row blocks,
+    :func:`rebuild_symbol` one K x 1 track), so the gap buffer of its
+    clamp masks stays at one block.
 
     Vectorized across symbols, sequential across subcarriers; each
     elementwise update evaluates the same IEEE expressions as a scalar
@@ -197,13 +194,12 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
         up-clamped positions, time-major like ``tracks`` (row 0 all
         False).
     """
-    k_count, s = tracks.shape
+    k_count = tracks.shape[0]
     low = np.zeros(tracks.shape, dtype=bool)
     high = np.zeros(tracks.shape, dtype=bool)
-    for symbols in _row_blocks(s, k_count):
-        eps = tracks[1:, symbols] - tracks[:-1, symbols]
-        np.less(eps, -d[symbols], out=low[1:, symbols])
-        np.greater(eps, d[symbols], out=high[1:, symbols])
+    eps = tracks[1:] - tracks[:-1]
+    np.less(eps, -d, out=low[1:])
+    np.greater(eps, d, out=high[1:])
     del eps
     clamped = np.flatnonzero((low | high).any(axis=1))
     first = int(clamped[0]) if clamped.size else k_count
@@ -222,17 +218,10 @@ def rebuild_symbol(smoothed_row: np.ndarray, d: float) -> np.ndarray:
     See the module docstring for the exact walk. A row already within
     the threshold is returned bit for bit.
     """
-    row = np.asarray(smoothed_row, dtype=np.float64)
-    if row.ndim != 1 or row.size < 1:
-        raise ValueError(f"need a non-empty 1-D row, got shape {row.shape}")
-    if not np.isfinite(row).all():
-        raise ValueError("rebuild_symbol expects finite samples")
+    track = _as_row(smoothed_row, "rebuild_symbol")[:, None].copy()
     d = float(d)
     if not np.isfinite(d) or d < 0:
         raise ValueError(f"threshold must be finite and non-negative, got {d}")
-    if row.size == 1:
-        return row.copy()
-    track = row[:, None].copy()
     _rebuild_rows(track, np.array([d]))
     return track[:, 0]
 
@@ -284,7 +273,7 @@ def tsfr(
         # Each block of symbols is unwrapped across subcarriers and walked in
         # a time-major copy, then written back.
         tracks = np.ascontiguousarray(smoothed[:, rows])
-        _unwrap_blocks(tracks, tracks, axis=0)
+        _unwrap_axis(tracks.T, out=tracks.T)
         low, high = _rebuild_rows(tracks, d[rows])
         phi[rows] = tracks.T
         exceed[rows] = (low | high).T
@@ -367,10 +356,8 @@ def process(
         _require_stage(raw, "process", Stage.RAW)
     else:
         amplitude, raw = decompose(csi)
-    if smap is not None and len(smap) != raw.subcarriers:
-        raise ValueError(
-            f"subcarrier map length {len(smap)} does not match matrix columns {raw.subcarriers}"
-        )
+    if smap is not None:
+        smap._check_length(raw.subcarriers)
 
     x = smap.m.astype(np.float64) if abscissa == "physical" else None
     report: TsfrReport | None = None

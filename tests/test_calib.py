@@ -70,6 +70,17 @@ def test_lt_fit_endpoint_slope_and_mean():
     assert fit == LtFit(epsilon=2.0, tau=7.0)
 
 
+def test_lt_fit_rejects_bad_rows():
+    smap = SubcarrierMap.contiguous(3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^lt_fit got a non-finite value at index 1$"):
+            lt_fit(np.array([0.0, bad, 1.0]), smap)
+    with pytest.raises(ValueError, match="1-D"):
+        lt_fit(np.zeros((1, 3)), smap)
+    with pytest.raises(ValueError, match="^subcarrier map length 3 does not match row length 2$"):
+        lt_fit(np.zeros(2), smap)
+
+
 def test_lt_calibrate_line_collapses_to_constant():
     phase = PhaseMatrix(np.array([[3.0, 5.0, 7.0, 9.0, 11.0]]))
     out = lt_calibrate(phase, SubcarrierMap.contiguous(5))
@@ -156,6 +167,9 @@ def test_regress_symbol_matches_polyfit():
 def test_regress_symbol_rejects_short_rows():
     with pytest.raises(ValueError, match="at least 2"):
         regress_symbol(np.array([1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^regress_symbol got a non-finite value at index 1$"):
+            regress_symbol(np.array([0.0, bad, 1.0]))
 
 
 # ----------------------------------------------------------------------- lrr

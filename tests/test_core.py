@@ -124,6 +124,9 @@ def test_subcarrier_map_contiguous():
     assert_array_equal(m.m, [1, 2, 3, 4])
     assert m.n_fft == 4
     assert len(m) == 4
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2 indices"):
+            SubcarrierMap.contiguous(k)
 
 
 # ------------------------------------------------------- decompose/recompose
@@ -382,7 +385,7 @@ def test_unwrap_step_of_exactly_plus_pi_is_kept():
 def test_unwrap_rejects_non_vector_input():
     with pytest.raises(ValueError, match="1-D"):
         unwrap(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="at least 1 sample"):
         unwrap(np.array([]))
     with pytest.raises(ValueError, match="non-finite"):
         unwrap(np.array([0.0, np.inf]))
@@ -399,7 +402,7 @@ _phase_vectors = arrays(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_phase_vectors)
 def test_unwrap_differences_stay_in_half_open_interval(v):
     d = np.diff(unwrap(v))
@@ -407,14 +410,14 @@ def test_unwrap_differences_stay_in_half_open_interval(v):
     assert (d <= np.pi).all()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_phase_vectors)
 def test_unwrap_is_idempotent_bitwise(v):
     once = unwrap(v)
     assert_array_equal(unwrap(once), once)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_phase_vectors, st.integers(min_value=0, max_value=2**32 - 1))
 def test_unwrap_integer_staircase_collapses_to_first_offset(v, seed):
     rng = np.random.default_rng(seed)

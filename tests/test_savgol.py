@@ -233,6 +233,8 @@ def test_apply_rejects_bad_input():
         sg_apply(np.zeros((3, 3)), SgSpec(2, 5))
     with pytest.raises(ValueError, match="finite"):
         sg_apply(np.array([0.0, np.nan, 1.0, 2.0, 3.0]), SgSpec(2, 5))
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        sg_apply(np.array([]), SgSpec(2, 5))
 
 
 # ------------------------------------------------------------ window derivation
