@@ -19,7 +19,10 @@ row by row (one OFDM symbol at a time) after unwrapping the row:
 
 Both work a block of rows at a time, and every sum in them is a ufunc
 reduction along one row, so no bit depends on the block size or on the
-BLAS thread count.
+BLAS thread count. Each block is unwrapped and calibrated in place in the
+output rows, so the output may be the input's own array: a raw matrix
+handed over by its only holder (``core._hand_over``, as ``tsfr.process``
+does with a capture it reads itself) is calibrated in that array.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _require_stage, _row_blocks,
-                   _unwrap_axis)
+from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _handed_over, _require_stage,
+                   _row_blocks, _unwrap_axis)
 
 __all__ = [
     "LtFit",
@@ -111,16 +114,19 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
         smap: physical indices of the K columns.
 
     Returns:
-        Calibrated-stage phase matrix of the same shape.
+        Calibrated-stage phase matrix of the same shape, in the array of
+        ``phase`` when that was handed over (``core._hand_over``).
     """
     _require_stage(phase, "lt_calibrate", Stage.RAW)
     smap._check_length(phase.subcarriers)
     m = smap.m.astype(np.float64)
-    # The unwrapped rows are fresh: the trend comes off in place, a block
-    # of rows at a time.
-    u = np.empty(phase.shape)
+    # The rows are unwrapped over a handed-over input, else into a fresh
+    # array, and the trend comes off in place, a block of rows at a time.
+    u = _handed_over(phase)
+    if u is None:
+        u = np.empty(phase.shape)
     for block in _row_blocks(*phase.shape):
-        rows = _unwrap_axis(phase.values[block], out=u[block])
+        rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
         eps, tau = _endpoint_line(rows, m)
         rows -= eps[:, None] * m[None, :]
         rows -= tau[:, None]
@@ -159,7 +165,8 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
             is the ordinal index 1..K.
 
     Returns:
-        Calibrated-stage phase matrix of the same shape.
+        Calibrated-stage phase matrix of the same shape, in the array of
+        ``phase`` when that was handed over (``core._hand_over``).
     """
     _require_stage(phase, "lrr_calibrate", Stage.RAW)
     s, k_count = phase.shape
@@ -175,10 +182,13 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
             raise ValueError("abscissa must be finite and strictly increasing")
 
     # -x * sin(alpha) + u * cos(alpha) - r_first, rotated in each block's rows
-    # of the fresh unwrapped u (a sum of two floats does not depend on order).
-    u = np.empty(phase.shape)
+    # of the unwrapped u, the handed-over input or a fresh array (a sum of two
+    # floats does not depend on order).
+    u = _handed_over(phase)
+    if u is None:
+        u = np.empty(phase.shape)
     for block in _row_blocks(s, k_count):
-        rows = _unwrap_axis(phase.values[block], out=u[block])
+        rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
         a, b = _line_fit(rows, x)
         alpha = np.arctan(a)
         r_first = a * x[0] + b

@@ -10,8 +10,13 @@ Every command opens its input once, through ``io.CsifReader``, and a
 complex input is split into amplitude and phase as it is read, so no
 command holds a complex input and a pipe (``-i /dev/stdin``) gives the
 bytes its file gives. Zero cells are where the amplitude is zero; their
-phase is 0. ``process --verify-amplitude`` reads the input a second
-time, so it needs a regular file.
+phase is 0. A command alone holds what it reads, so it computes in it:
+``process`` is handed the reader and calibrates in the raw phase array
+it reads, and ``stats`` calibrates (``ds``, ``diffhist``) or runs
+``tsfr`` (``exceed``) in the phase array it read.
+``process --report`` writes the report a row block of symbols at a time.
+``process --verify-amplitude`` reads the input a second time, so it
+needs a regular file; it keeps only the output amplitude while it does.
 
 Exit codes are a stable contract: 0 success, 2 usage errors (among
 them ``--verify-amplitude`` on an input that is not a regular file), 3
@@ -33,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .calib import lrr_calibrate
-from .core import PhaseMatrix, Stage, SubcarrierMap, _amplitude_of
+from .core import PhaseMatrix, Stage, SubcarrierMap, _amplitude_of, _hand_over, _row_blocks
 from .io import CsifReader, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
 from .synth import gen_dataset, load_scenario
@@ -78,6 +83,8 @@ def _cmd_synth(args) -> int:
 
 
 def _write_report(path: str, args, result, shape) -> None:
+    """The settings, then each symbol's lines, written a row block of
+    symbols at a time (``core._row_blocks`` of the S x K input)."""
     lines = [
         f"report_version={_REPORT_VERSION}",
         f"method={args.method}",
@@ -88,15 +95,17 @@ def _write_report(path: str, args, result, shape) -> None:
         f"abscissa={args.abscissa}",
         f"separable={'true' if args.separable else 'false'}",
     ]
-    text = "\n".join(lines) + "\n"
     report = result.report
-    if report is not None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        if report is None:
+            return
         columns = (report.mu, report.sigma, report.d,
                    report.clamped_down, report.clamped_up, report.modified_fraction)
-        symbols = range(len(report.mu))
-        rows = zip(*(x for c in columns for x in (symbols, c.tolist())))
-        text += "".join(map(_SYMBOL_LINES.__mod__, rows))
-    Path(path).write_text(text)
+        for block in _row_blocks(*shape):
+            symbols = range(block.start, block.stop)
+            rows = zip(*(x for c in columns for x in (symbols, c[block].tolist())))
+            fh.write("".join(map(_SYMBOL_LINES.__mod__, rows)))
 
 
 def _cmd_process(args) -> int:
@@ -110,18 +119,17 @@ def _cmd_process(args) -> int:
     with CsifReader(args.input) as reader:
         # Named by main if memory runs out, in the read of the payload too.
         args.input_shape = shape = reader.shape
-        polar = reader.read()
-    smap = SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None
-    result = process(
-        polar,
-        args.method,
-        smap=smap,
-        sg_order=args.sg_order,
-        sg_fraction=args.sg_frac,
-        abscissa=args.abscissa,
-        separable=args.separable,
-    )
-    del polar  # the raw phase, which the output no longer needs
+        smap = SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None
+        # process reads the payload itself, so it alone holds the raw phase.
+        result = process(
+            reader,
+            args.method,
+            smap=smap,
+            sg_order=args.sg_order,
+            sg_fraction=args.sg_frac,
+            abscissa=args.abscissa,
+            separable=args.separable,
+        )
     write_csif(args.output, result.output)
     if args.report is not None:
         _write_report(args.report, args, result, shape)
@@ -129,8 +137,10 @@ def _cmd_process(args) -> int:
         # The input is read again, a row block at a time, and np.abs of its
         # values is formed afresh: the amplitude that process passed through
         # is the output's own, so comparing with that would compare the
-        # output with itself. The output's phase is never folded.
+        # output with itself. Only that amplitude is kept: the output's
+        # phase and the report go first, and no phase is folded.
         amp_out = _amplitude_of(result.output)
+        del result
         with CsifReader(args.input) as reader:
             for rows, block in reader.blocks():
                 if not np.array_equal(np.abs(block), amp_out[rows]):
@@ -140,13 +150,20 @@ def _cmd_process(args) -> int:
     return 0
 
 
+def _read_phase(reader: CsifReader) -> PhaseMatrix:
+    """The raw phase of a complex input, handed over to the next stage,
+    which computes in it; the amplitude is not kept."""
+    raw = reader.read()[1]
+    _hand_over(raw)
+    return raw
+
+
 def _calibrated_phase(path: str) -> PhaseMatrix:
     """Complex input is calibrated with lrr; real input is taken as calibrated."""
     with CsifReader(path) as reader:
         if not reader.complex:
             return PhaseMatrix(reader.values(), Stage.CALIBRATED)
-        # The amplitude is not kept: it goes before lrr allocates its arrays.
-        raw = reader.read()[1]
+        raw = _read_phase(reader)
     return lrr_calibrate(raw)
 
 
@@ -178,9 +195,8 @@ def _cmd_stats(args) -> int:
         write_table(args.output, ("s", "d", "label")[: len(columns)], columns, comments=comments)
         print(f"stats: ds for {series.d.size} symbols -> {args.output}")
     else:
-        # The amplitude is not kept: it goes before tsfr runs.
         with CsifReader(args.input) as reader:
-            raw = reader.read()[1]
+            raw = _read_phase(reader)
         _, report = tsfr(raw)
         profile = exceedance_profile(report)
         write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))

@@ -40,7 +40,9 @@ has just allocated. Passes that are local to one row or one track (the
 unwraps, the smoothing correlations, the gap statistics) run a block of
 about ``_BLOCK`` cells at a time, so their scratch stays at a few blocks
 whatever S is; a matrix of at most ``_BLOCK`` cells runs as one block,
-with the same calls as an unblocked pass.
+with the same calls as an unblocked pass. A stage whose input matrix was
+handed over to it (``_hand_over``) computes in that matrix's array
+instead of allocating its output.
 """
 
 from __future__ import annotations
@@ -205,6 +207,35 @@ def _freeze(values, dtype=None) -> np.ndarray:
         arr = np.array(arr, order="C")
         arr.setflags(write=False)
     return arr
+
+
+def _hand_over(matrix: "_Grid") -> np.ndarray:
+    """Hand the values of ``matrix``, which the caller alone holds, to the
+    next stage, and return them writable.
+
+    A container's values are read-only, so that containers keep them
+    uncopied. A caller that has just read or computed a matrix that
+    nothing else holds may instead let the next stage compute its output
+    in that array: it is made writable in place when it owns its data, as
+    then no other array views it. A stage given a handed-over matrix
+    (:func:`_handed_over`: ``lt_calibrate``, ``lrr_calibrate``,
+    ``sg_freq``) writes its output over its values and hands the array,
+    read-only again, to its own result; the matrix is spent. Values that
+    view another array are returned as a writable copy, and the matrix
+    is left as it was.
+    """
+    values = matrix.values
+    if not values.flags.owndata:
+        return values.copy()
+    values.setflags(write=True)
+    return values
+
+
+def _handed_over(matrix: "_Grid") -> np.ndarray | None:
+    """The values of ``matrix`` if its holder handed them over
+    (:func:`_hand_over`), for a stage to write its output in; else None."""
+    values = matrix.values
+    return values if values.flags.writeable else None
 
 
 def _require_stage(phase: "PhaseMatrix", op: str, *allowed: Stage) -> None:
@@ -523,7 +554,9 @@ def unwrap(v: np.ndarray) -> np.ndarray:
     return _unwrap_axis(_as_row(v, "unwrap"))
 
 
-def _unwrap_axis(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _unwrap_axis(
+    values: np.ndarray, out: np.ndarray | None = None, first_row: int = 0
+) -> np.ndarray:
     """:func:`unwrap` along the last axis, with no input checks.
 
     Every 1-D slice along the last axis is unwrapped with the same
@@ -532,6 +565,11 @@ def _unwrap_axis(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     2*pi * cumsum(ceil((d - pi) / (2*pi)))`` over the adjacent gaps ``d``.
     The result goes to ``out`` (a new array by default), which may be
     ``values`` itself to unwrap in place.
+
+    Finite samples can still be further apart than the float range, or
+    their wrap counts add up beyond it. A gap whose unwrapped sample
+    overflows raises ``ValueError`` naming its row (``first_row`` is the
+    global row of ``values[0]``, for row blocks) and its two columns.
 
     Fast path: when every gap satisfies |d| < 3, each wrap count
     ``ceil((d - pi) / (2*pi))`` lies in (-1, 0) before rounding, so it is
@@ -555,6 +593,13 @@ def _unwrap_axis(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     np.cumsum(d, axis=-1, out=d)
     np.multiply(_TWO_PI, d, out=d)
     np.subtract(values[..., 1:], d, out=out[..., 1:])
+    if not np.isfinite(out[..., 1:]).all():
+        where = np.argwhere(~np.isfinite(out[..., 1:]))[0]
+        row, column = (where[-2] if where.size > 1 else 0), where[-1]
+        raise ValueError(
+            f"unwrapping the gap between columns {column} and {column + 1} of row "
+            f"{first_row + row} (0-based) overflows the float range"
+        )
     return out
 
 

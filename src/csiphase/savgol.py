@@ -71,6 +71,7 @@ from .core import (
     Stage,
     _as_row,
     _freeze,
+    _handed_over,
     _require_stage,
     _row_blocks,
     _unwrap_axis,
@@ -410,10 +411,12 @@ def sg_freq(
     The same row pass as ``sg_time``, on the matrix itself instead of its
     transpose: rows are unwrapped and filtered with a window derived from
     the number of subcarriers. The stage tag is kept (frequency smoothing
-    is a side step, not a position on the time-processing ladder).
+    is a side step, not a position on the time-processing ladder). A
+    handed-over ``phase`` (``core._hand_over``) is smoothed in its own array.
     """
     _require_stage(phase, "sg_freq", *_SMOOTHABLE)
-    rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis", stacklevel=4)
+    rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis", stacklevel=4,
+                        out=_handed_over(phase))
     rows.setflags(write=False)
     return PhaseMatrix(rows, phase.stage)
 

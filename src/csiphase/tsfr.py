@@ -21,9 +21,10 @@ A row whose gaps all satisfy the threshold passes through bit for bit.
 
 The chain keeps to the package's working-set rule (a stage allocates its
 output plus at most one S x K temporary; see :mod:`csiphase.core`) with
-one S x K phase array: the one the calibration has just allocated. The
-subcarrier tracks are smoothed over it, and the rebuild then takes one
-row block of symbols at a time (see ``core._row_blocks``) into a
+one S x K phase array: the one the calibration has just written, a fresh
+one or the raw phase's own when that was handed over. The subcarrier
+tracks are smoothed over it, and the rebuild then takes one row block
+of symbols at a time (see ``core._row_blocks``) into a
 time-major (K x rows) copy. There the whole block is unwrapped across
 subcarriers and its clamps are marked, one call each, and it is walked
 and written back. The block's clamp masks give its rows of the S x K
@@ -53,12 +54,14 @@ from .core import (
     SubcarrierMap,
     _as_row,
     _freeze,
+    _hand_over,
     _require_stage,
     _row_blocks,
     _unwrap_axis,
     decompose,
     recompose,
 )
+from .io import CsifReader
 from .savgol import _smooth_rows, sg_2d, sg_freq, sg_time
 
 __all__ = [
@@ -153,7 +156,7 @@ def _unwrapped_gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     of one read-only buffer are returned, for containers to keep uncopied."""
     stats = np.empty((3, rows.shape[0]))
     for block in _row_blocks(*rows.shape):
-        stats[:, block] = _gap_stats(_unwrap_axis(rows[block]))
+        stats[:, block] = _gap_stats(_unwrap_axis(rows[block], first_row=block.start))
     stats.setflags(write=False)
     return stats[0], stats[1], stats[2]
 
@@ -236,7 +239,8 @@ def tsfr(
     """Full two-step chain: regression calibration, time smoothing, rebuild.
 
     Args:
-        phase: raw-stage phase matrix.
+        phase: raw-stage phase matrix; calibrated in its own array when
+            its holder handed it over (``core._hand_over``).
         order: polynomial order of the time smoother.
         fraction: window fraction of S for the time smoother.
         abscissa: optional regression abscissa forwarded to the
@@ -251,14 +255,9 @@ def tsfr(
     s, k = calibrated.shape
     if s < 3:
         raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    # The calibration hands over the read-only array it has just allocated;
-    # once its matrix is dropped nothing else holds it, and the chain runs in it.
-    phi = calibrated.values
+    # Nothing else holds the calibrated matrix: the chain runs in its array.
+    phi = _hand_over(calibrated)
     del calibrated
-    if phi.flags.owndata:
-        phi.setflags(write=True)
-    else:
-        phi = phi.copy()
     # sg_time's smoothing of the subcarrier tracks, written over them. A matrix
     # of one block is smoothed into a fresh time-major array instead: it is
     # then the copy its one block of symbols is walked in, which spares two
@@ -303,7 +302,7 @@ class ProcessResult(NamedTuple):
 
 
 def process(
-    csi: CsiMatrix | tuple[AmplitudeMatrix, PhaseMatrix],
+    csi: CsiMatrix | tuple[AmplitudeMatrix, PhaseMatrix] | CsifReader,
     method: str,
     *,
     smap: SubcarrierMap | None = None,
@@ -318,12 +317,20 @@ def process(
     route, and the result is recomposed with the original amplitude,
     which is handed through untouched.
 
+    ``process`` writes only into arrays it has allocated or read itself.
+    Given an open reader, it reads the pair with ``CsifReader.read`` and
+    alone holds the raw phase, so the calibration (``lt``, ``lrr``, and
+    the ``lrr`` inside ``tsfr``) runs in that array instead of a fresh
+    one. A matrix or pair the caller holds is never written: its phase is
+    calibrated into a fresh array. Either way ``lrr+sgfreq`` then smooths
+    in the calibrated array, and every output byte is the same.
+
     Args:
-        csi: complex CSI matrix, or its decomposed ``(amplitude, phase)``
-            pair with a raw-stage phase: what ``decompose`` or
-            ``io.CsifReader.read`` returns. A file decomposed as it is
-            read is thus processed without its complex payload ever
-            existing.
+        csi: complex CSI matrix; its decomposed ``(amplitude, phase)``
+            pair with a raw-stage phase, as ``decompose`` returns it; or
+            an open ``io.CsifReader`` of a complex CSIF file, whose
+            payload is read here, decomposed as it is read, so its
+            complex values never exist whole.
         method: one of ``METHODS``: "raw" (decompose/recompose only),
             "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr".
         smap: physical subcarrier map; required for "lt" and for the
@@ -354,6 +361,11 @@ def process(
                 f"amplitude shape {amplitude.shape} does not match phase shape {raw.shape}"
             )
         _require_stage(raw, "process", Stage.RAW)
+    elif isinstance(csi, CsifReader):
+        amplitude, raw = csi.read()
+        if method != "raw":
+            # Only this call holds what it read: the calibration runs in that array.
+            _hand_over(raw)
     else:
         amplitude, raw = decompose(csi)
     if smap is not None:
@@ -369,7 +381,10 @@ def process(
     elif method == "lrr":
         out_phase = lrr_calibrate(raw, x)
     elif method == "lrr+sgfreq":
-        out_phase = sg_freq(lrr_calibrate(raw, x), order=sg_order, fraction=sg_fraction)
+        # Only this call holds the calibrated matrix: sg_freq smooths in its array.
+        calibrated = lrr_calibrate(raw, x)
+        _hand_over(calibrated)
+        out_phase = sg_freq(calibrated, order=sg_order, fraction=sg_fraction)
     elif method == "lrr+sgtime":
         out_phase = sg_time(lrr_calibrate(raw, x), order=sg_order, fraction=sg_fraction)
     elif method == "lrr+sg2d":

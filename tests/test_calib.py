@@ -237,6 +237,20 @@ def test_lrr_rejects_bad_abscissa():
         lrr_calibrate(phase, abscissa=np.array([1.0, 1.0, 2.0, 3.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("symbols", [1, 3000], ids=["one-row", "blocks"])
+def test_calibrations_name_a_gap_beyond_the_float_range(symbols):
+    # The row's samples are finite, so the input is valid; the error names
+    # the gap, with its global row, not a non-finite cell of the output.
+    values = np.zeros((symbols, 3))
+    values[-1, :2] = [-1e308, 1e308]
+    where = rf"gap between columns 0 and 1 of row {symbols - 1} \(0-based\) overflows"
+    with pytest.raises(ValueError, match=where):
+        lrr_calibrate(PhaseMatrix(values))
+    with pytest.raises(ValueError, match=where):
+        lt_calibrate(PhaseMatrix(values), SubcarrierMap.contiguous(3))
+
+
 def test_lrr_rejects_wrong_stage():
     with pytest.raises(ValueError, match="raw-stage"):
         lrr_calibrate(PhaseMatrix(np.zeros((2, 4)), Stage.REBUILT))

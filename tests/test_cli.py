@@ -422,7 +422,7 @@ def reference_report_text(args, report, shape):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("symbols", [1, 500])
+@pytest.mark.parametrize("symbols", [1, 500, 3000])  # 3000x52: three row blocks
 def test_report_writer_matches_the_line_by_line_reference(tmp_path, symbols):
     rng = np.random.default_rng(symbols)
     special = np.array([0.0, 1e-300, 5e-324, 1.0 / 3.0, 2.0 ** 60, np.pi])
@@ -505,6 +505,22 @@ def test_stats_diffhist_accepts_real_phase_exports(tmp_path, capsys):
     assert code == 0
     lines = out_csv.read_text().splitlines()
     assert sum(int(line.split(",")[2]) for line in lines[3:]) == 20 * 9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_stats_ds_of_a_gap_beyond_the_float_range_is_a_data_error(tmp_path, capsys):
+    # A real payload is taken as calibrated phase; a finite pair of samples
+    # whose gap overflows used to give a table of infinite thresholds.
+    values = np.zeros((3, 4))
+    values[1, 1:3] = [-1e308, 1e308]
+    phase_file = tmp_path / "phase.csif"
+    write_csif(phase_file, values)
+    code, _, err = run(capsys, "stats", "ds", "-i", str(phase_file), "-o", str(tmp_path / "ds.csv"))
+    assert code == 4
+    assert err == (
+        "error: unwrapping the gap between columns 1 and 2 of row 1 (0-based) overflows the "
+        "float range\n"
+    )
 
 
 def test_stats_ds_with_labels(tmp_path, capsys):

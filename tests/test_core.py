@@ -391,6 +391,21 @@ def test_unwrap_rejects_non_vector_input():
         unwrap(np.array([0.0, np.inf]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_unwrap_rejects_a_gap_beyond_the_float_range():
+    # Both samples are finite, but their gap is not: it used to come back as
+    # [-1e308, -inf] with only numpy's warning.
+    with pytest.raises(ValueError, match=r"gap between columns 0 and 1 of row 0 .* overflows"):
+        unwrap(np.array([-1e308, 1e308]))
+    # Every gap is finite, but the wrap counts add up beyond the float range.
+    with pytest.raises(ValueError, match="gap between columns 1 and 2 of row 0 "):
+        unwrap(np.array([-1.7e308, 0.0, 1.7e308, 0.0]))
+    values = np.zeros((3, 5))
+    values[2, 3:] = [1e308, -1e308]
+    with pytest.raises(ValueError, match="columns 3 and 4 of row 9 "):
+        _unwrap_axis(values, first_row=7)
+
+
 def test_unwrap_single_sample():
     assert_array_equal(unwrap(np.array([1.7])), [1.7])
 

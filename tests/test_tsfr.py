@@ -16,8 +16,10 @@ from csiphase.core import (
     Stage,
     SubcarrierMap,
     decompose,
+    recompose,
     unwrap,
 )
+from csiphase.io import CsifReader, read_csif, write_csif
 from csiphase.savgol import DegenerateWindowWarning, sg_time
 from csiphase.tsfr import (
     METHODS,
@@ -537,6 +539,54 @@ def test_process_rejects_a_pair_that_is_not_a_raw_polar_pair():
         process((amplitude, PhaseMatrix(phase.values[:-1])), "raw")
     with pytest.raises(ValueError, match="raw-stage"):
         process((amplitude, PhaseMatrix(phase.values, Stage.CALIBRATED)), "lrr")
+
+
+# Every route of the CLI: the seven methods on either abscissa, and the
+# separable 2-D smoother.
+ROUTES = [(method, {"abscissa": abscissa}) for method in METHODS
+          for abscissa in ("ordinal", "physical")] + [("lrr+sg2d", {"separable": True})]
+ROUTE_IDS = [f"{method}-{kw.get('abscissa', 'separable')}" for method, kw in ROUTES]
+
+
+def output_bytes(result):
+    """The output's values and every report array, as bytes."""
+    report = () if result.report is None else tuple(
+        getattr(result.report, name).tobytes() for name in TsfrReport.__dataclass_fields__
+    )
+    return result.output.values.tobytes(), report
+
+
+@pytest.mark.parametrize("symbols", [core._BLOCK // 52, 2600], ids=["one-block", "blocks"])
+@pytest.mark.parametrize(("method", "kwargs"), ROUTES, ids=ROUTE_IDS)
+def test_process_of_a_reader_is_process_of_what_it_reads(tmp_path, symbols, method, kwargs):
+    # Given the reader, process owns the raw phase and calibrates in it; given
+    # the pair or the matrix, it calibrates into a fresh array. The bytes agree.
+    path = tmp_path / "capture.csif"
+    write_csif(path, random_csi(np.random.default_rng(symbols), s=symbols, k=52))
+    kwargs = dict(kwargs, smap=SubcarrierMap.contiguous(52))
+    with CsifReader(path) as reader:
+        owned = process(reader, method, **kwargs)
+    # Read-only even when nothing was calibrated in the array read.
+    assert not owned.output._angles.flags.writeable
+    with CsifReader(path) as reader:
+        paired = process(reader.read(), method, **kwargs)
+    whole = process(read_csif(path), method, **kwargs)
+    assert output_bytes(owned) == output_bytes(paired) == output_bytes(whole)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_process_never_writes_what_its_caller_holds(method):
+    csi = random_csi(np.random.default_rng(14), s=2600, k=52)
+    amplitude, phase = decompose(csi)
+    recomposed = recompose(amplitude, phase)
+    held = [csi.values, amplitude.values, phase.values,
+            *(matrix.values for matrix in decompose(recomposed))]
+    kept = [array.copy() for array in held]
+    for given in (csi, (amplitude, phase), recomposed):
+        process(given, method)
+    for array, before in zip(held, kept):
+        assert array.tobytes() == before.tobytes()
+        assert not array.flags.writeable
 
 
 def test_process_raw_is_a_faithful_round_trip():

@@ -41,7 +41,7 @@ from csiphase.synth import (
     gen_dataset,
     gen_true_csi,
 )
-from csiphase.tsfr import tsfr
+from csiphase.tsfr import process, tsfr
 
 S, K = 10000, 52
 
@@ -104,6 +104,11 @@ STAGES = {
     # The chain smooths, unwraps and rebuilds in the array its calibration
     # allocates; the walk runs in a time-major copy of one row block at a time.
     "tsfr": (1.6, lambda x: tsfr(x["raw"])),  # was 4.06, then 2.62, then 2.55
+    # The caller's pair is not written: the calibration allocates the one
+    # S x K array, and sg_freq smooths its rows in it.
+    "process lrr+sgfreq of a decomposed pair": (
+        1.35, lambda x: process((x["amplitude"], x["raw"]), "lrr+sgfreq")
+    ),  # was 2.28
     "synth.gen_true_csi with gain drift": (
         2.5, lambda x: gen_true_csi(x["drift"], S, x["smap"])
     ),  # was 4.08
@@ -182,13 +187,40 @@ def test_process_verify_amplitude_sets_no_peak_of_its_own(capture):
     # The input is decomposed as it is read, so no complex payload exists:
     # the peak is its polar pair plus tsfr's working set. The check reads the
     # input again a row block at a time, compares np.abs of each block with
-    # the output amplitude and folds no phase.
+    # the output amplitude, which is all it keeps, and folds no phase.
     argv = ["process", "-i", f"{capture}.meas.csif", "-o", f"{capture}.out.csif",
             "--method", "tsfr"]
     plain = cli_arrays_at_peak(argv)
     checked = cli_arrays_at_peak(argv + ["--verify-amplitude"])
     assert checked <= plain + 0.05
-    assert checked <= 3.75  # was 8.08, then 6.43, then 4.5
+    assert checked <= 2.6  # was 8.08, then 6.43, then 4.5, then 3.75
+
+
+# CLI process with --report: process reads the input itself, so the phase
+# array it read is the one the calibration runs in. The peak is that array
+# and the amplitude, plus what the method adds: nothing for the row-local
+# methods, whose report is written a row block of symbols at a time; the
+# smoother's tracks and their copy for lrr+sgtime and lrr+sg2d; the
+# exceedance marks for tsfr, whose amplitude check keeps only the output
+# amplitude. Bounds sit just above the measured peaks (old ones at the right).
+CLI_PROCESS = {
+    "raw": 2.35,  # 2.28, unchanged: nothing is calibrated
+    "lt": 2.35,  # was 3.17
+    "lrr": 2.35,  # was 3.18
+    "lrr+sgfreq": 2.35,  # was 4.29
+    "lrr+sgtime": 4.25,  # was 5.13
+    "lrr+sg2d": 4.25,  # was 5.14
+    "tsfr": 2.6,  # was 3.61, with --verify-amplitude
+}
+
+
+@pytest.mark.parametrize("method", CLI_PROCESS)
+def test_process_runs_each_method_in_the_phase_array_it_read(capture, method):
+    argv = ["process", "-i", f"{capture}.meas.csif", "-o", f"{capture}.{method}.csif",
+            "--method", method, "--report", f"{capture}.{method}.txt"]
+    if method == "tsfr":
+        argv.append("--verify-amplitude")
+    assert cli_arrays_at_peak(argv) <= CLI_PROCESS[method]
 
 
 def test_stats_ds_holds_no_complex_input(capture):
@@ -200,10 +232,10 @@ def test_stats_ds_holds_no_complex_input(capture):
 
 def test_stats_exceed_holds_one_phase_array(capture):
     # The amplitude is dropped as the input is read, and tsfr runs in the
-    # array its calibration allocates: the raw phase, that array and the
-    # exceedance marks set the peak.
+    # phase array read: the read itself, the phase and the amplitude plus
+    # one scratch block, sets the peak.
     argv = ["stats", "exceed", "-i", f"{capture}.meas.csif", "-o", f"{capture}.exceed.csv"]
-    assert cli_arrays_at_peak(argv) <= 2.6  # was 3.43
+    assert cli_arrays_at_peak(argv) <= 2.35  # was 3.43, then 2.6
 
 
 def synth_argv(base, symbols):

@@ -24,7 +24,8 @@
 # and on a 3000x52 capture with n_fft 128 411 symbols do, spread over its
 # three row blocks. A 40000x8 capture runs one track per smoothing block,
 # as every capture longer than 32768 symbols does, through tsfr and
-# lrr+sgtime. The input is opened once, so process and stats exceed read a
+# lrr+sgtime. The input is opened once, and process reads it itself for
+# every method, so each of the seven methods and stats exceed read a
 # capture piped into /dev/stdin as they read its file, to the byte.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
@@ -58,10 +59,18 @@ for run in a b c; do
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds.csv"
   csiphase stats exceed -i "$out/cap.meas.csif" -o "$out/exceed.csv"
   cat "$out/cap.meas.csif" | csiphase process -i /dev/stdin -o "$out/clean.pipe.csif" --method tsfr --report "$out/report.pipe.txt"
+  cat "$out/cap.meas.csif" | csiphase process -i /dev/stdin -o "$out/sg2d.pipe.csif" --method lrr+sg2d --report "$out/sg2d.pipe.txt"
   cat "$out/cap.meas.csif" | csiphase stats exceed -i /dev/stdin -o "$out/exceed.pipe.csv"
   cmp "$out/clean.pipe.csif" "$out/clean.csif"
   cmp "$out/report.pipe.txt" "$out/report.txt"
+  cmp "$out/sg2d.pipe.csif" "$out/sg2d.csif"
+  cmp "$out/sg2d.pipe.txt" "$out/sg2d.txt"
   cmp "$out/exceed.pipe.csv" "$out/exceed.csv"
+  for method in raw lt lrr lrr+sgfreq lrr+sgtime; do
+    cat "$out/cap.meas.csif" | csiphase process -i /dev/stdin -o "$out/$method.pipe.csif" --method "$method" --report "$out/$method.pipe.txt"
+    cmp "$out/$method.pipe.csif" "$out/$method.csif"
+    cmp "$out/$method.pipe.txt" "$out/$method.txt"
+  done
   csiphase stats diffhist -i "$out/clean.csif" -o "$out/diffhist.csv"
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds_labels.csv" --labels "$det/labels.txt"
   csiphase synth --spec "$det/scene.txt" --symbols 500 --seed 3 -o "$out/scene"
