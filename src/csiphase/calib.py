@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _handed_over, _require_stage,
-                   _row_blocks, _unwrap_axis)
+from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _require_stage, _row_blocks,
+                   _stage_output, _unwrap_axis)
 
 __all__ = [
     "LtFit",
@@ -122,9 +122,7 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
     m = smap.m.astype(np.float64)
     # The rows are unwrapped over a handed-over input, else into a fresh
     # array, and the trend comes off in place, a block of rows at a time.
-    u = _handed_over(phase)
-    if u is None:
-        u = np.empty(phase.shape)
+    u = _stage_output(phase)
     for block in _row_blocks(*phase.shape):
         rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
         eps, tau = _endpoint_line(rows, m)
@@ -184,9 +182,7 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
     # -x * sin(alpha) + u * cos(alpha) - r_first, rotated in each block's rows
     # of the unwrapped u, the handed-over input or a fresh array (a sum of two
     # floats does not depend on order).
-    u = _handed_over(phase)
-    if u is None:
-        u = np.empty(phase.shape)
+    u = _stage_output(phase)
     for block in _row_blocks(s, k_count):
         rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
         a, b = _line_fit(rows, x)

@@ -11,9 +11,9 @@ complex input is split into amplitude and phase as it is read, so no
 command holds a complex input and a pipe (``-i /dev/stdin``) gives the
 bytes its file gives. Zero cells are where the amplitude is zero; their
 phase is 0. A command alone holds what it reads, so it computes in it:
-``process`` is handed the reader and calibrates in the raw phase array
-it reads, and ``stats`` calibrates (``ds``, ``diffhist``) or runs
-``tsfr`` (``exceed``) in the phase array it read.
+``process`` is handed the reader and runs every method in the raw phase
+array it reads, and ``stats`` reads the phase alone and calibrates
+(``ds``, ``diffhist``) or runs ``tsfr`` (``exceed``) in it.
 ``process --report`` writes the report a row block of symbols at a time.
 ``process --verify-amplitude`` reads the input a second time, so it
 needs a regular file; it keeps only the output amplitude while it does.
@@ -82,9 +82,12 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _write_report(path: str, args, result, shape) -> None:
-    """The settings, then each symbol's lines, written a row block of
-    symbols at a time (``core._row_blocks`` of the S x K input)."""
+def _write_report(path: str, args, columns, shape) -> None:
+    """The settings, then each symbol's lines from ``columns``, the
+    report's per-symbol arrays in line order (None for a method without a
+    report), formatted a row block of symbols at a time
+    (``core._row_blocks`` of the S x K input) and written a symbol at a
+    time, so no text block is held."""
     lines = [
         f"report_version={_REPORT_VERSION}",
         f"method={args.method}",
@@ -95,17 +98,14 @@ def _write_report(path: str, args, result, shape) -> None:
         f"abscissa={args.abscissa}",
         f"separable={'true' if args.separable else 'false'}",
     ]
-    report = result.report
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        if report is None:
+        if columns is None:
             return
-        columns = (report.mu, report.sigma, report.d,
-                   report.clamped_down, report.clamped_up, report.modified_fraction)
         for block in _row_blocks(*shape):
             symbols = range(block.start, block.stop)
             rows = zip(*(x for c in columns for x in (symbols, c[block].tolist())))
-            fh.write("".join(map(_SYMBOL_LINES.__mod__, rows)))
+            fh.writelines(map(_SYMBOL_LINES.__mod__, rows))
 
 
 def _cmd_process(args) -> int:
@@ -121,7 +121,7 @@ def _cmd_process(args) -> int:
         args.input_shape = shape = reader.shape
         smap = SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None
         # process reads the payload itself, so it alone holds the raw phase.
-        result = process(
+        output, report = process(
             reader,
             args.method,
             smap=smap,
@@ -130,17 +130,24 @@ def _cmd_process(args) -> int:
             abscissa=args.abscissa,
             separable=args.separable,
         )
-    write_csif(args.output, result.output)
+    # The report file takes the per-symbol columns alone: the S x K
+    # exceedance marks go before the output is written.
+    columns = None if report is None else (
+        report.mu, report.sigma, report.d,
+        report.clamped_down, report.clamped_up, report.modified_fraction,
+    )
+    del report
+    write_csif(args.output, output)
     if args.report is not None:
-        _write_report(args.report, args, result, shape)
+        _write_report(args.report, args, columns, shape)
     if args.verify_amplitude:
         # The input is read again, a row block at a time, and np.abs of its
         # values is formed afresh: the amplitude that process passed through
         # is the output's own, so comparing with that would compare the
         # output with itself. Only that amplitude is kept: the output's
         # phase and the report go first, and no phase is folded.
-        amp_out = _amplitude_of(result.output)
-        del result
+        amp_out = _amplitude_of(output)
+        del output, columns
         with CsifReader(args.input) as reader:
             for rows, block in reader.blocks():
                 if not np.array_equal(np.abs(block), amp_out[rows]):
@@ -152,8 +159,8 @@ def _cmd_process(args) -> int:
 
 def _read_phase(reader: CsifReader) -> PhaseMatrix:
     """The raw phase of a complex input, handed over to the next stage,
-    which computes in it; the amplitude is not kept."""
-    raw = reader.read()[1]
+    which computes in it; no S x K amplitude is formed."""
+    raw = reader._phase()
     _hand_over(raw)
     return raw
 
@@ -282,7 +289,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The package reports every overflow it meets as a ValueError, which
+        # is printed below; numpy's own warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

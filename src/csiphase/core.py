@@ -88,7 +88,9 @@ def _check_grid(values: np.ndarray, name: str) -> None:
     if values.ndim != 2:
         raise ValueError(f"{name} must be 2-D (symbols x subcarriers), got shape {values.shape}")
     _check_shape(values.shape, name)
-    _check_finite(values, name)
+    # A row block at a time, so the mask of one block exists, not an S x K one.
+    for rows in _row_blocks(*values.shape):
+        _check_finite(values[rows], name, rows.start)
 
 
 def _as_row(values, name: str, min_size: int = 1) -> np.ndarray:
@@ -218,8 +220,8 @@ def _hand_over(matrix: "_Grid") -> np.ndarray:
     nothing else holds may instead let the next stage compute its output
     in that array: it is made writable in place when it owns its data, as
     then no other array views it. A stage given a handed-over matrix
-    (:func:`_handed_over`: ``lt_calibrate``, ``lrr_calibrate``,
-    ``sg_freq``) writes its output over its values and hands the array,
+    (:func:`_stage_output`: ``lt_calibrate``, ``lrr_calibrate`` and the
+    smoothers) writes its output over its values and hands the array,
     read-only again, to its own result; the matrix is spent. Values that
     view another array are returned as a writable copy, and the matrix
     is left as it was.
@@ -231,11 +233,12 @@ def _hand_over(matrix: "_Grid") -> np.ndarray:
     return values
 
 
-def _handed_over(matrix: "_Grid") -> np.ndarray | None:
-    """The values of ``matrix`` if its holder handed them over
-    (:func:`_hand_over`), for a stage to write its output in; else None."""
+def _stage_output(matrix: "_Grid") -> np.ndarray:
+    """The array a stage writes its output in: the values of ``matrix`` if
+    its holder handed them over (:func:`_hand_over`), else a fresh array of
+    its shape."""
     values = matrix.values
-    return values if values.flags.writeable else None
+    return values if values.flags.writeable else np.empty(values.shape)
 
 
 def _require_stage(phase: "PhaseMatrix", op: str, *allowed: Stage) -> None:
@@ -483,14 +486,24 @@ def _polar_block(values: np.ndarray, a: np.ndarray, p: np.ndarray) -> None:
     np.copyto(p, 0.0, where=a == 0.0)
 
 
-def _polar_blocks(blocks, shape: tuple[int, int]) -> tuple[AmplitudeMatrix, PhaseMatrix]:
+def _polar_blocks(blocks, shape: tuple[int, int], keep_amplitude: bool = True):
     """Amplitude and principal phase of complex values that come as
     ``(rows, values)`` row blocks covering ``shape`` in order, each split
-    straight into its rows of the two outputs by :func:`_polar_block`."""
-    amplitude, phase = np.empty(shape), np.empty(shape)
+    straight into its rows of the two outputs by :func:`_polar_block`.
+
+    Without ``keep_amplitude`` only the raw-stage phase matrix is returned:
+    each block's amplitude goes to a block of scratch, so a caller that
+    wants the phase alone never holds an S x K amplitude.
+    """
+    amplitude = np.empty(shape) if keep_amplitude else None
+    phase = np.empty(shape)
     for rows, values in blocks:
-        _polar_block(values, amplitude[rows], phase[rows])
+        _polar_block(values, np.empty(values.shape) if amplitude is None else amplitude[rows],
+                     phase[rows])
     del values  # a file's last block: its scratch goes before the arrays are checked
+    if amplitude is None:
+        phase.setflags(write=False)
+        return PhaseMatrix(phase, Stage.RAW)
     return _polar_views(amplitude, phase)
 
 
@@ -593,22 +606,23 @@ def _unwrap_axis(
     np.cumsum(d, axis=-1, out=d)
     np.multiply(_TWO_PI, d, out=d)
     np.subtract(values[..., 1:], d, out=out[..., 1:])
-    if not np.isfinite(out[..., 1:]).all():
-        where = np.argwhere(~np.isfinite(out[..., 1:]))[0]
+    _check_gaps(out[..., 1:], "unwrapping", first_row)
+    return out
+
+
+def _check_gaps(after: np.ndarray, what: str, first_row: int = 0) -> None:
+    """Raise unless every cell of ``after`` is finite.
+
+    Column j of ``after`` comes from the gap between columns j and j + 1
+    of its row, so the ``ValueError`` names the first gap that ``what``
+    (an "-ing" verb) overflows the float range: its row (``first_row`` is
+    the global row of ``after[0]``, for row blocks) and its two columns.
+    """
+    if not np.isfinite(after).all():
+        where = np.argwhere(~np.isfinite(after))[0]
         row, column = (where[-2] if where.size > 1 else 0), where[-1]
         raise ValueError(
-            f"unwrapping the gap between columns {column} and {column + 1} of row "
+            f"{what} the gap between columns {column} and {column + 1} of row "
             f"{first_row + row} (0-based) overflows the float range"
         )
-    return out
 
-
-def _unwrap_blocks(values: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
-    """:func:`_unwrap_axis` of a 2-D array along ``axis`` (0 or -1) into
-    ``out``, which may be ``values`` itself, a block of slices at a time:
-    the gap buffer stays at one block. Each slice is unwrapped on its own,
-    so the result has the bytes of one whole-array call."""
-    v, o = (values.T, out.T) if axis == 0 else (values, out)
-    for rows in _row_blocks(*v.shape):
-        _unwrap_axis(v[rows], out=o[rows])
-    return out

@@ -190,7 +190,7 @@ class CsifReader:
     * :meth:`read`, which splits a complex payload into amplitude and
       principal phase a row block of about ``core._BLOCK`` cells at a
       time, as it is read, so the complex payload never exists whole,
-      and refuses a real payload;
+      and refuses a real payload (``_phase`` keeps the phase alone);
     * :meth:`blocks`, which yields the payload's row blocks as read;
     * :meth:`values`, which reads the whole payload, complex or real, as
       one array.
@@ -284,15 +284,26 @@ class CsifReader:
             ValueError: the payload is real, naming the file; read a
                 real payload with :meth:`values`.
         """
+        return _polar_blocks(self._checked_blocks(), self.shape)
+
+    def _phase(self) -> PhaseMatrix:
+        """``read()[1]``, bit for bit, without an S x K amplitude: each
+        block's amplitude goes to a block of scratch."""
+        return _polar_blocks(self._checked_blocks(), self.shape, keep_amplitude=False)
+
+    def _checked_blocks(self):
+        """The complex payload's row blocks as read, each checked for
+        non-finite cells; a real payload is refused before any is read."""
         if not self.complex:
             raise ValueError(f"{self._fh.name} holds a real payload, not complex CSI")
         _check_shape(self.shape, "CSI matrix")
-        return _polar_blocks(self._checked_blocks(), self.shape)
 
-    def _checked_blocks(self):
-        for rows, block in self.blocks():
-            _check_finite(block, "CSI matrix", rows.start)
-            yield rows, block
+        def checked():
+            for rows, block in self.blocks():
+                _check_finite(block, "CSI matrix", rows.start)
+                yield rows, block
+
+        return checked()
 
 
 def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:

@@ -29,25 +29,30 @@ sum over subcarrier offsets taken in the frequency domain. Edge points
 need only the fit coefficients of their anchored window: order+1 per
 track end in 1-D, (order+1)(order+2)/2 per window along the four bands
 of ``sg_2d`` (one einsum for the top and bottom, the weight spectra of
-every fit term for the left and right). No w x w or (w_r*w_c)^2
-projection matrix is built and no loop runs over cells. Designs are
-cached per order and window(s), and their arrays are read-only.
+a row block of fit terms at a time for the left and right). No w x w or
+(w_r*w_c)^2 projection matrix is built and no loop runs over cells.
+Designs are cached per order and window(s), and their arrays are
+read-only.
 
 An axis shorter than its window (an explicit ``SgSpec``, or any window
-its fraction gives) passes through unchanged, a fresh copy in 1-D, with
-one :class:`DegenerateWindowWarning` from ``_warn_degenerate`` naming it.
+its fraction gives) passes through unchanged, copied into the output in
+1-D, with one :class:`DegenerateWindowWarning` from ``_warn_degenerate``
+naming it.
 
-Every pass runs a block of about ``core._BLOCK`` cells at a time, so its
-scratch stays at a few blocks whatever S is:
+Each smoother writes one S x K array: that of a handed-over input
+(``core._hand_over``), else a fresh one. Every pass runs a block of
+about ``core._BLOCK`` cells at a time, so its scratch stays at a few
+blocks whatever S is:
 
 * The 1-D passes unwrap each block of rows (tracks for ``sg_time``,
   symbols for ``sg_freq``) into one reused buffer, and correlate and
-  edge-fit it straight into the output; no S x K spectrum or inverse
-  transform exists.
-* ``sg_2d`` runs its interior over blocks of output tracks. A block's
-  windows reach w_c - 1 tracks past it; the spectra of that halo are
-  kept for the next block, so every track is transformed once, and each
-  block's output goes into the rows of the unwrapped grid it has already
+  edge-fit it straight into the output; the FFT path inverse-transforms
+  into that buffer, so no S x K spectrum or inverse transform exists.
+* ``sg_2d`` unwraps its grid in the output array and keeps the fits of
+  its four bands, then runs its interior over blocks of output tracks. A
+  block's windows reach w_c - 1 tracks past it; the spectra of that halo
+  are kept for the next block, so every track is transformed once, and
+  each block's output goes into tracks of the grid it has already
   transformed.
 
 A matrix of at most ``_BLOCK`` cells runs as one block, through the calls
@@ -60,22 +65,22 @@ from __future__ import annotations
 
 import functools
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    _BLOCK,
     PhaseMatrix,
     Stage,
     _as_row,
     _freeze,
-    _handed_over,
+    _hand_over,
     _require_stage,
     _row_blocks,
+    _stage_output,
     _unwrap_axis,
-    _unwrap_blocks,
 )
 
 __all__ = [
@@ -193,10 +198,14 @@ def _taps_spectra(taps: np.ndarray, length: int) -> np.ndarray:
     return np.fft.rfft(taps[..., ::-1], _fast_length(length), axis=-1)
 
 
-def _valid_correlation(product: np.ndarray, w: int, length: int) -> np.ndarray:
+def _valid_correlation(
+    product: np.ndarray, w: int, length: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Valid correlation of tracks with w taps from the product of their
-    spectra; circular wrap-around only reaches the w - 1 samples it drops."""
-    return np.fft.irfft(product, _fast_length(length), axis=-1)[..., w - 1 : length]
+    spectra; circular wrap-around only reaches the w - 1 samples it drops.
+    The inverse transform goes to ``out`` when given, ``_fast_length(length)``
+    columns wide."""
+    return np.fft.irfft(product, _fast_length(length), axis=-1, out=out)[..., w - 1 : length]
 
 
 def _correlate_rows(
@@ -204,18 +213,22 @@ def _correlate_rows(
     weights: np.ndarray,
     pad: int = 0,
     out: np.ndarray | None = None,
-    spectrum: Callable[[], np.ndarray] | None = None,
+    spectrum: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Valid correlation of every row of a C-contiguous (signals, length)
-    stack with one kernel: out[i, pad + j] = sum_p weights[p] * arr[i, j + p].
+    """Valid correlation of every row of a (signals, length) stack with
+    unit column stride with one kernel:
+    out[i, pad + j] = sum_p weights[p] * arr[i, j + p].
 
     The result is ``pad`` columns wider on each side than the valid part,
     and those columns are left unset for the caller to fill. It goes to
     ``out`` when given; otherwise direct sums land straight in a new
     result, and the FFT path allocates it only after its spectrum is gone,
     which keeps its peak lower. A caller that correlates many blocks of
-    one length passes a cached call of ``_taps_spectra(weights, length)``
-    in ``spectrum``, which only the FFT path calls.
+    one length on the FFT path passes ``_taps_spectra(weights, length)``
+    in ``spectrum``, and a C-contiguous (signals, ``_fast_length(length)``)
+    buffer in ``inverse``, which may hold ``arr`` itself: the FFT path
+    inverse-transforms into it once ``arr`` is transformed.
     """
     w = weights.size
     length = arr.shape[1]
@@ -227,8 +240,8 @@ def _correlate_rows(
         np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
         return out
     product = np.fft.rfft(arr, _fast_length(length), axis=1)
-    product *= _taps_spectra(weights, length) if spectrum is None else spectrum()
-    valid = _valid_correlation(product, w, length)
+    product *= _taps_spectra(weights, length) if spectrum is None else spectrum
+    valid = _valid_correlation(product, w, length, inverse)
     del product
     if out is None:
         out = np.empty(shape)
@@ -247,16 +260,6 @@ def _fit_edges(out: np.ndarray, arr: np.ndarray, kernel: SgKernel) -> None:
     out[:, out.shape[1] - half :] = np.einsum("rc,pc->rp", tail, basis[half + 1 :])
 
 
-def _apply_stack(
-    arr: np.ndarray, kernel: SgKernel, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Filter each row of a C-contiguous (signals, length) stack, into
-    ``out`` when given."""
-    out = _correlate_rows(arr, kernel.coefficients, kernel.spec.half, out)
-    _fit_edges(out, arr, kernel)
-    return out
-
-
 def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
     """Smooth a 1-D vector.
 
@@ -268,7 +271,10 @@ def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
         _warn_degenerate("vector", v.size, spec)
         return v.copy()
     kernel = sg_design(spec)
-    return _apply_stack(np.ascontiguousarray(v[None, :]), kernel)[0]
+    row = np.ascontiguousarray(v[None, :])
+    out = _correlate_rows(row, kernel.coefficients, spec.half)
+    _fit_edges(out, row, kernel)
+    return out[0]
 
 
 def _window_from_fraction(length: int, order: int, fraction: float) -> int | None:
@@ -329,41 +335,38 @@ def _smooth_rows(
     fraction: float,
     what: str,
     stacklevel: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Unwrap and smooth every row with the window resolved for the row
-    length, into ``out``, by default a fresh C-contiguous array. Rows too
-    short for the window are copied unchanged, and warned of ``stacklevel``
-    frames up.
+    length, into ``out``, which may be ``rows`` itself, in any layout. Rows
+    too short for the window are copied unchanged, and warned of
+    ``stacklevel`` frames up.
 
-    ``out`` may be ``rows`` itself, in any layout: the rows are unwrapped
-    into scratch, a block at a time, before their output is written.
+    A block of rows at a time is copied into one reused buffer (a gather,
+    for the strided tracks of sg_time) and unwrapped there; its edges are
+    fitted and its correlation written into ``out``. For the FFT path the
+    buffer is ``_fast_length`` columns wide and takes the block's inverse
+    transform over its unwrapped rows, so the block's spectrum is its only
+    other scratch.
     """
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
     if resolved is None:
         _warn_degenerate(what, length, spec, stacklevel=stacklevel)
-        if out is None:
-            out = np.empty(rows.shape)
         out[...] = rows
         return out
     kernel = sg_design(resolved)
     blocks = _row_blocks(*rows.shape)
-    if len(blocks) == 1:
-        # One fresh C-contiguous array receives the unwrap, whatever the layout of rows.
-        return _apply_stack(_unwrap_axis(rows, out=np.empty(rows.shape)), kernel, out)
-    # Each block is copied into one reused buffer (a gather, for the strided
-    # tracks of sg_time), unwrapped there, then correlated and edge-fitted into the output.
-    if out is None:
-        out = np.empty(rows.shape)
-    unwrapped = np.empty((blocks[0].stop, length))
-    spectrum = functools.cache(functools.partial(_taps_spectra, kernel.coefficients, length))
+    fft = resolved.window >= _FFT_MIN_WINDOW
+    scratch = np.empty((blocks[0].stop, _fast_length(length) if fft else length))
+    spectrum = _taps_spectra(kernel.coefficients, length) if fft else None
     for block in blocks:
-        u = unwrapped[: block.stop - block.start]
+        inverse = scratch[: block.stop - block.start]
+        u = inverse[:, :length]
         u[...] = rows[block]
         _unwrap_axis(u, out=u)
-        _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum)
         _fit_edges(out[block], u, kernel)
+        _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum, inverse)
     return out
 
 
@@ -378,7 +381,9 @@ def sg_time(
 
     Each column is unwrapped, then filtered with a window derived from
     the number of symbols (fraction of S, rounded, forced odd, at least
-    3) unless an explicit :class:`SgSpec` is given.
+    3) unless an explicit :class:`SgSpec` is given. The tracks are
+    smoothed straight into an S x K array: the array of a handed-over
+    ``phase`` (``core._hand_over``), else a fresh one.
 
     Args:
         phase: matrix to smooth; must not already be rebuilt.
@@ -393,8 +398,8 @@ def sg_time(
     s = phase.symbols
     if s < 3:
         raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    tracks = _smooth_rows(phase.values.T, spec, order, fraction, "time axis", stacklevel=4)
-    out = np.ascontiguousarray(tracks.T)
+    out = _stage_output(phase)
+    _smooth_rows(phase.values.T, spec, order, fraction, "time axis", stacklevel=4, out=out.T)
     out.setflags(write=False)
     return PhaseMatrix(out, Stage.TIME_SMOOTHED)
 
@@ -415,18 +420,27 @@ def sg_freq(
     handed-over ``phase`` (``core._hand_over``) is smoothed in its own array.
     """
     _require_stage(phase, "sg_freq", *_SMOOTHABLE)
-    rows = _smooth_rows(phase.values, spec, order, fraction, "frequency axis", stacklevel=4,
-                        out=_handed_over(phase))
-    rows.setflags(write=False)
-    return PhaseMatrix(rows, phase.stage)
+    out = _stage_output(phase)
+    _smooth_rows(phase.values, spec, order, fraction, "frequency axis", stacklevel=4, out=out)
+    out.setflags(write=False)
+    return PhaseMatrix(out, phase.stage)
 
 
-def _unwrap_grid(values: np.ndarray) -> np.ndarray:
-    """Time-major (K x S, C-contiguous) copy of an S x K phase grid,
-    unwrapped down time and then across subcarriers, in place."""
-    x = np.array(values.T, order="C")
-    _unwrap_blocks(x, x)
-    return _unwrap_blocks(x, x, axis=0)
+def _unwrap_grid(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """An S x K phase grid unwrapped down time and then across
+    subcarriers, into ``out``, which may be ``values`` itself, a row block
+    at a time: each block of the strided tracks is gathered into one
+    reused buffer, unwrapped there and written back, then each block of
+    symbol rows is unwrapped in place."""
+    tracks = _row_blocks(*values.T.shape)
+    gathered = np.empty((tracks[0].stop, values.shape[0]))
+    for block in tracks:
+        u = gathered[: block.stop - block.start]
+        u[...] = values.T[block]
+        out.T[block] = _unwrap_axis(u, out=u)
+    for block in _row_blocks(*out.shape):
+        _unwrap_axis(out[block], out=out[block])
+    return out
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -467,7 +481,8 @@ def sg_2d(
     K, each as in the 1-D filters) and evaluated at the cell. Edge cells
     anchor the window inside the matrix and evaluate the fit at their own
     offset, mirroring the 1-D edge policy. Columns are unwrapped first,
-    then rows.
+    then rows. A handed-over ``phase`` (``core._hand_over``) is smoothed
+    in its own array.
 
     Args:
         phase: matrix to smooth; must not already be rebuilt.
@@ -484,8 +499,10 @@ def sg_2d(
     """
     _require_stage(phase, "sg_2d", *_SMOOTHABLE)
     if separable:
-        return sg_freq(sg_time(phase, spec, order=order, fraction=fraction),
-                       freq_spec, order=order, fraction=fraction)
+        # Only this call holds the time-smoothed matrix: sg_freq smooths in its array.
+        smoothed = sg_time(phase, spec, order=order, fraction=fraction)
+        _hand_over(smoothed)
+        return sg_freq(smoothed, freq_spec, order=order, fraction=fraction)
     s, k = phase.shape
     if s < 3:
         raise ValueError(f"2-D smoothing needs at least 3 symbols, got {s}")
@@ -494,7 +511,9 @@ def sg_2d(
     if row_spec is None or col_spec is None:
         failed = ("time axis", s, spec) if row_spec is None else ("frequency axis", k, freq_spec)
         _warn_degenerate(*failed)
-        return PhaseMatrix(phase.values, Stage.TIME_SMOOTHED)
+        values = phase.values
+        values.setflags(write=False)  # handed over or not, the result keeps it uncopied
+        return PhaseMatrix(values, Stage.TIME_SMOOTHED)
     if row_spec.order != col_spec.order:
         raise ValueError(
             f"time and frequency windows must share one polynomial order, "
@@ -503,15 +522,19 @@ def sg_2d(
 
     w_r, w_c = row_spec.window, col_spec.window
     l_r, l_c = row_spec.half, col_spec.half
-    # Time runs along the rows of x: one subcarrier track per row.
-    x = _unwrap_grid(phase.values)
+    # The grid is unwrapped and smoothed in one S x K array, the handed-over
+    # input's or a fresh one. Every cell is read before it is written: the
+    # fits of the four bands are kept until the end, and the interior cells
+    # of a track are written once every window that reads it is transformed.
+    x = _unwrap_grid(phase.values, _stage_output(phase))
     rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
     nc = k - w_c + 1
 
     # Edge cells evaluate the fit of the window anchored inside the grid at
     # their own offset. Top and bottom bands: windows over the first and
     # last w_r symbols, sliding across subcarriers, clamped at the corners.
-    ends = np.stack([x[:, :w_r], x[:, s - w_r :]])
+    # C order, as the einsum's sums run in the order of its operands' layout.
+    ends = np.array([x[:w_r].T, x[s - w_r :].T], order="C")
     coef = np.einsum("ekrb,trb->ekt", sliding_window_view(ends, w_c, axis=1), fit)
     del ends
     start = np.clip(np.arange(k) - l_c, 0, nc - 1)
@@ -519,58 +542,62 @@ def sg_2d(
 
     # Every other window sums time correlations of its w_c tracks with the
     # columns of some weights. Left and right bands: windows over the first
-    # and last w_c subcarriers, sliding down time; one spectrum per fit term.
-    n = _fast_length(s)
-    fit_spectra = _taps_spectra(fit.transpose(0, 2, 1), s)
-    sides = []
-    for end in (x[:w_c], x[k - w_c :]):
-        band = np.einsum("bf,tbf->tf", np.fft.rfft(end, n, axis=1), fit_spectra)
-        sides.append(_valid_correlation(band, w_r, s))
-    del fit_spectra, band, end  # end views x, which the one-block interior frees
-    left = np.einsum("tf,tc->fc", sides[0], rows[l_r, :, None] * cols[:l_c].T)
-    right = np.einsum("tf,tc->fc", sides[1], rows[l_r, :, None] * cols[l_c + 1 :].T)
-    del sides
+    # and last w_c subcarriers, sliding down time.
+    left = np.einsum("tf,tc->fc", _band_fits(x[:, :w_c].T, fit, s),
+                     rows[l_r, :, None] * cols[:l_c].T)
+    right = np.einsum("tf,tc->fc", _band_fits(x[:, k - w_c :].T, fit, s),
+                      rows[l_r, :, None] * cols[l_c + 1 :].T)
 
     # Interior: the fit evaluated at the window center, in blocks of output
-    # tracks, each spanning at least the w_c - 1 tracks its windows reach
-    # past it (its halo).
+    # tracks whose spectra, with those of the w_c - 1 tracks their windows
+    # reach past them (their halo), fill about one row block. The halo's
+    # spectra are moved down for the next block, so every track is
+    # transformed once; a block of at least l_c tracks moves at most two
+    # spectra per track. The output of a block goes to tracks it has
+    # transformed.
+    n = _fast_length(s)
     center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
+    center_spectra = _taps_spectra(center.T, s)
     halo = w_c - 1
-    blocks = _row_blocks(nc, s, min_rows=halo)
-    if len(blocks) == 1:
-        # x goes before the center spectra exist, which keeps the peak lower.
-        spectra = np.fft.rfft(x, n, axis=1)
-        del x
-        product = _interior_spectra(spectra, _taps_spectra(center.T, s))
-        del spectra
-        interior = _valid_correlation(product, w_r, s)
-    else:
-        # The spectra of a block's halo are kept for the next block, so
-        # every track is transformed once; the block's output tracks go
-        # into the rows of x it has already transformed.
-        center_spectra = _taps_spectra(center.T, s)
-        spectra = np.empty((blocks[0].stop + halo, n // 2 + 1), dtype=np.complex128)
-        np.fft.rfft(x[:halo], n, axis=1, out=spectra[:halo])
-        for block in blocks:
-            count = block.stop - block.start
-            np.fft.rfft(x[block.start + halo : block.stop + halo], n, axis=1,
-                        out=spectra[halo : halo + count])
-            product = _interior_spectra(spectra[: halo + count], center_spectra)
-            x[block, : s - w_r + 1] = _valid_correlation(product, w_r, s)
-            spectra[:halo] = spectra[count : count + halo]
-        interior = x[:nc, : s - w_r + 1]
-        del spectra, x, center_spectra
-    del product
+    blocks = _row_blocks(nc, s, _BLOCK - halo * s, min_rows=l_c)
+    spectra = np.empty((blocks[0].stop + halo, n // 2 + 1), dtype=np.complex128)
+    for block in blocks:
+        count = block.stop - block.start
+        held = halo if block.start else 0  # the first block transforms its halo too
+        np.fft.rfft(x[:, block.start + held : block.stop + halo].T, n, axis=1,
+                    out=spectra[held : halo + count])
+        product = _interior_spectra(spectra[: halo + count], center_spectra)
+        # No later block reads the spectra of this block's first tracks: the
+        # inverse transform goes over them.
+        inverse = spectra[:count].view(np.float64)[:, :n]
+        x[l_r : s - l_r, l_c + block.start : l_c + block.stop] = _valid_correlation(
+            product, w_r, s, inverse
+        ).T
+        del product
+        spectra[:halo] = spectra[count : count + halo]
+    del spectra, center_spectra
 
-    out = np.empty((s, k))
-    out[:l_r] = np.einsum("at,kt->ak", rows[:l_r], coef[0])
-    out[s - l_r :] = np.einsum("at,kt->ak", rows[l_r + 1 :], coef[1])
-    out[l_r : s - l_r, :l_c] = left
-    out[l_r : s - l_r, k - l_c :] = right
-    out[l_r : s - l_r, l_c : k - l_c] = interior.T
-    del interior, left, right
-    out.setflags(write=False)
-    return PhaseMatrix(out, Stage.TIME_SMOOTHED)
+    x[:l_r] = np.einsum("at,kt->ak", rows[:l_r], coef[0])
+    x[s - l_r :] = np.einsum("at,kt->ak", rows[l_r + 1 :], coef[1])
+    x[l_r : s - l_r, :l_c] = left
+    x[l_r : s - l_r, k - l_c :] = right
+    x.setflags(write=False)
+    return PhaseMatrix(x, Stage.TIME_SMOOTHED)
+
+
+def _band_fits(tracks: np.ndarray, fit: np.ndarray, s: int) -> np.ndarray:
+    """Fit coefficients of every window over the w_c ``tracks`` sliding
+    down time: row t holds term t's, one per window position. The weight
+    spectra of as many fit terms as fill about one row block exist at a
+    time."""
+    n = _fast_length(s)
+    spectra = np.fft.rfft(tracks, n, axis=1)
+    band = np.empty((fit.shape[0], n // 2 + 1), dtype=np.complex128)
+    for terms in _row_blocks(fit.shape[0], fit.shape[2] * s):
+        band[terms] = np.einsum("bf,tbf->tf", spectra,
+                                _taps_spectra(fit[terms].transpose(0, 2, 1), s))
+    del spectra
+    return _valid_correlation(band, fit.shape[1], s)
 
 
 def _interior_spectra(spectra: np.ndarray, center_spectra: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, _freeze, _require_stage
+from .core import PhaseMatrix, Stage, _check_gaps, _freeze, _require_stage, _row_blocks
 from .tsfr import TsfrReport, _unwrapped_gap_stats
 
 __all__ = ["Histogram", "DsSeries", "diff_histogram", "ds_series", "exceedance_profile"]
@@ -73,20 +73,33 @@ def diff_histogram(phase: PhaseMatrix, bins: int = 101) -> Histogram:
     deviations (a unit span when the spread is zero); differences
     beyond the span land in the outermost bins, so the counts always
     sum to S*(K-1). The overlay Gaussian is fitted by sample moments.
+    A difference beyond the float range raises ``ValueError`` naming its
+    row and columns.
     """
     _require_stage(phase, "diff_histogram", *_CALIBRATED)
     if bins < 1:
         raise ValueError(f"need at least 1 bin, got {bins}")
-    diffs = np.diff(phase.values, axis=1).ravel()
+    values = phase.values
+    gaps = np.diff(values, axis=1)
+    diffs = gaps.ravel()
     mean = float(diffs.mean())
-    std = float(diffs.std())
+    if not np.isfinite(mean):
+        # A non-finite difference makes the sum non-finite: find it.
+        _check_gaps(gaps, "taking")
+    # diffs.std() to the bit, sqrt(mean(|x - mean|^2)) over numpy's pairwise
+    # sums, with the deviations formed in the difference buffer itself.
+    deviations = np.subtract(diffs, np.add.reduce(diffs, keepdims=True) / diffs.size, out=diffs)
+    std = float(np.sqrt(np.add.reduce(np.square(deviations, out=deviations)) / diffs.size))
+    del gaps, diffs, deviations
     half_span = 4 * std if std > 0 else 0.5
     edges = np.linspace(mean - half_span, mean + half_span, bins + 1)
-    # Binned in the one index buffer: no second S*(K-1) index array exists.
-    idx = np.searchsorted(edges, diffs, side="right")
-    idx -= 1
-    np.clip(idx, 0, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins)
+    # Binned a row block at a time: no S*(K-1) index array exists.
+    counts = np.zeros(bins, dtype=np.int64)
+    for block in _row_blocks(*phase.shape):
+        idx = np.searchsorted(edges, np.diff(values[block], axis=1).ravel(), side="right")
+        idx -= 1
+        np.clip(idx, 0, bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=bins)
     return Histogram(bin_edges=edges, counts=counts, fitted_mean=mean, fitted_std=std)
 
 

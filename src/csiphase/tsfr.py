@@ -24,14 +24,13 @@ output plus at most one S x K temporary; see :mod:`csiphase.core`) with
 one S x K phase array: the one the calibration has just written, a fresh
 one or the raw phase's own when that was handed over. The subcarrier
 tracks are smoothed over it, and the rebuild then takes one row block
-of symbols at a time (see ``core._row_blocks``) into a
-time-major (K x rows) copy. There the whole block is unwrapped across
-subcarriers and its clamps are marked, one call each, and it is walked
-and written back. The block's clamp masks give its rows of the S x K
-exceedance marks and its clamp counts, so beyond a few blocks of scratch
-no K x S mask, transposed copy or second phase array exists. Every
-array handed to a container is one just allocated, marked read-only, so
-the container keeps it uncopied.
+of symbols at a time (see ``core._row_blocks``): every block is
+unwrapped across subcarriers in one call, then each block's clamps are
+marked and it is walked, all in place. The block's clamp masks give its
+rows of the S x K exceedance marks and its clamp counts, so beyond a
+few blocks of scratch no K x S mask, transposed copy or second phase
+array exists. Every array handed to a container is one just allocated,
+marked read-only, so the container keeps it uncopied.
 
 :func:`process` bundles every calibration route in this package behind
 one entry point and always hands the untouched amplitude back to the
@@ -175,13 +174,13 @@ def gap_stats(row: np.ndarray) -> GapThreshold:
 def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
     """Rebuild every symbol against its own threshold, in place.
 
-    ``tracks`` is the time-major (K x S, C-contiguous, writable) layout:
-    row k holds subcarrier k of every symbol, so each step of the walk
-    reads and writes contiguous memory. The walk overwrites ``tracks``,
-    keeping the previous source row in a one-row buffer. Callers hand it
-    at most one ``_row_blocks`` block of symbols (``tsfr`` its row blocks,
-    :func:`rebuild_symbol` one K x 1 track), so the gap buffer of its
-    clamp masks stays at one block.
+    ``tracks`` is a writable time-major (K x S) view, in any layout: row k
+    holds subcarrier k of every symbol. ``tsfr`` hands it the transpose of
+    a row block of its S x K phase, so the block is walked where it lies;
+    :func:`rebuild_symbol` one K x 1 track. The walk overwrites
+    ``tracks``, keeping the previous source row in a one-row buffer, and
+    the gaps are taken a quarter of the subcarriers at a time, so beyond
+    the clamp masks of the block no scratch of its size exists.
 
     Vectorized across symbols, sequential across subcarriers; each
     elementwise update evaluates the same IEEE expressions as a scalar
@@ -200,18 +199,28 @@ def _rebuild_rows(tracks: np.ndarray, d: np.ndarray):
     k_count = tracks.shape[0]
     low = np.zeros(tracks.shape, dtype=bool)
     high = np.zeros(tracks.shape, dtype=bool)
-    eps = tracks[1:] - tracks[:-1]
-    np.less(eps, -d, out=low[1:])
-    np.greater(eps, d, out=high[1:])
-    del eps
-    clamped = np.flatnonzero((low | high).any(axis=1))
+    below = -d
+    # The gaps of a quarter of the subcarriers at a time: their buffer takes
+    # the bytes of the two masks.
+    step = max(1, k_count // 4)
+    gaps = np.empty((step, tracks.shape[1]))
+    for k in range(1, k_count, step):
+        stop = min(k + step, k_count)
+        np.subtract(tracks[k:stop], tracks[k - 1 : stop - 1], out=gaps[: stop - k])
+        np.less(gaps[: stop - k], below, out=low[k:stop])
+        np.greater(gaps[: stop - k], d, out=high[k:stop])
+    gap = gaps[0]
+    clamped = np.flatnonzero(low.any(axis=1) | high.any(axis=1))
     first = int(clamped[0]) if clamped.size else k_count
     src_prev = tracks[first - 1].copy()
     for k in range(first, k_count):
-        prev = tracks[k - 1]
-        carried = tracks[k] - (src_prev - prev)
-        src_prev[:] = tracks[k]
-        tracks[k] = np.where(low[k], prev - d, np.where(high[k], prev + d, carried))
+        prev, out = tracks[k - 1], tracks[k]
+        # out_k = phi_k - (phi_{k-1} - out_{k-1}), or out_{k-1} -/+ d where clamped.
+        np.subtract(src_prev, prev, out=gap)
+        src_prev[...] = out
+        np.subtract(out, gap, out=out)
+        np.subtract(prev, d, out=out, where=low[k])
+        np.add(prev, d, out=out, where=high[k])
     return low, high
 
 
@@ -258,28 +267,23 @@ def tsfr(
     # Nothing else holds the calibrated matrix: the chain runs in its array.
     phi = _hand_over(calibrated)
     del calibrated
-    # sg_time's smoothing of the subcarrier tracks, written over them. A matrix
-    # of one block is smoothed into a fresh time-major array instead: it is
-    # then the copy its one block of symbols is walked in, which spares two
-    # transposed copies of the block.
+    # sg_time's smoothing of the subcarrier tracks, written over them.
+    _smooth_rows(phi.T, None, order, fraction, "time axis", stacklevel=4, out=phi.T)
+    # Each block of symbols is unwrapped across subcarriers, then walked, in
+    # place; the gap buffer of the unwraps is gone before the marks exist.
     blocks = _row_blocks(s, k)
-    smoothed = _smooth_rows(phi.T, None, order, fraction, "time axis", stacklevel=4,
-                            out=phi.T if len(blocks) > 1 else None)
+    for rows in blocks:
+        _unwrap_axis(phi[rows], out=phi[rows], first_row=rows.start)
     exceed = np.empty((s, k), dtype=bool)
     down = np.empty(s, dtype=np.int64)
     up = np.empty(s, dtype=np.int64)
     for rows in blocks:
-        # Each block of symbols is unwrapped across subcarriers and walked in
-        # a time-major copy, then written back.
-        tracks = np.ascontiguousarray(smoothed[:, rows])
-        _unwrap_axis(tracks.T, out=tracks.T)
-        low, high = _rebuild_rows(tracks, d[rows])
-        phi[rows] = tracks.T
-        exceed[rows] = (low | high).T
+        low, high = _rebuild_rows(phi[rows].T, d[rows])
+        np.logical_or(low.T, high.T, out=exceed[rows])
         # The masks are disjoint, so the two counts sum to the marks per symbol.
         low.sum(axis=0, out=down[rows])
         high.sum(axis=0, out=up[rows])
-        del tracks, low, high  # before the next block's are made
+        del low, high  # before the next block's are made
     modified = (down + up) / (k - 1)
     # Just allocated here: read-only hands them to the containers uncopied.
     for handed in (phi, exceed, modified, down, up):
@@ -322,8 +326,9 @@ def process(
     alone holds the raw phase, so the calibration (``lt``, ``lrr``, and
     the ``lrr`` inside ``tsfr``) runs in that array instead of a fresh
     one. A matrix or pair the caller holds is never written: its phase is
-    calibrated into a fresh array. Either way ``lrr+sgfreq`` then smooths
-    in the calibrated array, and every output byte is the same.
+    calibrated into a fresh array. Either way the smoother of
+    ``lrr+sgfreq``, ``lrr+sgtime`` and ``lrr+sg2d`` then runs in the
+    calibrated array, and every output byte is the same.
 
     Args:
         csi: complex CSI matrix; its decomposed ``(amplitude, phase)``
@@ -380,17 +385,18 @@ def process(
         out_phase = lt_calibrate(raw, smap if smap is not None else SubcarrierMap.contiguous(raw.subcarriers))
     elif method == "lrr":
         out_phase = lrr_calibrate(raw, x)
-    elif method == "lrr+sgfreq":
-        # Only this call holds the calibrated matrix: sg_freq smooths in its array.
+    elif method != "tsfr":
+        # Only this call holds the calibrated matrix: the smoother runs in its array.
         calibrated = lrr_calibrate(raw, x)
         _hand_over(calibrated)
-        out_phase = sg_freq(calibrated, order=sg_order, fraction=sg_fraction)
-    elif method == "lrr+sgtime":
-        out_phase = sg_time(lrr_calibrate(raw, x), order=sg_order, fraction=sg_fraction)
-    elif method == "lrr+sg2d":
-        out_phase = sg_2d(
-            lrr_calibrate(raw, x), order=sg_order, fraction=sg_fraction, separable=separable
-        )
+        if method == "lrr+sgfreq":
+            out_phase = sg_freq(calibrated, order=sg_order, fraction=sg_fraction)
+        elif method == "lrr+sgtime":
+            out_phase = sg_time(calibrated, order=sg_order, fraction=sg_fraction)
+        else:
+            out_phase = sg_2d(
+                calibrated, order=sg_order, fraction=sg_fraction, separable=separable
+            )
     else:
         out_phase, report = tsfr(raw, order=sg_order, fraction=sg_fraction, abscissa=x)
 

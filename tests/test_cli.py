@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 from csiphase.cli import _write_report, main
 from csiphase.core import CsiMatrix, PhaseMatrix, Stage
 from csiphase.io import read_csif, write_csif
-from csiphase.tsfr import ProcessResult, TsfrReport
+from csiphase.tsfr import TsfrReport
 
 
 def run(capsys, *argv):
@@ -441,7 +442,9 @@ def test_report_writer_matches_the_line_by_line_reference(tmp_path, symbols):
     args = SimpleNamespace(method="tsfr", sg_order=3, sg_frac=0.1, abscissa="physical",
                            separable=True)
     path = tmp_path / "report.txt"
-    _write_report(str(path), args, ProcessResult(output=None, report=report), (symbols, 52))
+    columns = (report.mu, report.sigma, report.d,
+               report.clamped_down, report.clamped_up, report.modified_fraction)
+    _write_report(str(path), args, columns, (symbols, 52))
     assert path.read_text() == reference_report_text(args, report, (symbols, 52))
 
 
@@ -507,20 +510,50 @@ def test_stats_diffhist_accepts_real_phase_exports(tmp_path, capsys):
     assert sum(int(line.split(",")[2]) for line in lines[3:]) == 20 * 9
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_stats_ds_of_a_gap_beyond_the_float_range_is_a_data_error(tmp_path, capsys):
-    # A real payload is taken as calibrated phase; a finite pair of samples
-    # whose gap overflows used to give a table of infinite thresholds.
+def overflowing_phase(tmp_path):
+    """A real 3x4 payload, taken as calibrated phase, whose row 1 holds a
+    finite pair of samples with a gap beyond the float range."""
     values = np.zeros((3, 4))
     values[1, 1:3] = [-1e308, 1e308]
     phase_file = tmp_path / "phase.csif"
     write_csif(phase_file, values)
+    return phase_file
+
+
+def test_stats_ds_of_a_gap_beyond_the_float_range_is_a_data_error(tmp_path, capsys):
+    # The gap used to give a table of infinite thresholds.
+    phase_file = overflowing_phase(tmp_path)
     code, _, err = run(capsys, "stats", "ds", "-i", str(phase_file), "-o", str(tmp_path / "ds.csv"))
     assert code == 4
     assert err == (
         "error: unwrapping the gap between columns 1 and 2 of row 1 (0-based) overflows the "
         "float range\n"
     )
+
+
+def test_stats_diffhist_names_a_gap_beyond_the_float_range(tmp_path, capsys):
+    # It used to blame its own bins: "bin edges must be strictly increasing".
+    phase_file = overflowing_phase(tmp_path)
+    code, _, err = run(capsys, "stats", "diffhist", "-i", str(phase_file),
+                       "-o", str(tmp_path / "hist.csv"))
+    assert code == 4
+    assert err == (
+        "error: taking the gap between columns 1 and 2 of row 1 (0-based) overflows the "
+        "float range\n"
+    )
+
+
+@pytest.mark.parametrize("table", ["ds", "diffhist"])
+def test_an_overflowing_gap_raises_no_numpy_warning(tmp_path, capsys, table):
+    # The error line is all the CLI prints: numpy's RuntimeWarning used to
+    # reach stderr before it.
+    phase_file = overflowing_phase(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "stats", table, "-i", str(phase_file),
+                           "-o", str(tmp_path / "out.csv"))
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_stats_ds_with_labels(tmp_path, capsys):

@@ -433,6 +433,29 @@ def test_reader_is_read_csif_then_decompose_bit_for_bit(case):
         assert phase.stage is Stage.RAW
 
 
+def test_reader_phase_alone_is_the_phase_of_read_bit_for_bit(tmp_path, monkeypatch):
+    # Over several row blocks, from a file and from a pipe: a -0.0 imaginary
+    # part on both sides of the real axis (an angle of -pi, folded onto +pi,
+    # and one of -0.0), exact zero cells of every sign, and drawn cells.
+    monkeypatch.setattr(core, "_BLOCK", 2 * 6)
+    values = drawn_values(np.random.default_rng(4), 9, 6)
+    values[0, :4] = [complex(-1.0, -0.0), complex(2.0, -0.0), complex(0.0, -0.0),
+                     complex(-0.0, 0.0)]
+    values[8, 5] = complex(-0.0, -0.0)
+    path = tmp_path / "cap.csif"
+    write_csif(path, CsiMatrix(values))
+    want = reader_read(path)[1].values
+    assert want[0, :4].tobytes() == np.array([np.pi, -0.0, 0.0, 0.0]).tobytes()
+    with CsifReader(path) as reader:
+        got = reader._phase()
+    with piped(path.read_bytes()) as pipe:
+        with CsifReader(pipe) as reader:
+            got_piped = reader._phase()
+    for phase in (got, got_piped):
+        assert phase.stage is Stage.RAW and not phase.values.flags.writeable
+        assert phase.values.tobytes() == want.tobytes()
+
+
 @st.composite
 def zero_cell_cases(draw):
     """A small shape, a kind per cell (0 zero, 1 on the real axis, 2 on the

@@ -514,10 +514,12 @@ def test_sg_2d_unwrap_matches_the_transposed_path_bitwise():
         grid = grid.copy()
         grid[rng.random(grid.shape) < 0.2] = -0.0
         grid[0, 0] = -0.0
-        got = _unwrap_grid(PhaseMatrix(grid).values)
         want = transposed_unwrap_grid(grid)
-        assert got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        got = _unwrap_grid(PhaseMatrix(grid).values, np.empty(grid.shape))
+        in_place = grid.copy()
+        assert _unwrap_grid(in_place, in_place) is in_place
+        for unwrapped in (got, in_place):
+            assert unwrapped.T.tobytes(order="C") == want.tobytes()
 
 
 def test_sg_2d_rejects_mismatched_orders():

@@ -94,16 +94,21 @@ STAGES = {
     # The fits are made a block of rows at a time, in the unwrapped buffer.
     "lrr_calibrate": (1.3, lambda x: lrr_calibrate(x["raw"])),  # was 3.13, then 2.15
     # The row-block passes hold no S x K spectrum, inverse transform or gap
-    # buffer: their scratch is a few blocks of core._BLOCK cells.
-    "sg_time": (2.25, lambda x: sg_time(x["calibrated"])),  # was 3.01
+    # buffer: their scratch is a few blocks of core._BLOCK cells. sg_time
+    # smooths its tracks straight into the S x K output, and sg_2d unwraps,
+    # fits and writes in it, holding the weight spectra of a row block of fit
+    # terms at a time.
+    "sg_time": (1.3, lambda x: sg_time(x["calibrated"])),  # was 3.01, then 2.00
     "sg_freq": (1.6, lambda x: sg_freq(x["calibrated"])),  # was 2.10
-    "sg_2d": (2.3, lambda x: sg_2d(x["calibrated"])),  # was 3.04
+    "sg_2d": (1.4, lambda x: sg_2d(x["calibrated"])),  # was 3.04, then 2.13
     "ds_series": (0.5, lambda x: ds_series(x["calibrated"])),  # was 2.04
-    # The differences plus one index buffer, clipped in place.
-    "diff_histogram": (2.1, lambda x: diff_histogram(x["calibrated"])),  # was 2.94
+    # The differences, whose deviations are formed in their own buffer; the
+    # bin indices of one row block at a time.
+    "diff_histogram": (1.05, lambda x: diff_histogram(x["calibrated"])),  # was 2.94, then 1.96
     # The chain smooths, unwraps and rebuilds in the array its calibration
-    # allocates; the walk runs in a time-major copy of one row block at a time.
-    "tsfr": (1.6, lambda x: tsfr(x["raw"])),  # was 4.06, then 2.62, then 2.55
+    # allocates; the walk runs in place, one row block at a time, and the
+    # containers check their cells a row block at a time.
+    "tsfr": (1.36, lambda x: tsfr(x["raw"])),  # was 4.06, then 2.62, then 2.55, then 1.52
     # The caller's pair is not written: the calibration allocates the one
     # S x K array, and sg_freq smooths its rows in it.
     "process lrr+sgfreq of a decomposed pair": (
@@ -129,6 +134,8 @@ STAGES = {
     # Each row block is split into the two outputs as it is read, into one
     # reused block of scratch: the complex payload never exists whole.
     "read and decompose a CSIF file": (2.35, lambda x: read_decomposed(x["csif"])),  # was 4.25
+    # Each block's amplitude goes to a block of scratch.
+    "read the phase alone of a CSIF file": (1.45, lambda x: read_phase(x["csif"])),
     # Zero cells are where the amplitude is zero, so a capture whose cells
     # are all zero decomposes in the working set of any other.
     "decompose of a read matrix whose cells are all zero": (
@@ -145,6 +152,11 @@ def read_decomposed(path):
         return reader.read()
 
 
+def read_phase(path):
+    with CsifReader(path) as reader:
+        return reader._phase()
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_stage_working_set_of_a_long_capture(inputs, stage):
     bound, call = STAGES[stage]
@@ -156,7 +168,8 @@ def test_tsfr_rebuild_and_report_hand_over_what_they_allocate(inputs, monkeypatc
     # phase, the peak is that of the calibration, the rebuild and the report:
     # one S x K phase, the exceedance marks and a row block of scratch. A
     # transposed copy of the phase or of the marks, or a container that copies
-    # what the chain just made, pushes it past the bound (was 2.60, then 2.4).
+    # what the chain just made, pushes it past the bound (was 2.60, then 2.4,
+    # then 1.55).
     tracks = inputs["tracks"]
 
     def smooth_in_place(rows, *_, out, **__):
@@ -166,7 +179,7 @@ def test_tsfr_rebuild_and_report_hand_over_what_they_allocate(inputs, monkeypatc
     # The package exports the function tsfr under its module's name.
     module = importlib.import_module("csiphase.tsfr")
     monkeypatch.setattr(module, "_smooth_rows", smooth_in_place)
-    assert arrays_at_peak(lambda: tsfr(inputs["raw"])) <= 1.55
+    assert arrays_at_peak(lambda: tsfr(inputs["raw"])) <= 1.36
 
 
 @pytest.fixture(scope="module")
@@ -193,24 +206,25 @@ def test_process_verify_amplitude_sets_no_peak_of_its_own(capture):
     plain = cli_arrays_at_peak(argv)
     checked = cli_arrays_at_peak(argv + ["--verify-amplitude"])
     assert checked <= plain + 0.05
-    assert checked <= 2.6  # was 8.08, then 6.43, then 4.5, then 3.75
+    assert checked <= 2.37  # was 8.08, then 6.43, then 4.5, then 3.75, then 2.53
 
 
 # CLI process with --report: process reads the input itself, so the phase
-# array it read is the one the calibration runs in. The peak is that array
-# and the amplitude, plus what the method adds: nothing for the row-local
-# methods, whose report is written a row block of symbols at a time; the
-# smoother's tracks and their copy for lrr+sgtime and lrr+sg2d; the
-# exceedance marks for tsfr, whose amplitude check keeps only the output
-# amplitude. Bounds sit just above the measured peaks (old ones at the right).
+# array it read is the one every method runs in. The peak is that array and
+# the amplitude, plus a few row blocks of scratch: the read's for the methods
+# that smooth in the calibrated array's rows or tracks; sg_2d's band and
+# interior spectra; for tsfr its gap statistics, as the exceedance marks are
+# dropped before the output is written and the report is written a symbol at
+# a time. Its amplitude check keeps only the output amplitude. Bounds sit just above the measured
+# peaks (old ones at the right).
 CLI_PROCESS = {
     "raw": 2.35,  # 2.28, unchanged: nothing is calibrated
     "lt": 2.35,  # was 3.17
     "lrr": 2.35,  # was 3.18
     "lrr+sgfreq": 2.35,  # was 4.29
-    "lrr+sgtime": 4.25,  # was 5.13
-    "lrr+sg2d": 4.25,  # was 5.14
-    "tsfr": 2.6,  # was 3.61, with --verify-amplitude
+    "lrr+sgtime": 2.35,  # was 5.13, then 4.14
+    "lrr+sg2d": 2.45,  # was 5.14, then 4.14
+    "tsfr": 2.37,  # was 3.61, then 2.53, with --verify-amplitude
 }
 
 
@@ -224,18 +238,25 @@ def test_process_runs_each_method_in_the_phase_array_it_read(capture, method):
 
 
 def test_stats_ds_holds_no_complex_input(capture):
-    # The amplitude is dropped as soon as the input is read, so the peak is
-    # that of the read: the phase and the amplitude, plus one scratch block.
+    # The phase is read alone, each block's amplitude in scratch, and
+    # calibrated in its own array: the phase plus a few blocks is the peak.
     argv = ["stats", "ds", "-i", f"{capture}.meas.csif", "-o", f"{capture}.ds.csv"]
-    assert cli_arrays_at_peak(argv) <= 2.4  # was 4.26
+    assert cli_arrays_at_peak(argv) <= 1.5  # was 4.26, then 2.28
 
 
 def test_stats_exceed_holds_one_phase_array(capture):
-    # The amplitude is dropped as the input is read, and tsfr runs in the
-    # phase array read: the read itself, the phase and the amplitude plus
-    # one scratch block, sets the peak.
+    # The phase is read alone and tsfr runs in it: the phase, the
+    # exceedance marks and a few blocks of scratch.
     argv = ["stats", "exceed", "-i", f"{capture}.meas.csif", "-o", f"{capture}.exceed.csv"]
-    assert cli_arrays_at_peak(argv) <= 2.35  # was 3.43, then 2.6
+    assert cli_arrays_at_peak(argv) <= 1.5  # was 3.43, then 2.6, then 2.28
+
+
+def test_stats_diffhist_holds_one_phase_array_and_its_gaps(capture):
+    # The phase is read alone and calibrated in its own array; the histogram
+    # adds the S x (K - 1) differences, in which their deviations are formed,
+    # and bins a row block at a time.
+    argv = ["stats", "diffhist", "-i", f"{capture}.meas.csif", "-o", f"{capture}.hist.csv"]
+    assert cli_arrays_at_peak(argv) <= 2.1  # was 2.97
 
 
 def synth_argv(base, symbols):

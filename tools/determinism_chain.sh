@@ -25,8 +25,9 @@
 # three row blocks. A 40000x8 capture runs one track per smoothing block,
 # as every capture longer than 32768 symbols does, through tsfr and
 # lrr+sgtime. The input is opened once, and process reads it itself for
-# every method, so each of the seven methods and stats exceed read a
-# capture piped into /dev/stdin as they read its file, to the byte.
+# every method, so each of the seven methods and every stats table (ds,
+# with and without labels, exceed and diffhist) read a capture piped into
+# /dev/stdin as they read its file, to the byte.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
 # and its parent, say) are compared by running the script in each and
@@ -73,6 +74,12 @@ for run in a b c; do
   done
   csiphase stats diffhist -i "$out/clean.csif" -o "$out/diffhist.csv"
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds_labels.csv" --labels "$det/labels.txt"
+  cat "$out/clean.csif" | csiphase stats ds -i /dev/stdin -o "$out/ds.pipe.csv"
+  cat "$out/clean.csif" | csiphase stats ds -i /dev/stdin -o "$out/ds_labels.pipe.csv" --labels "$det/labels.txt"
+  cat "$out/clean.csif" | csiphase stats diffhist -i /dev/stdin -o "$out/diffhist.pipe.csv"
+  for table in ds ds_labels diffhist; do
+    cmp "$out/$table.pipe.csv" "$out/$table.csv"
+  done
   csiphase synth --spec "$det/scene.txt" --symbols 500 --seed 3 -o "$out/scene"
   csiphase synth --spec "$det/scene.txt" --symbols 2521 --seed 5 -o "$out/scene2521"
   csiphase synth --symbols 1000 --subcarriers 52 --seed 13 -o "$out/one"
