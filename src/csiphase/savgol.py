@@ -17,22 +17,23 @@ fraction (0.1) of the filtered dimension, rounded and forced odd.
 The 1-D passes run on one row-correlation engine. Windows shorter than
 ``_FFT_MIN_WINDOW`` are correlated by direct sliding-window sums; longer
 ones by real FFT, so a window that grows with S costs O(S log S) per
-track instead of O(S^2). The choice depends on the window alone, which
-keeps ``sg_freq`` and the transposed ``sg_time`` on the same path. Every
-FFT correlation, ``sg_2d``'s too, transforms the tracks and the reversed
-taps at ``_fast_length(S)`` and keeps samples w - 1 to S - 1 of the
-inverse transform of their product (``_taps_spectra``,
-``_valid_correlation``). ``sg_2d`` makes no per-offset engine calls: one
-real FFT of every subcarrier track down time serves its interior, and
-one of its first and last w_c tracks its left and right bands, each a
-sum over subcarrier offsets taken in the frequency domain. Edge points
-need only the fit coefficients of their anchored window: order+1 per
-track end in 1-D, (order+1)(order+2)/2 per window along the four bands
-of ``sg_2d`` (one einsum for the top and bottom, the weight spectra of
-a row block of fit terms at a time for the left and right). No w x w or
-(w_r*w_c)^2 projection matrix is built and no loop runs over cells.
-Designs are cached per order and window(s), and their arrays are
-read-only.
+track instead of O(S^2). The choice (``_kernel_spectrum``) depends on the
+window alone, which keeps ``sg_freq`` and the transposed ``sg_time`` on
+the same path. Every FFT correlation, ``sg_2d``'s too, transforms the
+tracks and the reversed taps at ``_fast_length(S)`` and keeps samples
+w - 1 to S - 1 of the inverse transform of their product
+(``_taps_spectra``, ``_valid_correlation``). ``sg_2d`` makes no
+per-offset engine calls: one real FFT of every subcarrier track down
+time serves its interior, and one of its first and last w_c tracks its
+left and right bands, each a sum over subcarrier offsets taken in the
+frequency domain. Edge points need only the fit coefficients of their
+anchored window: order+1 per track end in 1-D, (order+1)(order+2)/2 per
+window along the top and bottom bands of ``sg_2d`` (one einsum), and
+order+1 per window along its left and right bands, whose cells sit where
+every other term vanishes (the weight spectra of a row block of those
+terms at a time, made once for both bands). No w x w or (w_r*w_c)^2
+projection matrix is built and no loop runs over cells. Designs are
+cached per order and window(s), and their arrays are read-only.
 
 An axis shorter than its window (an explicit ``SgSpec``, or any window
 its fraction gives) passes through unchanged, copied into the output in
@@ -48,17 +49,18 @@ blocks whatever S is:
   symbols for ``sg_freq``) into one reused buffer, and correlate and
   edge-fit it straight into the output; the FFT path inverse-transforms
   into that buffer, so no S x K spectrum or inverse transform exists.
-* ``sg_2d`` unwraps its grid in the output array and keeps the fits of
-  its four bands, then runs its interior over blocks of output tracks. A
-  block's windows reach w_c - 1 tracks past it; the spectra of that halo
-  are kept for the next block, so every track is transformed once, and
-  each block's output goes into tracks of the grid it has already
-  transformed.
+* ``sg_2d`` unwraps its grid in the output array, a block of symbol rows
+  at a time, writes its left band there and keeps the fits of its other
+  three; then it runs its interior over blocks of output tracks whose
+  spectra and products fill about two row blocks. A block's windows
+  reach w_c - 1 tracks past it; the spectra of that halo are kept for
+  the next block, so every track is transformed once, and each block's
+  output goes into tracks of the grid it has already transformed.
 
-A matrix of at most ``_BLOCK`` cells runs as one block, through the calls
-of an unblocked pass. Every step is local to one row or one track and
-sums by einsum or ufunc, never by a BLAS call, so no bit depends on the
-block size or on the BLAS thread count.
+A matrix of at most ``_BLOCK`` cells is one block of the same pass.
+Every step is local to one row or one track and sums by einsum or ufunc,
+never by a BLAS call, so no bit depends on the block size or on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -70,11 +72,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import core
 from .core import (
-    _BLOCK,
+    _TWO_PI,
     PhaseMatrix,
     Stage,
     _as_row,
+    _check_gaps,
     _freeze,
     _hand_over,
     _require_stage,
@@ -208,6 +212,13 @@ def _valid_correlation(
     return np.fft.irfft(product, _fast_length(length), axis=-1, out=out)[..., w - 1 : length]
 
 
+def _kernel_spectrum(weights: np.ndarray, length: int) -> np.ndarray | None:
+    """``_taps_spectra`` of a kernel that correlates tracks of ``length`` by
+    FFT, or None for one shorter than ``_FFT_MIN_WINDOW``, which correlates
+    them by direct sums: the one place the path is chosen."""
+    return _taps_spectra(weights, length) if weights.size >= _FFT_MIN_WINDOW else None
+
+
 def _correlate_rows(
     arr: np.ndarray,
     weights: np.ndarray,
@@ -224,23 +235,26 @@ def _correlate_rows(
     and those columns are left unset for the caller to fill. It goes to
     ``out`` when given; otherwise direct sums land straight in a new
     result, and the FFT path allocates it only after its spectrum is gone,
-    which keeps its peak lower. A caller that correlates many blocks of
-    one length on the FFT path passes ``_taps_spectra(weights, length)``
-    in ``spectrum``, and a C-contiguous (signals, ``_fast_length(length)``)
-    buffer in ``inverse``, which may hold ``arr`` itself: the FFT path
+    which keeps its peak lower. The path is the one ``_kernel_spectrum``
+    chooses. A caller that correlates many blocks of one length passes
+    ``_kernel_spectrum(weights, length)`` in ``spectrum``, and on the FFT
+    path a C-contiguous (signals, ``_fast_length(length)``) buffer in
+    ``inverse``, which may hold ``arr`` itself: the FFT path
     inverse-transforms into it once ``arr`` is transformed.
     """
     w = weights.size
     length = arr.shape[1]
     shape = (arr.shape[0], length - w + 1 + 2 * pad)
-    if w < _FFT_MIN_WINDOW:
+    if spectrum is None:
+        spectrum = _kernel_spectrum(weights, length)
+    if spectrum is None:
         if out is None:
             out = np.empty(shape)
         # The window view's strides keep numpy off BLAS: each sum runs in order.
         np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
         return out
     product = np.fft.rfft(arr, _fast_length(length), axis=1)
-    product *= _taps_spectra(weights, length) if spectrum is None else spectrum
+    product *= spectrum
     valid = _valid_correlation(product, w, length, inverse)
     del product
     if out is None:
@@ -357,14 +371,13 @@ def _smooth_rows(
         return out
     kernel = sg_design(resolved)
     blocks = _row_blocks(*rows.shape)
-    fft = resolved.window >= _FFT_MIN_WINDOW
-    scratch = np.empty((blocks[0].stop, _fast_length(length) if fft else length))
-    spectrum = _taps_spectra(kernel.coefficients, length) if fft else None
+    spectrum = _kernel_spectrum(kernel.coefficients, length)
+    scratch = np.empty((blocks[0].stop, length if spectrum is None else _fast_length(length)))
     for block in blocks:
         inverse = scratch[: block.stop - block.start]
         u = inverse[:, :length]
         u[...] = rows[block]
-        _unwrap_axis(u, out=u)
+        _unwrap_axis(u, out=u, first_row=block.start)
         _fit_edges(out[block], u, kernel)
         _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum, inverse)
     return out
@@ -428,18 +441,45 @@ def sg_freq(
 
 def _unwrap_grid(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """An S x K phase grid unwrapped down time and then across
-    subcarriers, into ``out``, which may be ``values`` itself, a row block
-    at a time: each block of the strided tracks is gathered into one
-    reused buffer, unwrapped there and written back, then each block of
-    symbol rows is unwrapped in place."""
-    tracks = _row_blocks(*values.T.shape)
-    gathered = np.empty((tracks[0].stop, values.shape[0]))
-    for block in tracks:
-        u = gathered[: block.stop - block.start]
-        u[...] = values.T[block]
-        out.T[block] = _unwrap_axis(u, out=u)
+    subcarriers, into ``out``, which may be ``values`` itself.
+
+    Both passes run a block of symbol rows at a time in the S x K layout,
+    so no track is gathered. Down time, each block's gaps start from the
+    last sample before it, kept as read, and its wrap counts continue the
+    running sums the previous block ended with. -0.0 adds nothing, not
+    even to -0.0, so every track gets the bytes of one ``_unwrap_axis``
+    call along it; a block whose gaps satisfy |d| < 3 has only -0.0 wrap
+    counts (see ``_unwrap_axis``) and subtracts its running sums as they
+    are.
+    """
+    k = values.shape[1]
+    out[0] = values[0]
+    before = values[0].copy()
+    wraps = np.full(k, -0.0)
+    blocks = _row_blocks(values.shape[0] - 1, k)
+    gaps = np.empty((blocks[0].stop, k))
+    for block in blocks:
+        rows = slice(block.start + 1, block.stop + 1)
+        now, d = values[rows], gaps[: block.stop - block.start]
+        np.subtract(now[0], before, out=d[0])
+        np.subtract(now[1:], now[:-1], out=d[1:])
+        before[...] = now[-1]
+        if d.max() < 3.0 and d.min() > -3.0:
+            np.subtract(now, _TWO_PI * wraps, out=out[rows])
+        else:
+            d -= np.pi
+            d /= _TWO_PI
+            np.ceil(d, out=d)
+            d[0] += wraps
+            np.cumsum(d, axis=0, out=d)
+            wraps[...] = d[-1]
+            np.multiply(_TWO_PI, d, out=d)
+            np.subtract(now, d, out=out[rows])
+        if not np.isfinite(out[rows]).all():
+            # named as along a track: its symbols are the columns of its row
+            _check_gaps(out[1 : rows.stop].T, "unwrapping")
     for block in _row_blocks(*out.shape):
-        _unwrap_axis(out[block], out=out[block])
+        _unwrap_axis(out[block], out=out[block], first_row=block.start)
     return out
 
 
@@ -449,7 +489,8 @@ def _design_2d(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bivariate fit of total degree <= order over a w_rows x w_cols grid.
 
-    Term t of the basis is tr**i * tc**j. Returns the per-row factors
+    Term t of the basis is tr**i * tc**j, i major, so the first order+1
+    terms are the powers of tc alone. Returns the per-row factors
     (w_rows, terms) and per-column factors (w_cols, terms) of the basis,
     and the fit weights (terms, w_rows, w_cols): weights[t] applied to a
     window gives its coefficient on term t, so the fit at grid point
@@ -524,8 +565,9 @@ def sg_2d(
     l_r, l_c = row_spec.half, col_spec.half
     # The grid is unwrapped and smoothed in one S x K array, the handed-over
     # input's or a fresh one. Every cell is read before it is written: the
-    # fits of the four bands are kept until the end, and the interior cells
-    # of a track are written once every window that reads it is transformed.
+    # left band's fits go in once its tracks are transformed, those of the
+    # other three bands are kept until the end, and the interior cells of a
+    # track are written once every window that reads it is transformed.
     x = _unwrap_grid(phase.values, _stage_output(phase))
     rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
     nc = k - w_c + 1
@@ -542,30 +584,40 @@ def sg_2d(
 
     # Every other window sums time correlations of its w_c tracks with the
     # columns of some weights. Left and right bands: windows over the first
-    # and last w_c subcarriers, sliding down time.
-    left = np.einsum("tf,tc->fc", _band_fits(x[:, :w_c].T, fit, s),
-                     rows[l_r, :, None] * cols[:l_c].T)
-    right = np.einsum("tf,tc->fc", _band_fits(x[:, k - w_c :].T, fit, s),
-                      rows[l_r, :, None] * cols[l_c + 1 :].T)
+    # and last w_c subcarriers, sliding down time. Both bands' tracks are
+    # transformed first, so the left band's fits go straight into its
+    # tracks, and the interior takes the spectra of its first tracks from
+    # the band's. A band cell is its window's middle symbol, where each term
+    # with a power of the time abscissa has weight 0: adding its +-0.0
+    # products to sums that start at +0.0 changes no bit, so only the
+    # order + 1 others are fitted.
+    n = _fast_length(s)
+    first = np.fft.rfft(x[:, :w_c].T, n, axis=1)
+    last = np.fft.rfft(x[:, k - w_c :].T, n, axis=1)
+    left, right = x[l_r : s - l_r, :l_c], np.zeros((s - 2 * l_r, l_c))
+    left[...] = 0.0
+    terms = slice(row_spec.order + 1)
+    weights = rows[l_r, terms, None] * cols[:, terms].T
+    _band_fits((first, last), fit[terms], s, ((weights[:, :l_c], left),
+                                              (weights[:, l_c + 1 :], right)))
+    del last
 
     # Interior: the fit evaluated at the window center, in blocks of output
-    # tracks whose spectra, with those of the w_c - 1 tracks their windows
-    # reach past them (their halo), fill about one row block. The halo's
-    # spectra are moved down for the next block, so every track is
-    # transformed once; a block of at least l_c tracks moves at most two
-    # spectra per track. The output of a block goes to tracks it has
-    # transformed.
-    n = _fast_length(s)
+    # tracks. A block's windows reach the w_c - 1 tracks past it (its halo);
+    # the spectra of the halo are moved down for the next block, so every
+    # track is transformed once. The output of a block goes to tracks it
+    # has transformed.
     center = np.einsum("t,t,tab->ab", rows[l_r], cols[l_c], fit)
-    center_spectra = _taps_spectra(center.T, s)
     halo = w_c - 1
-    blocks = _row_blocks(nc, s, _BLOCK - halo * s, min_rows=l_c)
+    blocks = _interior_blocks(nc, n, halo, l_c)
     spectra = np.empty((blocks[0].stop + halo, n // 2 + 1), dtype=np.complex128)
+    spectra[:halo] = first[:halo]
+    del first
+    center_spectra = _taps_spectra(center.T, s)
     for block in blocks:
         count = block.stop - block.start
-        held = halo if block.start else 0  # the first block transforms its halo too
-        np.fft.rfft(x[:, block.start + held : block.stop + halo].T, n, axis=1,
-                    out=spectra[held : halo + count])
+        np.fft.rfft(x[:, block.start + halo : block.stop + halo].T, n, axis=1,
+                    out=spectra[halo : halo + count])
         product = _interior_spectra(spectra[: halo + count], center_spectra)
         # No later block reads the spectra of this block's first tracks: the
         # inverse transform goes over them.
@@ -574,30 +626,49 @@ def sg_2d(
             product, w_r, s, inverse
         ).T
         del product
-        spectra[:halo] = spectra[count : count + halo]
+        # count spectra at a time, so that no copy overlaps its source
+        for start in range(0, halo, count):
+            stop = min(start + count, halo)
+            spectra[start:stop] = spectra[count + start : count + stop]
     del spectra, center_spectra
 
     x[:l_r] = np.einsum("at,kt->ak", rows[:l_r], coef[0])
     x[s - l_r :] = np.einsum("at,kt->ak", rows[l_r + 1 :], coef[1])
-    x[l_r : s - l_r, :l_c] = left
     x[l_r : s - l_r, k - l_c :] = right
     x.setflags(write=False)
     return PhaseMatrix(x, Stage.TIME_SMOOTHED)
 
 
-def _band_fits(tracks: np.ndarray, fit: np.ndarray, s: int) -> np.ndarray:
-    """Fit coefficients of every window over the w_c ``tracks`` sliding
-    down time: row t holds term t's, one per window position. The weight
-    spectra of as many fit terms as fill about one row block exist at a
-    time."""
-    n = _fast_length(s)
-    spectra = np.fft.rfft(tracks, n, axis=1)
-    band = np.empty((fit.shape[0], n // 2 + 1), dtype=np.complex128)
+def _interior_blocks(tracks: int, n: int, halo: int, min_rows: int) -> list[slice]:
+    """Blocks of at least ``min_rows`` of the ``tracks`` interior output
+    tracks of ``sg_2d``. A block of c tracks holds the spectra of c + halo
+    tracks and the products of c, ``n // 2 + 1`` complex values each: about
+    two row blocks of cells together."""
+    cells = 2 * (n // 2 + 1)
+    return _row_blocks(tracks, 2 * cells, 2 * core._BLOCK - halo * cells, min_rows)
+
+
+def _band_fits(ends: tuple, fit: np.ndarray, s: int, bands: tuple) -> None:
+    """Add the weighted fits of every window over each band's w_c tracks,
+    sliding down time, into that band's zeroed output: for each term t in
+    turn, ``out[:, c] += coefficients_t * weights[t, c]``, where
+    coefficients_t holds term t's fit coefficient at each window position.
+    ``einsum("tf,tc->fc")`` sums over t in that order, from +0.0.
+
+    ``ends`` holds each band's track spectra, ``bands`` its (weights, out)
+    pair. The weight spectra of as many fit terms as fill about one row
+    block are made once for every band; besides them, one band's fits of
+    those terms exist at a time.
+    """
     for terms in _row_blocks(fit.shape[0], fit.shape[2] * s):
-        band[terms] = np.einsum("bf,tbf->tf", spectra,
-                                _taps_spectra(fit[terms].transpose(0, 2, 1), s))
-    del spectra
-    return _valid_correlation(band, fit.shape[1], s)
+        taps = _taps_spectra(fit[terms].transpose(0, 2, 1), s)
+        for spectra, (weights, out) in zip(ends, bands):
+            fits = _valid_correlation(np.einsum("bf,tbf->tf", spectra, taps), fit.shape[1], s)
+            for i, weight in enumerate(weights[terms]):
+                for column, w in zip(out.T, weight):
+                    column += fits[i] * w
+            del fits
+        del taps
 
 
 def _interior_spectra(spectra: np.ndarray, center_spectra: np.ndarray) -> np.ndarray:

@@ -21,6 +21,9 @@ from csiphase.savgol import (
     _FFT_MIN_WINDOW,
     DegenerateWindowWarning,
     SgSpec,
+    _fast_length,
+    _interior_blocks,
+    _unwrap_grid,
     sg_2d,
     sg_freq,
     sg_time,
@@ -108,11 +111,16 @@ def test_sg_freq_is_block_invariant(monkeypatch, window, per_block):
     assert_same_bytes(whole.values, blocked.values)
 
 
-@pytest.mark.parametrize("per_block", [1, 7, 9])
+def interior_blocks(s, k, w_c):
+    """The interior blocks ``sg_2d`` runs at the current ``core._BLOCK``."""
+    return _interior_blocks(k - w_c + 1, _fast_length(s), w_c - 1, w_c // 2)
+
+
+@pytest.mark.parametrize("per_block", [1, 7, 9, 11])
 def test_sg_2d_is_block_invariant(monkeypatch, per_block):
-    # 24 interior tracks, each window reaching 6 tracks past its own: every
-    # block boundary falls inside the halo the next block keeps (a block
-    # asked to be shorter than the halo spans it)
+    # 24 interior tracks, each window reaching 6 tracks past its own: the
+    # interior runs blocks of 3, 3, 5 and 7 tracks, so the halo the next
+    # block keeps is moved down in pieces or, at 7, in one
     s, k = 60, 30
     calibrated = lrr_calibrate(PhaseMatrix(mixed_phase(4, s, k), Stage.RAW))
     nc = k - 7 + 1
@@ -121,6 +129,9 @@ def test_sg_2d_is_block_invariant(monkeypatch, per_block):
         lambda: sg_2d(calibrated, SgSpec(2, 11), freq_spec=SgSpec(2, 7)),
         nc, s, per_block,
     )
+    assert len(interior_blocks(s, k, 7)) > 2
+    monkeypatch.setattr(core, "_BLOCK", 1 << 40)
+    assert len(interior_blocks(s, k, 7)) == 1
     assert_same_bytes(whole.values, blocked.values)
 
 
@@ -128,7 +139,21 @@ def test_sg_2d_default_windows_are_block_invariant(monkeypatch):
     s, k = 400, 52
     calibrated = lrr_calibrate(PhaseMatrix(mixed_phase(5, s, k), Stage.RAW))
     whole, blocked = whole_and_blocked(monkeypatch, lambda: sg_2d(calibrated), k - 5 + 1, s, 5)
+    assert len(interior_blocks(s, k, 5)) > 2
     assert_same_bytes(whole.values, blocked.values)
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_sg_2d_unwrap_is_block_invariant(monkeypatch, per_block):
+    # blocks of symbol rows: wrapped rows, then calm ones, whose blocks
+    # carry the running wrap sums of the rows before them
+    s, k = 90, 12
+    grid = mixed_phase(9, s, k)
+    grid[2 * s // 3 :] = 0.1 * np.random.default_rng(9).normal(size=(s - 2 * s // 3, k))
+    whole, blocked = whole_and_blocked(
+        monkeypatch, lambda: _unwrap_grid(grid, np.empty((s, k))), s - 1, k, per_block
+    )
+    assert_same_bytes(whole, blocked)
 
 
 @pytest.mark.parametrize("per_block", [1, 7])

@@ -18,8 +18,11 @@ from csiphase.savgol import (
     SgSpec,
     _correlate_rows,
     _design_2d,
+    _fast_length,
     _powers,
+    _taps_spectra,
     _unwrap_grid,
+    _valid_correlation,
     _window_from_fraction,
     sg_2d,
     sg_apply,
@@ -110,6 +113,15 @@ def test_designs_are_cached_and_read_only():
     for arr in design:
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_design_2d_leads_with_the_powers_of_the_frequency_abscissa(order):
+    # sg_2d fits its side bands with the first order + 1 terms alone: every
+    # other term vanishes at a window's middle symbol
+    rows, _, _ = _design_2d(order, 9, 7)
+    assert (rows[:, : order + 1] == 1.0).all()
+    assert (rows[4, order + 1 :] == 0.0).all()
 
 
 # -------------------------------------------------------------------- sg_apply
@@ -388,6 +400,22 @@ def test_degenerate_warning_names_the_axis_and_window(smooth, shape, message):
     assert out.stage is Stage.TIME_SMOOTHED
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_smoothers_name_a_gap_beyond_the_float_range_by_its_global_row():
+    # 3000 x 40: the tracks run in blocks of 21, the symbol rows in blocks
+    # of 1638, so both gaps sit in a later block
+    s, k = 3000, 40
+    down, across = np.zeros((s, k)), np.zeros((s, k))
+    down[2500:2502, 30] = [-1e308, 1e308]
+    across[2500, 30:32] = [-1e308, 1e308]
+    track = r"gap between columns 2500 and 2501 of row 30 \(0-based\) overflows"
+    for smooth in (sg_time, sg_2d):
+        with pytest.raises(ValueError, match=track):
+            smooth(PhaseMatrix(down, Stage.CALIBRATED))
+    with pytest.raises(ValueError, match=r"gap between columns 30 and 31 of row 2500 \(0-based\)"):
+        sg_freq(PhaseMatrix(across, Stage.CALIBRATED))
+
+
 def test_sg_2d_needs_three_symbols():
     with pytest.raises(ValueError, match="2-D smoothing needs at least 3 symbols, got 2"):
         sg_2d(PhaseMatrix(np.zeros((2, 20)), Stage.CALIBRATED))
@@ -520,6 +548,40 @@ def test_sg_2d_unwrap_matches_the_transposed_path_bitwise():
         assert _unwrap_grid(in_place, in_place) is in_place
         for unwrapped in (got, in_place):
             assert unwrapped.T.tobytes(order="C") == want.tobytes()
+
+
+def einsum_side_bands(x, order, w_r, w_c):
+    """The left and right band cells of sg_2d on the unwrapped grid x, as
+    one einsum over every fit term of every window's coefficients."""
+    s, k = x.shape
+    l_r, l_c = w_r // 2, w_c // 2
+    rows, cols, fit = _design_2d(order, w_r, w_c)
+    taps = _taps_spectra(fit.transpose(0, 2, 1), s)
+    bands = []
+    for tracks, columns in ((x[:, :w_c], cols[:l_c]), (x[:, k - w_c :], cols[l_c + 1 :])):
+        spectra = np.fft.rfft(tracks.T, _fast_length(s), axis=1)
+        fits = _valid_correlation(np.einsum("bf,tbf->tf", spectra, taps), w_r, s)
+        bands.append(np.einsum("tf,tc->fc", fits, rows[l_r, :, None] * columns.T))
+    return bands
+
+
+@pytest.mark.parametrize(
+    "order, shape, w_r, w_c",
+    [(2, (400, 52), 41, 5), (3, (90, 30), 21, 7), (1, (60, 9), 11, 9), (0, (50, 12), 7, 3)],
+)
+def test_sg_2d_side_bands_match_one_einsum_over_every_term_bitwise(order, shape, w_r, w_c):
+    # sg_2d adds the weighted fits term by term and skips the terms whose
+    # weight is 0 at the band's middle symbol
+    rng = np.random.default_rng(order)
+    grid = rng.uniform(-np.pi, np.pi, shape)
+    grid[rng.random(shape) < 0.2] = -0.0
+    s, k = shape
+    l_r, l_c = w_r // 2, w_c // 2
+    left, right = einsum_side_bands(_unwrap_grid(grid, np.empty(shape)), order, w_r, w_c)
+    out = sg_2d(PhaseMatrix(grid, Stage.CALIBRATED), SgSpec(order, w_r),
+                freq_spec=SgSpec(order, w_c)).values
+    assert out[l_r : s - l_r, :l_c].tobytes() == left.tobytes()
+    assert out[l_r : s - l_r, k - l_c :].tobytes() == right.tobytes()
 
 
 def test_sg_2d_rejects_mismatched_orders():
