@@ -11,24 +11,33 @@ complex input is split into amplitude and phase as it is read, so no
 command holds a complex input and a pipe (``-i /dev/stdin``) gives the
 bytes its file gives. Zero cells are where the amplitude is zero; their
 phase is 0. A command alone holds what it reads, so it computes in it:
-``process`` is handed the reader and runs every method in the raw phase
-array it reads, and ``stats`` reads the phase alone and calibrates
-(``ds``, ``diffhist``) or runs ``tsfr`` (``exceed``) in it.
+``stats`` reads the phase alone and calibrates (``ds``, ``diffhist``) or
+runs ``tsfr`` (``exceed``) in it. So does ``process`` on a regular file,
+which it then reads a second time through the same descriptor, forming
+each row block's amplitude again as it writes the block's output rows, so
+it holds no S x K amplitude. A pipe, or an input that the output
+replaces, is read once, amplitude beside phase, by ``tsfr.process``.
+Either way every method runs in the raw phase array read, and the bytes
+are the same. A file whose size or modification time changed between
+the two reads is refused. ``process --verify-amplitude`` keeps a digest
+of each block's amplitude from the first read and compares the second
+read's with it, so it needs a regular file that is not the output.
 ``process --report`` writes the report a row block of symbols at a time.
-``process --verify-amplitude`` reads the input a second time, so it
-needs a regular file; it keeps only the output amplitude while it does.
 
 Exit codes are a stable contract: 0 success, 2 usage errors (among
-them ``--verify-amplitude`` on an input that is not a regular file), 3
-I/O failures, 4 data or format errors, 5 out of memory. Out of memory
-prints one line, no traceback, naming the subcommand and, for
-``process``, the method and the input's shape. Outputs never embed
-timestamps, so equal inputs and flags give byte-identical files.
+them ``--verify-amplitude`` on an input that is not a regular file, or
+that is the output file), 3 I/O failures, 4 data or format errors
+(among them an input that changed between the reads of ``process``), 5
+out of memory. Out of memory prints one line, no traceback, naming the
+subcommand and, for ``process``, the method and the input's shape.
+Outputs never embed timestamps, so equal inputs and flags give
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import re
 import stat
@@ -38,11 +47,19 @@ from pathlib import Path
 import numpy as np
 
 from .calib import lrr_calibrate
-from .core import PhaseMatrix, Stage, SubcarrierMap, _amplitude_of, _hand_over, _row_blocks
-from .io import CsifReader, write_csif, write_table
+from .core import (
+    PhaseMatrix,
+    Stage,
+    SubcarrierMap,
+    _cartesian_blocks,
+    _check_finite,
+    _hand_over,
+    _row_blocks,
+)
+from .io import CsifReader, _csif_writer, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
 from .synth import gen_dataset, load_scenario
-from .tsfr import METHODS, process, tsfr
+from .tsfr import METHODS, _route, process, tsfr
 
 # Not called here, as every command reads its input through CsifReader;
 # both stay names of this module because perfbench/tracer.py wraps them.
@@ -109,58 +126,113 @@ def _write_report(path: str, args, columns, shape) -> None:
 
 
 def _cmd_process(args) -> int:
-    if args.verify_amplitude and not stat.S_ISREG(os.stat(args.input).st_mode):
+    # A regular file is read twice; a pipe cannot be, nor an input that the
+    # output replaces, so those are read once.
+    info = os.stat(args.input)
+    twice = stat.S_ISREG(info.st_mode) and not _same_file(info, args.output)
+    if args.verify_amplitude and not twice:
         print(
-            f"error: --verify-amplitude re-reads the input, so {args.input} "
-            f"must be a regular file, not a pipe or device",
+            f"error: --verify-amplitude re-reads the input, so {args.input} must be a "
+            f"regular file, not a pipe, a device or the output file",
             file=sys.stderr,
         )
         return 2
     with CsifReader(args.input) as reader:
         # Named by main if memory runs out, in the read of the payload too.
         args.input_shape = shape = reader.shape
-        smap = SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None
-        # process reads the payload itself, so it alone holds the raw phase.
-        output, report = process(
-            reader,
-            args.method,
-            smap=smap,
+        settings = dict(
+            smap=SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None,
             sg_order=args.sg_order,
             sg_fraction=args.sg_frac,
             abscissa=args.abscissa,
             separable=args.separable,
         )
-    # The report file takes the per-symbol columns alone: the S x K
-    # exceedance marks go before the output is written.
-    columns = None if report is None else (
-        report.mu, report.sigma, report.d,
-        report.clamped_down, report.clamped_up, report.modified_fraction,
-    )
-    del report
-    write_csif(args.output, output)
+        if twice:
+            columns = _process_in_two_passes(reader, args, settings)
+        else:
+            columns = _process_in_one_pass(reader, args, settings)
     if args.report is not None:
         _write_report(args.report, args, columns, shape)
     if args.verify_amplitude:
-        # The input is read again, a row block at a time, and np.abs of its
-        # values is formed afresh: the amplitude that process passed through
-        # is the output's own, so comparing with that would compare the
-        # output with itself. Only that amplitude is kept: the output's
-        # phase and the report go first, and no phase is folded.
-        amp_out = _amplitude_of(output)
-        del output, columns
-        with CsifReader(args.input) as reader:
-            for rows, block in reader.blocks():
-                if not np.array_equal(np.abs(block), amp_out[rows]):
-                    raise ValueError("amplitude self-check failed: output amplitude differs")
         print("amplitude check: ok (bit-identical)")
     print(f"process: {args.method} on {shape[0]}x{shape[1]} -> {args.output}")
     return 0
 
 
-def _read_phase(reader: CsifReader) -> PhaseMatrix:
+def _same_file(info: os.stat_result, path: str) -> bool:
+    """Whether ``path`` names the file ``info`` describes, also through a
+    hard link or a symlink."""
+    try:
+        other = os.stat(path)
+    except OSError:
+        return False
+    return (other.st_dev, other.st_ino) == (info.st_dev, info.st_ino)
+
+
+def _report_columns(report):
+    """The per-symbol columns of the report file, in line order, or None
+    for a method without a report; the S x K exceedance marks are left."""
+    return None if report is None else (
+        report.mu, report.sigma, report.d,
+        report.clamped_down, report.clamped_up, report.modified_fraction,
+    )
+
+
+def _process_in_one_pass(reader: CsifReader, args, settings) -> tuple | None:
+    """A pipe, or a file that the output replaces, is read once: process
+    reads the pair, and the output is written from it once all is read."""
+    output, report = process(reader, args.method, **settings)
+    columns = _report_columns(report)
+    del report  # the exceedance marks go before the output is written
+    write_csif(args.output, output)
+    return columns
+
+
+def _process_in_two_passes(reader: CsifReader, args, settings) -> tuple | None:
+    """A regular file is read twice through its one descriptor, so no S x K
+    amplitude is held. The first pass reads the phase alone, checking each
+    block's amplitude as ``read`` does, and the method runs in that array.
+    The second pass forms each block's amplitude again and writes its rows
+    of the output, ``np.abs`` being the amplitude rule of the read and the
+    fill being elementwise, so the bytes are those of the one-pass run.
+
+    The file must not change in between: ``CsifReader._rewind`` refuses a
+    new size or modification time, and with ``--verify-amplitude`` each
+    block's amplitude digest in the second pass must equal the first's.
+    """
+    digests = [] if args.verify_amplitude else None
+
+    def first_read(rows, amplitude):
+        _check_finite(amplitude, "amplitude matrix", rows.start)
+        if digests is not None:
+            digests.append(hashlib.sha256(amplitude).digest())
+
+    phase, report = _route(_read_phase(reader, first_read), args.method, **settings)
+    columns = _report_columns(report)
+    del report  # the exceedance marks go before the second read
+    reader._rewind()
+    s, k = reader.shape
+    amplitude = np.empty((_row_blocks(s, k)[0].stop, k))  # one block, reused
+    with _csif_writer(args.output, reader.shape) as write:
+        for i, (rows, block) in enumerate(reader.blocks()):
+            a = np.abs(block, out=amplitude[: rows.stop - rows.start])
+            if digests is not None and hashlib.sha256(a).digest() != digests[i]:
+                raise ValueError(
+                    f"amplitude self-check failed: rows {rows.start}-{rows.stop - 1} of "
+                    f"{args.input} read a different amplitude the second time"
+                )
+            for values in _cartesian_blocks(a, phase.values[rows], "CSI matrix",
+                                            first_row=rows.start):
+                write(values)
+            del values  # its fill scratch goes before the next block's is made
+    return columns
+
+
+def _read_phase(reader: CsifReader, each_amplitude=None) -> PhaseMatrix:
     """The raw phase of a complex input, handed over to the next stage,
-    which computes in it; no S x K amplitude is formed."""
-    raw = reader._phase()
+    which computes in it; no S x K amplitude is formed. ``each_amplitude``,
+    when given, is called with each block's (``CsifReader._phase``)."""
+    raw = reader._phase(each_amplitude)
     _hand_over(raw)
     return raw
 

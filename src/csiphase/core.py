@@ -156,12 +156,15 @@ def _row_blocks(
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _cartesian_blocks(a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray | None = None):
+def _cartesian_blocks(
+    a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray | None = None, first_row: int = 0
+):
     """Yield ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks, in order.
 
     Each block is a run of complex rows: rows of ``out`` when it is given,
     otherwise one scratch buffer reused for every block. A non-finite
-    cell raises ``ValueError`` with its global row and column.
+    cell raises ``ValueError`` with its global row and column, the rows
+    of ``a`` and ``p`` starting at row ``first_row``.
 
     Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed zeros
     included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j, and
@@ -186,7 +189,7 @@ def _cartesian_blocks(a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray |
         cos_rows *= a_rows
         np.add(cos_rows, sin_rows, out=block.real)
         block.imag += 0.0
-        _check_finite(block, name, rows.start)
+        _check_finite(block, name, first_row + rows.start)
         yield block
 
 
@@ -486,20 +489,27 @@ def _polar_block(values: np.ndarray, a: np.ndarray, p: np.ndarray) -> None:
     np.copyto(p, 0.0, where=a == 0.0)
 
 
-def _polar_blocks(blocks, shape: tuple[int, int], keep_amplitude: bool = True):
+def _polar_blocks(
+    blocks, shape: tuple[int, int], keep_amplitude: bool = True, each_amplitude=None
+):
     """Amplitude and principal phase of complex values that come as
     ``(rows, values)`` row blocks covering ``shape`` in order, each split
     straight into its rows of the two outputs by :func:`_polar_block`.
 
     Without ``keep_amplitude`` only the raw-stage phase matrix is returned:
     each block's amplitude goes to a block of scratch, so a caller that
-    wants the phase alone never holds an S x K amplitude.
+    wants the phase alone never holds an S x K amplitude. Such a caller
+    may still look at each block's amplitude: ``each_amplitude(rows, a)``
+    is called with it once the block is split.
     """
     amplitude = np.empty(shape) if keep_amplitude else None
     phase = np.empty(shape)
     for rows, values in blocks:
-        _polar_block(values, np.empty(values.shape) if amplitude is None else amplitude[rows],
-                     phase[rows])
+        a = np.empty(values.shape) if amplitude is None else amplitude[rows]
+        _polar_block(values, a, phase[rows])
+        if each_amplitude is not None:
+            each_amplitude(rows, a)
+        del a  # a block of scratch goes before the next is made
     del values  # a file's last block: its scratch goes before the arrays are checked
     if amplitude is None:
         phase.setflags(write=False)
@@ -526,14 +536,6 @@ def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix]:
     if not isinstance(csi, CsiMatrix):
         raise TypeError(f"expected CsiMatrix, got {type(csi).__name__}")
     return csi._polar
-
-
-def _amplitude_of(csi: CsiMatrix) -> np.ndarray:
-    """The amplitude :func:`decompose` returns, without folding a phase
-    when ``csi`` came from :func:`recompose`: the array it was built from."""
-    if csi._amplitude is not None:
-        return csi._amplitude
-    return decompose(csi)[0].values
 
 
 def recompose(amplitude: AmplitudeMatrix, phase: PhaseMatrix) -> CsiMatrix:

@@ -14,8 +14,8 @@ Two formats live here:
   :class:`CsifReader` opens a file once, knows its shape from the
   header before the payload is read, and splits a complex payload into
   amplitude and principal phase a row block at a time as it is read,
-  with the bytes of ``decompose(read_csif(path))``. As the file is
-  opened once, a pipe reads like a regular file.
+  with the bytes of ``decompose(read_csif(path))``, or keeps the phase
+  alone. As the file is opened once, a pipe reads like a regular file.
 * CSV tables with 1-based ``s,k`` coordinates and 17-significant-digit
   values, so a CSIF -> CSV -> CSIF round trip is lossless.
 
@@ -184,8 +184,9 @@ class CsifReader:
 
     ``shape`` and ``complex`` are known as soon as the reader is built,
     before any payload byte is read, and a regular file's size is checked
-    against the header then too. The payload is then read once, front to
-    back, by one of:
+    against the header then too. The payload is then read front to back
+    by one of the following; a regular file's payload can be read again
+    after :meth:`_rewind`, which refuses a file that changed meanwhile:
 
     * :meth:`read`, which splits a complex payload into amplitude and
       principal phase a row block of about ``core._BLOCK`` cells at a
@@ -211,9 +212,9 @@ class CsifReader:
             self._seen = 0
             # A regular file's size is checked before its payload is read, so
             # a header that declares more than the file holds allocates nothing.
-            info = os.fstat(self._fh.fileno())
-            if stat.S_ISREG(info.st_mode):
-                _check_payload(info.st_size - _HEADER.size, self._expected)
+            self._info = os.fstat(self._fh.fileno())
+            if stat.S_ISREG(self._info.st_mode):
+                _check_payload(self._info.st_size - _HEADER.size, self._expected)
         except BaseException:
             self._fh.close()
             raise
@@ -286,10 +287,28 @@ class CsifReader:
         """
         return _polar_blocks(self._checked_blocks(), self.shape)
 
-    def _phase(self) -> PhaseMatrix:
+    def _phase(self, each_amplitude=None) -> PhaseMatrix:
         """``read()[1]``, bit for bit, without an S x K amplitude: each
-        block's amplitude goes to a block of scratch."""
-        return _polar_blocks(self._checked_blocks(), self.shape, keep_amplitude=False)
+        block's amplitude goes to a block of scratch, after
+        ``each_amplitude(rows, amplitude)`` is called with it when given."""
+        return _polar_blocks(
+            self._checked_blocks(), self.shape, keep_amplitude=False, each_amplitude=each_amplitude
+        )
+
+    def _rewind(self) -> None:
+        """Seek back to the start of a regular file's payload, to read it
+        again through the descriptor opened first, so a file put in its
+        path meanwhile is not read.
+
+        Raises:
+            ValueError: the file's size or modification time is not what
+                it was when the reader opened it, naming the file.
+        """
+        now = os.fstat(self._fh.fileno())
+        if (now.st_size, now.st_mtime_ns) != (self._info.st_size, self._info.st_mtime_ns):
+            raise ValueError(f"{self._fh.name} changed on disk while it was being read")
+        self._fh.seek(_HEADER.size)
+        self._seen = 0
 
     def _checked_blocks(self):
         """The complex payload's row blocks as read, each checked for

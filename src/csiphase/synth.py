@@ -335,7 +335,7 @@ def _write_dataset(channel: ChannelSpec, imp: ImpairmentSpec, symbols: int, out)
             _polar_block(v, a, p)
             _impair_rows(p, rows, imp, rng, m, noise[:count])
             _check_finite(m, "phase matrix", rows.start)
-            for block in _cartesian_blocks(a, m, "CSI matrix", v):
+            for block in _cartesian_blocks(a, m, "CSI matrix", v, rows.start):
                 write_measured(block)
 
 

@@ -34,7 +34,9 @@ marked read-only, so the container keeps it uncopied.
 
 :func:`process` bundles every calibration route in this package behind
 one entry point and always hands the untouched amplitude back to the
-reconstruction, so only the phase differs between methods.
+reconstruction, so only the phase differs between methods. Its phase
+half, ``_route``, also serves the CLI, which reads a file's amplitude
+again as it writes the output instead of holding it.
 """
 
 from __future__ import annotations
@@ -373,6 +375,35 @@ def process(
             _hand_over(raw)
     else:
         amplitude, raw = decompose(csi)
+    out_phase, report = _route(
+        raw, method, smap=smap, sg_order=sg_order, sg_fraction=sg_fraction,
+        abscissa=abscissa, separable=separable,
+    )
+    return ProcessResult(output=recompose(amplitude, out_phase), report=report)
+
+
+def _route(
+    raw: PhaseMatrix,
+    method: str,
+    *,
+    smap: SubcarrierMap | None,
+    sg_order: int,
+    sg_fraction: float,
+    abscissa: str,
+    separable: bool,
+) -> tuple[PhaseMatrix, TsfrReport | None]:
+    """The phase half of :func:`process`: push the raw-stage phase ``raw``
+    through ``method``, with settings :func:`process` has checked.
+
+    A handed-over ``raw`` (``core._hand_over``) is calibrated in its own
+    array; otherwise the calibration allocates one. Either way the
+    smoother of ``lrr+sgfreq``, ``lrr+sgtime`` and ``lrr+sg2d`` then runs
+    in the calibrated array. ``raw`` itself is returned for "raw".
+
+    Returns:
+        ``(out_phase, report)``; ``report`` is None for every method
+        except "tsfr".
+    """
     if smap is not None:
         smap._check_length(raw.subcarriers)
 
@@ -400,4 +431,4 @@ def process(
     else:
         out_phase, report = tsfr(raw, order=sg_order, fraction=sg_fraction, abscissa=x)
 
-    return ProcessResult(output=recompose(amplitude, out_phase), report=report)
+    return out_phase, report

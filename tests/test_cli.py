@@ -1,5 +1,7 @@
 """Command-line behavior: flags, exit codes, file outputs, determinism."""
 
+import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,10 +11,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import csiphase.cli as csiphase_cli
 from csiphase.cli import _write_report, main
 from csiphase.core import CsiMatrix, PhaseMatrix, Stage
 from csiphase.io import read_csif, write_csif
-from csiphase.tsfr import TsfrReport
+from csiphase.tsfr import METHODS, TsfrReport
 
 
 def run(capsys, *argv):
@@ -268,7 +271,8 @@ def test_process_out_of_memory_exits_5_with_one_line(tmp_path, capsys, monkeypat
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("csiphase.cli.process", exhausted)
+    # A regular file is processed by the method's phase route alone.
+    monkeypatch.setattr("csiphase.cli._route", exhausted)
     code, out, err = run(
         capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
         "--method", "tsfr",
@@ -354,6 +358,119 @@ def test_verify_amplitude_on_a_pipe_is_a_usage_error(tmp_path, capsys):
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and "re-reads the input" in lines[0]
     assert not (tmp_path / "o.csif").exists()
+
+
+@pytest.mark.parametrize("link", ["same path", "hard link", "symlink"])
+def test_verify_amplitude_in_place_is_a_usage_error(tmp_path, capsys, link):
+    # The output would replace the input before the check reads it again.
+    meas, _ = make_pair(tmp_path, capsys)
+    before = meas.read_bytes()
+    output = meas
+    if link != "same path":
+        output = tmp_path / "alias.csif"
+        (os.link if link == "hard link" else os.symlink)(meas, output)
+    code, out, err = run(capsys, "process", "-i", str(meas), "-o", str(output),
+                         "--method", "tsfr", "--verify-amplitude")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "re-reads the input" in lines[0] and str(meas) in lines[0]
+    assert meas.read_bytes() == before
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_process_in_place_gives_the_bytes_of_a_separate_output(tmp_path, capsys, method):
+    # In place the input is read once, as a pipe is; into another file it is
+    # read twice. 5000x16 is two row blocks.
+    meas, _ = make_pair(tmp_path, capsys, symbols=5000, subcarriers=16)
+    target = tmp_path / "in_place.csif"
+    shutil.copyfile(meas, target)
+    for path_in, path_out, report in ((meas, tmp_path / "o.csif", "o.txt"),
+                                      (target, target, "in_place.txt")):
+        code, _, _ = run(capsys, "process", "-i", str(path_in), "-o", str(path_out),
+                         "--method", method, "--report", str(tmp_path / report))
+        assert code == 0
+    assert target.read_bytes() == (tmp_path / "o.csif").read_bytes()
+    assert (tmp_path / "in_place.txt").read_bytes() == (tmp_path / "o.txt").read_bytes()
+
+
+def change_after_the_first_read(monkeypatch, change):
+    """Run ``change`` once the method has run on the first read of the input."""
+    route = csiphase_cli._route
+
+    def route_then_change(*args, **kwargs):
+        result = route(*args, **kwargs)
+        change()
+        return result
+
+    monkeypatch.setattr(csiphase_cli, "_route", route_then_change)
+
+
+@pytest.mark.parametrize("change", ["size", "modification time"])
+def test_process_refuses_an_input_changed_between_its_reads(tmp_path, capsys, monkeypatch, change):
+    meas, _ = make_pair(tmp_path, capsys)
+    info = meas.stat()
+
+    def change_the_input():
+        if change == "size":
+            with open(meas, "ab") as fh:
+                fh.write(b"\0")
+        else:
+            os.utime(meas, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+
+    change_after_the_first_read(monkeypatch, change_the_input)
+    code, out, err = run(capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
+                         "--method", "lrr", "--report", str(tmp_path / "o.txt"))
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {meas} changed on disk while it was being read\n"
+    assert not (tmp_path / "o.csif").exists()
+
+
+def test_verify_amplitude_refuses_a_block_read_differently_the_second_time(
+    tmp_path, capsys, monkeypatch
+):
+    # One bit of the real part of a cell in the second row block (rows
+    # 4096-4999) is flipped after the first read, and the modification time
+    # is put back, so only the amplitude digests can tell.
+    meas, _ = make_pair(tmp_path, capsys, symbols=5000, subcarriers=16)
+    info = meas.stat()
+
+    def flip_one_bit():
+        with open(meas, "r+b") as fh:
+            fh.seek(16 + (4500 * 16 + 3) * 16 + 6)  # a high bit of the mantissa
+            byte = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte ^ 0x01]))
+        os.utime(meas, ns=(info.st_atime_ns, info.st_mtime_ns))
+
+    change_after_the_first_read(monkeypatch, flip_one_bit)
+    code, out, err = run(capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
+                         "--method", "tsfr", "--verify-amplitude")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error: amplitude self-check failed: rows 4096-4999 of {meas} read a "
+        "different amplitude the second time\n"
+    )
+    assert not (tmp_path / "o.csif").exists()
+
+
+def test_an_amplitude_beyond_the_float_range_is_one_error_line(tmp_path):
+    # Finite cells whose magnitude overflows: the file, read twice, and the
+    # pipe, read once, name the same cell.
+    values = np.ones((2000, 8), dtype=complex)
+    values[1500, 3] = complex(1.5e308, 1.5e308)
+    capture = tmp_path / "big.csif"
+    write_csif(capture, CsiMatrix(values))
+    for path, stdin in ((str(capture), b""), ("/dev/stdin", capture.read_bytes())):
+        proc = csiphase(stdin, "process", "-i", path, "-o", str(tmp_path / "o.csif"),
+                        "--method", "lrr")
+        assert proc.returncode == 4
+        assert proc.stderr.decode().splitlines() == [
+            "error: amplitude matrix has a non-finite value at row 1500, column 3 (0-based)"
+        ]
+        assert not (tmp_path / "o.csif").exists()
 
 
 @pytest.mark.parametrize("command", [["process", "--method", "lrr"], ["stats", "exceed"]])

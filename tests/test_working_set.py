@@ -12,6 +12,7 @@ import importlib
 import io
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -197,34 +198,34 @@ def cli_arrays_at_peak(argv):
 
 
 def test_process_verify_amplitude_sets_no_peak_of_its_own(capture):
-    # The input is decomposed as it is read, so no complex payload exists:
-    # the peak is its polar pair plus tsfr's working set. The check reads the
-    # input again a row block at a time, compares np.abs of each block with
-    # the output amplitude, which is all it keeps, and folds no phase.
+    # A regular file is read twice, the phase alone and then the blocks the
+    # output is formed from, so no S x K amplitude exists. The check keeps a
+    # digest of each block's amplitude from the first read and compares the
+    # second read's with it: no third read, and no array of its own.
     argv = ["process", "-i", f"{capture}.meas.csif", "-o", f"{capture}.out.csif",
             "--method", "tsfr"]
     plain = cli_arrays_at_peak(argv)
     checked = cli_arrays_at_peak(argv + ["--verify-amplitude"])
     assert checked <= plain + 0.05
-    assert checked <= 2.37  # was 8.08, then 6.43, then 4.5, then 3.75, then 2.53
+    assert checked <= 1.67  # was 8.08, then 6.43, then 4.5, then 3.75, then 2.53, then 2.37
 
 
-# CLI process with --report: process reads the input itself, so the phase
-# array it read is the one every method runs in. The peak is that array and
-# the amplitude, plus a few row blocks of scratch: the read's for the methods
-# that smooth in the calibrated array's rows or tracks; sg_2d's band and
-# interior spectra; for tsfr its gap statistics, as the exceedance marks are
-# dropped before the output is written and the report is written a symbol at
-# a time. Its amplitude check keeps only the output amplitude. Bounds sit just above the measured
-# peaks (old ones at the right).
+# CLI process with --report on a regular file: the first read keeps the phase
+# alone, and every method runs in that array. The second read forms each row
+# block's amplitude again and writes the block's output rows, once the
+# exceedance marks are dropped. The peak is that phase plus a few row blocks
+# of scratch: the second read's payload, amplitude and fill blocks (for tsfr
+# also the report's per-symbol columns, which the report file is written from
+# after the phase is gone). Bounds sit just above the measured peaks (old ones
+# at the right).
 CLI_PROCESS = {
-    "raw": 2.35,  # 2.28, unchanged: nothing is calibrated
-    "lt": 2.35,  # was 3.17
-    "lrr": 2.35,  # was 3.18
-    "lrr+sgfreq": 2.35,  # was 4.29
-    "lrr+sgtime": 2.35,  # was 5.13, then 4.14
-    "lrr+sg2d": 2.45,  # was 5.14, then 4.14
-    "tsfr": 2.37,  # was 3.61, then 2.53, with --verify-amplitude
+    "raw": 1.55,  # was 2.35
+    "lt": 1.55,  # was 3.17, then 2.35
+    "lrr": 1.55,  # was 3.18, then 2.35
+    "lrr+sgfreq": 1.55,  # was 4.29, then 2.35
+    "lrr+sgtime": 1.55,  # was 5.13, then 4.14, then 2.35
+    "lrr+sg2d": 1.55,  # was 5.14, then 4.14, then 2.45
+    "tsfr": 1.67,  # was 3.61, then 2.53, then 2.37, with --verify-amplitude
 }
 
 
@@ -235,6 +236,21 @@ def test_process_runs_each_method_in_the_phase_array_it_read(capture, method):
     if method == "tsfr":
         argv.append("--verify-amplitude")
     assert cli_arrays_at_peak(argv) <= CLI_PROCESS[method]
+
+
+def test_process_in_place_reads_once_in_the_working_set_it_had(capture, tmp_path):
+    # The output replaces the input, so the input is read once, as a pipe
+    # is: the polar pair plus tsfr's working set, the peak every input had
+    # when a regular file was read once too.
+    target = tmp_path / "in_place.csif"
+
+    def in_place():
+        shutil.copyfile(f"{capture}.meas.csif", target)
+        assert main(["process", "-i", str(target), "-o", str(target), "--method", "tsfr",
+                     "--report", str(tmp_path / "in_place.txt")]) == 0
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert arrays_at_peak(in_place) <= 2.37
 
 
 def test_stats_ds_holds_no_complex_input(capture):
@@ -282,26 +298,65 @@ def test_synth_streams_its_pair_in_a_working_set_flat_in_s(tmp_path):
     assert stream[4 * S] <= 1.05 * stream[S]
 
 
-def test_synth_of_a_long_capture_runs_where_holding_it_ran_out(tmp_path):
+# Address space for the CLI in a child process running on a 200000x52
+# capture, where one S x K float array takes 79.3 MiB. Python with the package
+# imported takes about 103 MiB, so a working set of two S x K arrays needs
+# about 262 MiB.
+LONG = 200000
+LIMIT = 250 << 20
+
+
+def run_limited(argv):
+    """The CLI in a child process whose address space is limited to LIMIT."""
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
+
+    return subprocess.run(
+        [sys.executable, "-m", "csiphase", *argv],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit_address_space,
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def long_capture(tmp_path_factory):
+    """A 200000x52 pair synthesized under LIMIT: the child, and the base."""
+    base = tmp_path_factory.mktemp("long") / "long"
+    try:
+        yield run_limited(synth_argv(base, LONG)), base
+    finally:
+        for kind in ("true", "meas"):
+            base.with_name(f"long.{kind}.csif").unlink(missing_ok=True)
+
+
+def test_synth_of_a_long_capture_runs_where_holding_it_ran_out(long_capture):
     # Holding the 200000x52 pair in memory took more than 500 MiB of address
     # space and exited 5 under this limit; the stream needs a few row blocks
     # (it also ran under 120 MiB). The limit binds the child alone.
-    limit = 250 << 20
+    proc, base = long_capture
+    assert proc.returncode == 0, proc.stderr
+    assert base.with_name("long.meas.csif").stat().st_size == 16 + LONG * K * 16
 
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    base = tmp_path / "long"
+# The row-local raw, lt and lrr+sgfreq hold what lrr holds (188 MiB here
+# too); the in-process bounds at 10000x52 above cover them, which keeps three
+# 200000x52 runs out of the suite's time.
+@pytest.mark.parametrize("method", ["lrr", "tsfr"])
+def test_process_of_a_long_capture_runs_in_less_than_two_arrays(long_capture, tmp_path, method):
+    # Reading the amplitude alongside the phase took about 2.3 S x K arrays:
+    # 270 MiB of address space for lrr and 315 MiB for tsfr, which exited 5
+    # under this limit. Read twice, the phase alone and then the blocks the
+    # output is formed from, lrr needs 188 MiB and tsfr 240 MiB.
+    proc, base = long_capture
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "long.out.csif"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "csiphase", *synth_argv(base, 200000)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-            preexec_fn=limit_address_space,
-            capture_output=True,
-            text=True,
-        )
+        proc = run_limited(["process", "-i", f"{base}.meas.csif", "-o", str(out),
+                            "--method", method])
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "long.meas.csif").stat().st_size == 16 + 200000 * K * 16
+        assert out.stat().st_size == 16 + LONG * K * 16
     finally:
-        for kind in ("true", "meas"):
-            (tmp_path / f"long.{kind}.csif").unlink(missing_ok=True)
+        out.unlink(missing_ok=True)

@@ -24,10 +24,14 @@
 # and on a 3000x52 capture with n_fft 128 411 symbols do, spread over its
 # three row blocks. A 40000x8 capture runs one track per smoothing block,
 # as every capture longer than 32768 symbols does, through tsfr and
-# lrr+sgtime. The input is opened once, and process reads it itself for
-# every method, so each of the seven methods and every stats table (ds,
-# with and without labels, exceed and diffhist) read a capture piped into
-# /dev/stdin as they read its file, to the byte.
+# lrr+sgtime. The input is opened once, so each of the seven methods and
+# every stats table (ds, with and without labels, exceed and diffhist) read
+# a capture piped into /dev/stdin as they read its file, to the byte.
+# process reads a regular file twice, the phase alone and then the blocks
+# the output is formed from, and a pipe or an input the output replaces
+# (-i X -o X) once, with the amplitude beside the phase: the pipe and
+# in-place runs (tsfr and lrr) give the bytes of the file runs, and so does
+# --verify-amplitude on every method's file run.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
 # and its parent, say) are compared by running the script in each and
@@ -71,7 +75,27 @@ for run in a b c; do
     cat "$out/cap.meas.csif" | csiphase process -i /dev/stdin -o "$out/$method.pipe.csif" --method "$method" --report "$out/$method.pipe.txt"
     cmp "$out/$method.pipe.csif" "$out/$method.csif"
     cmp "$out/$method.pipe.txt" "$out/$method.txt"
+    csiphase process -i "$out/cap.meas.csif" -o "$out/$method.verify.csif" --method "$method" --report "$out/$method.verify.txt" --verify-amplitude
+    cmp "$out/$method.verify.csif" "$out/$method.csif"
+    cmp "$out/$method.verify.txt" "$out/$method.txt"
   done
+  csiphase process -i "$out/cap.meas.csif" -o "$out/clean.plain.csif" --method tsfr --report "$out/report.plain.txt"
+  csiphase process -i "$out/cap.meas.csif" -o "$out/sg2d.verify.csif" --method lrr+sg2d --report "$out/sg2d.verify.txt" --verify-amplitude
+  csiphase process -i "$out/cap.meas.csif" -o "$out/sg2d_sep.verify.csif" --method lrr+sg2d --separable --report "$out/sg2d_sep.verify.txt" --verify-amplitude
+  cmp "$out/clean.plain.csif" "$out/clean.csif"
+  cmp "$out/report.plain.txt" "$out/report.txt"
+  for name in sg2d sg2d_sep; do
+    cmp "$out/$name.verify.csif" "$out/$name.csif"
+    cmp "$out/$name.verify.txt" "$out/$name.txt"
+  done
+  cp "$out/cap.meas.csif" "$out/clean.inplace.csif"
+  cp "$out/cap.meas.csif" "$out/lrr.inplace.csif"
+  csiphase process -i "$out/clean.inplace.csif" -o "$out/clean.inplace.csif" --method tsfr --report "$out/report.inplace.txt"
+  csiphase process -i "$out/lrr.inplace.csif" -o "$out/lrr.inplace.csif" --method lrr --report "$out/lrr.inplace.txt"
+  cmp "$out/clean.inplace.csif" "$out/clean.csif"
+  cmp "$out/report.inplace.txt" "$out/report.txt"
+  cmp "$out/lrr.inplace.csif" "$out/lrr.csif"
+  cmp "$out/lrr.inplace.txt" "$out/lrr.txt"
   csiphase stats diffhist -i "$out/clean.csif" -o "$out/diffhist.csv"
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds_labels.csv" --labels "$det/labels.txt"
   cat "$out/clean.csif" | csiphase stats ds -i /dev/stdin -o "$out/ds.pipe.csv"
