@@ -83,13 +83,18 @@ def _line_fit(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares line a * x + b through ``u`` along its last axis.
 
     A flat row gets slope exactly 0 and its constant value as intercept.
+    A row is flat when no two neighbours differ, which one comparison over
+    the buffer of ``u`` tells for every row.
     """
     xc = x - x.mean()
     mean = u.mean(axis=-1, keepdims=True)
     dev = u - mean
     a = np.multiply(dev, xc, out=dev).sum(axis=-1) / (xc @ xc)
     b = mean[..., 0] - x.mean() * a
-    flat = u.max(axis=-1) == u.min(axis=-1)
+    cells = u.reshape(-1)
+    steps = np.empty(cells.size, dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=steps[1:])
+    flat = ~steps.reshape(u.shape)[..., 1:].any(axis=-1)
     return np.where(flat, 0.0, a), np.where(flat, u[..., 0], b)
 
 

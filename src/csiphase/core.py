@@ -43,6 +43,14 @@ whatever S is; a matrix of at most ``_BLOCK`` cells runs as one block,
 with the same calls as an unblocked pass. A stage whose input matrix was
 handed over to it (``_hand_over``) computes in that matrix's array
 instead of allocating its output.
+
+Flat-pass rule: an elementwise pass along rows runs as one ufunc call
+over the C-contiguous buffer of its row block, not as one numpy loop
+per row. Adjacent gaps are taken over the whole buffer (``_row_gaps``),
+the gap across two rows landing in column 0, which is overwritten
+before anything reads it. Only the per-row reductions (sums, means and
+the ``cumsum`` of the unwrap's wrap counts) run a row at a time, since
+their order sets the output bits; every byte is that of a pass per row.
 """
 
 from __future__ import annotations
@@ -569,8 +577,33 @@ def unwrap(v: np.ndarray) -> np.ndarray:
     return _unwrap_axis(_as_row(v, "unwrap"))
 
 
+def _row_gaps(values: np.ndarray, gaps: np.ndarray | None = None) -> np.ndarray:
+    """The adjacent gaps along the last axis of a C-contiguous array, in its
+    shape: column j holds ``values[..., j] - values[..., j - 1]`` and
+    column 0 holds +0.0.
+
+    The gaps are taken by one subtraction over the array's buffer into the
+    flat buffer ``gaps`` (a new one by default), so numpy runs one loop
+    over every cell instead of one per row; column 0 then holds the gaps
+    across rows, which are overwritten. Those may overflow where no gap of
+    a row does, so overflow is not warned of: a caller that needs finite
+    gaps checks what it computes from them.
+    """
+    flat = values.reshape(-1)
+    if gaps is None:
+        gaps = np.empty(flat.size)
+    with np.errstate(over="ignore"):
+        np.subtract(flat[1:], flat[:-1], out=gaps[1:])
+    gaps = gaps.reshape(values.shape)
+    gaps[..., 0] = 0.0
+    return gaps
+
+
 def _unwrap_axis(
-    values: np.ndarray, out: np.ndarray | None = None, first_row: int = 0
+    values: np.ndarray,
+    out: np.ndarray | None = None,
+    first_row: int = 0,
+    gaps: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`unwrap` along the last axis, with no input checks.
 
@@ -578,37 +611,57 @@ def _unwrap_axis(
     elementwise arithmetic as a vector, so it matches ``unwrap`` bit for
     bit: its first sample is kept and every later one is ``values[1:] -
     2*pi * cumsum(ceil((d - pi) / (2*pi)))`` over the adjacent gaps ``d``.
-    The result goes to ``out`` (a new array by default), which may be
-    ``values`` itself to unwrap in place.
+    The result goes to ``out`` (a new C-contiguous array by default), which
+    may be ``values`` itself to unwrap in place.
 
     Finite samples can still be further apart than the float range, or
     their wrap counts add up beyond it. A gap whose unwrapped sample
     overflows raises ``ValueError`` naming its row (``first_row`` is the
     global row of ``values[0]``, for row blocks) and its two columns.
 
+    Every elementwise step runs once over the C-contiguous buffer (numpy
+    merges the rows of contiguous operands into one loop), not once per
+    row: the gaps go to the flat buffer ``gaps`` (see
+    :func:`_row_gaps`; a caller that unwraps many blocks passes one of
+    ``values.size`` cells), whose column 0 is +0.0. Its wrap count,
+    ``ceil(-1/2)``, is -0.0, which adds nothing to any sum, so ``cumsum``
+    along each row gives the running sums of the row's own wrap counts;
+    the first column is restored from a copy made before any write. A
+    strided ``values`` is first copied into ``out``, and a strided ``out``
+    is written from a contiguous result.
+
     Fast path: when every gap satisfies |d| < 3, each wrap count
     ``ceil((d - pi) / (2*pi))`` lies in (-1, 0) before rounding, so it is
     -0.0, and so are its running sums and their 2*pi multiples. The full
     formula then reduces to ``values[1:] + 0.0``, which turns a stored
     -0.0 into +0.0 just as subtracting -0.0 does; that is computed
-    directly. The condition is tested by two reductions over ``d``, so
+    directly. The condition is tested by two reductions over the gaps, so
     input that fails it pays little extra. Otherwise the same ufuncs run
-    in the same order, in place in the one ``d`` buffer.
+    in the same order, in place in the one gap buffer.
     """
     if out is None:
-        out = np.empty_like(values)
-    d = np.diff(values, axis=-1)
-    out[..., 0] = values[..., 0]
+        out = np.empty(values.shape)
+    elif not out.flags.c_contiguous:
+        out[...] = _unwrap_axis(values, first_row=first_row, gaps=gaps)
+        return out
+    if not values.flags.c_contiguous:
+        out[...] = values
+        values = out
+    first = values[..., 0].copy()
+    d = _row_gaps(values, gaps)
     if d.size == 0 or (d.max() < 3.0 and d.min() > -3.0):
-        np.add(values[..., 1:], 0.0, out=out[..., 1:])
+        np.add(values, 0.0, out=out)
+        out[..., 0] = first
         return out
     d -= np.pi
     d /= _TWO_PI
     np.ceil(d, out=d)
     np.cumsum(d, axis=-1, out=d)
     np.multiply(_TWO_PI, d, out=d)
-    np.subtract(values[..., 1:], d, out=out[..., 1:])
-    _check_gaps(out[..., 1:], "unwrapping", first_row)
+    np.subtract(values, d, out=out)
+    out[..., 0] = first
+    if not np.isfinite(out).all():
+        _check_gaps(out[..., 1:], "unwrapping", first_row)
     return out
 
 

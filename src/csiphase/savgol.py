@@ -361,7 +361,9 @@ def _smooth_rows(
     fitted and its correlation written into ``out``. For the FFT path the
     buffer is ``_fast_length`` columns wide and takes the block's inverse
     transform over its unwrapped rows, so the block's spectrum is its only
-    other scratch.
+    other scratch. The unwrapped rows lie packed at the start of the
+    buffer, C-contiguous whatever its width, so the unwrap runs over one
+    contiguous buffer; they are read only before the inverse is written.
     """
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
@@ -375,7 +377,7 @@ def _smooth_rows(
     scratch = np.empty((blocks[0].stop, length if spectrum is None else _fast_length(length)))
     for block in blocks:
         inverse = scratch[: block.stop - block.start]
-        u = inverse[:, :length]
+        u = inverse.reshape(-1)[: inverse.shape[0] * length].reshape(-1, length)
         u[...] = rows[block]
         _unwrap_axis(u, out=u, first_row=block.start)
         _fit_edges(out[block], u, kernel)

@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .calib import lrr_calibrate, lt_calibrate
 from .core import (
     AmplitudeMatrix,
@@ -58,6 +59,7 @@ from .core import (
     _hand_over,
     _require_stage,
     _row_blocks,
+    _row_gaps,
     _unwrap_axis,
     decompose,
     recompose,
@@ -139,25 +141,41 @@ class TsfrReport:
         _check_gap_stats(self.mu, self.sigma, self.d)
 
 
-def _gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mu, sigma and d = mu + sigma of the absolute adjacent gaps (last axis)."""
-    gaps = np.diff(rows, axis=-1)
-    np.abs(gaps, out=gaps)
-    mu = gaps.mean(axis=-1)
-    # The squared deviations reuse the gap buffer.
-    gaps -= np.expand_dims(mu, -1)
-    np.square(gaps, out=gaps)
-    sigma = np.sqrt(gaps.mean(axis=-1))
+def _gap_stats(
+    rows: np.ndarray, gaps: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu, sigma and d = mu + sigma of the absolute adjacent gaps (last axis).
+
+    The gaps are taken and made absolute in one pass over the buffer of
+    ``rows``, in the flat buffer ``gaps`` (``core._row_gaps``); only the
+    means and the deviations from them run a row at a time.
+    """
+    full = _row_gaps(rows, gaps)
+    np.abs(full, out=full)
+    mu = full[..., 1:].mean(axis=-1)
+    # The squared deviations reuse the gap buffer, its column 0 set back to 0.
+    full -= np.expand_dims(mu, -1)
+    full[..., 0] = 0.0
+    np.square(full, out=full)
+    sigma = np.sqrt(full[..., 1:].mean(axis=-1))
     return mu, sigma, mu + sigma
 
 
 def _unwrapped_gap_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_gap_stats` of the unwrapped rows, unwrapped and reduced a
-    block of rows at a time, so no S x K gap buffer exists. The three rows
-    of one read-only buffer are returned, for containers to keep uncopied."""
+    block of rows at a time, so no S x K gap buffer exists. Each block is
+    unwrapped into one reused buffer and its gaps are taken in the unwrap's
+    gap buffer; the blocks have half the cells of ``core._BLOCK``, so the
+    two buffers together hold one block. The three rows of one read-only
+    buffer are returned, for containers to keep uncopied."""
     stats = np.empty((3, rows.shape[0]))
-    for block in _row_blocks(*rows.shape):
-        stats[:, block] = _gap_stats(_unwrap_axis(rows[block], first_row=block.start))
+    blocks = _row_blocks(*rows.shape, core._BLOCK // 2)
+    unwrapped = np.empty((blocks[0].stop, rows.shape[1]))
+    gaps = np.empty(unwrapped.size)
+    for block in blocks:
+        u = unwrapped[: block.stop - block.start]
+        _unwrap_axis(rows[block], out=u, first_row=block.start, gaps=gaps[: u.size])
+        stats[:, block] = _gap_stats(u, gaps[: u.size])
     stats.setflags(write=False)
     return stats[0], stats[1], stats[2]
 

@@ -27,13 +27,30 @@ def smooth_rows(rng, s, k, step=0.3):
 
 
 def awkward_rows(rng, s=40, k=30):
-    """Wrapping rows, flat rows (one of them all -0.0) and scattered -0.0."""
+    """Wrapping rows, flat rows (one of them all -0.0, one flat only once
+    unwrapped, one of alternating +0.0 and -0.0), a row flat but for its
+    first sample and scattered -0.0."""
     rows = rng.uniform(-np.pi, np.pi, size=(s, k))
     rows[1] = 0.7
     rows[2] = -0.0
     rows[5::6, 3::4] = -0.0
     rows[7] = smooth_rows(rng, 1, k)[0]
+    rows[8] = 0.7
+    rows[8, 0] = 0.6
+    rows[9] = 2.0 * np.pi * np.arange(k)
+    rows[10] = np.where(np.arange(k) % 2 == 0, 0.0, -0.0)
     return rows
+
+
+def fit_by_its_rule(u, x):
+    """The least-squares line of ``_line_fit`` with its flat-row rule
+    written as the row's maximum equal to its minimum."""
+    xc = x - x.mean()
+    mean = u.mean(axis=-1, keepdims=True)
+    a = ((u - mean) * xc).sum(axis=-1) / (xc @ xc)
+    b = mean[..., 0] - x.mean() * a
+    flat = u.max(axis=-1) == u.min(axis=-1)
+    return np.where(flat, 0.0, a), np.where(flat, u[..., 0], b)
 
 
 def grouped_map(k=30):
@@ -52,14 +69,21 @@ def test_calibrations_match_their_expressions_bitwise():
     eps, tau = _endpoint_line(u, m)
     expected = u - eps[:, None] * m[None, :] - tau[:, None]
     assert lt_calibrate(PhaseMatrix(raw), smap).values.tobytes() == expected.tobytes()
+    flat = u.max(axis=-1) == u.min(axis=-1)
+    assert flat[[1, 2, 9, 10]].all() and not flat[8]
+    assert not (raw[9].max() == raw[9].min())  # flat only once unwrapped
     for x in (np.arange(1, 31, dtype=float), m):
-        a, b = _line_fit(u, x)
+        for rows in (raw, u):
+            for got, want in zip(_line_fit(rows, x), fit_by_its_rule(rows, x)):
+                assert got.tobytes() == want.tobytes()
+        a, b = fit_by_its_rule(u, x)
         alpha = np.arctan(a)
         sa, ca, r_first = np.sin(alpha), np.cos(alpha), a * x[0] + b
         expected = -x[None, :] * sa[:, None] + u * ca[:, None] - r_first[:, None]
         abscissa = None if x is not m else m
         got = lrr_calibrate(PhaseMatrix(raw), abscissa).values
         assert got.tobytes() == expected.tobytes()
+        assert got[9].tobytes() == np.zeros(30).tobytes()
 
 
 # ------------------------------------------------------------------------ lt

@@ -478,6 +478,42 @@ def test_unwrap_matches_the_reference_arithmetic_bitwise():
     assert not np.signbit(out[:, 2]).any()  # a later -0.0 comes out as +0.0
 
 
+# Cells whose neighbours differ by exactly +-pi, +-3.0 or +-2*pi, signed
+# zeros, wrapped cells and magnitudes whose wrap counts run into the 1e5s.
+_mixed_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 3.0, -3.0]),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+# Every gap below 3 in magnitude: the whole grid takes the fast path.
+_calm_cells = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1.49, max_value=1.49))
+
+
+@st.composite
+def _unwrap_grids(draw):
+    shape = (draw(st.integers(min_value=1, max_value=30)),
+             draw(st.integers(min_value=1, max_value=40)))
+    cells = draw(st.sampled_from([_mixed_cells, _calm_cells]))
+    return draw(arrays(np.float64, shape, elements=cells))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_unwrap_grids())
+def test_unwrap_kernel_matches_the_reference_in_any_layout(grid):
+    # The kernel runs over one contiguous buffer; a strided input or output
+    # must give the bytes of the per-row reference all the same.
+    expected = reference_unwrap(grid)
+    assert same_bytes(_unwrap_axis(grid), expected)
+    spaced = np.full((2 * grid.shape[0], grid.shape[1]), 7.0)
+    spaced[::2] = grid
+    assert same_bytes(_unwrap_axis(spaced[::2]), expected)
+    transposed = np.ascontiguousarray(grid.T).T
+    assert same_bytes(_unwrap_axis(transposed), expected)
+    for values in (grid.copy(), transposed):
+        assert _unwrap_axis(values, out=values) is values
+        assert same_bytes(values, expected)
+
+
 def test_unwrap_of_a_wrapped_capture_stays_near_its_input_size():
     rng = np.random.default_rng(4)
     values = rng.uniform(-np.pi, np.pi, size=(10000, 52))
