@@ -626,9 +626,10 @@ def _unwrap_axis(
     ``values.size`` cells), whose column 0 is +0.0. Its wrap count,
     ``ceil(-1/2)``, is -0.0, which adds nothing to any sum, so ``cumsum``
     along each row gives the running sums of the row's own wrap counts;
-    the first column is restored from a copy made before any write. A
-    strided ``values`` is first copied into ``out``, and a strided ``out``
-    is written from a contiguous result.
+    the first column is restored from a copy made before any write. Any
+    layout gives the same bytes: the gap subtraction reads a strided
+    ``values`` through a C-order copy, and every later step is elementwise,
+    so ``out`` may be strided too; the library passes contiguous blocks.
 
     Fast path: when every gap satisfies |d| < 3, each wrap count
     ``ceil((d - pi) / (2*pi))`` lies in (-1, 0) before rounding, so it is
@@ -641,12 +642,6 @@ def _unwrap_axis(
     """
     if out is None:
         out = np.empty(values.shape)
-    elif not out.flags.c_contiguous:
-        out[...] = _unwrap_axis(values, first_row=first_row, gaps=gaps)
-        return out
-    if not values.flags.c_contiguous:
-        out[...] = values
-        values = out
     first = values[..., 0].copy()
     d = _row_gaps(values, gaps)
     if d.size == 0 or (d.max() < 3.0 and d.min() > -3.0):

@@ -153,7 +153,9 @@ def _gap_stats(
     full = _row_gaps(rows, gaps)
     np.abs(full, out=full)
     mu = full[..., 1:].mean(axis=-1)
-    # The squared deviations reuse the gap buffer, its column 0 set back to 0.
+    # The squared deviations reuse the gap buffer. No mean reads column 0,
+    # but it holds -mu, whose square would overflow (and warn) for gaps
+    # beyond 1e154 that no deviation of a row's own gaps need reach.
     full -= np.expand_dims(mu, -1)
     full[..., 0] = 0.0
     np.square(full, out=full)

@@ -93,6 +93,13 @@ def test_gap_stats_constant_row_gives_zero_threshold():
     assert fit.d == 0.0
 
 
+def test_gap_stats_of_huge_even_gaps_warns_of_nothing():
+    # Gaps of 1e200 each deviate 0 from their mean, so no square overflows.
+    with np.errstate(all="raise"):
+        fit = gap_stats(np.array([0.0, 1e200, 2e200]))
+    assert (fit.mu, fit.sigma) == (1e200, 0.0)
+
+
 def test_gap_stats_rejects_bad_rows():
     with pytest.raises(ValueError, match="at least 2"):
         gap_stats(np.array([1.0]))
