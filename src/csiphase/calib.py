@@ -17,9 +17,10 @@ row by row (one OFDM symbol at a time) after unwrapping the row:
   The rotated row has a least-squares slope of exactly
   -sin(alpha) + a * cos(alpha) = 0, so the linear trend is gone.
 
-Both work a block of rows at a time, and every sum in them is a ufunc
-reduction along one row, so no bit depends on the block size or on the
-BLAS thread count. Each block is unwrapped and calibrated in place in the
+Both work a block of rows at a time, on every worker thread
+(``core._run_blocks``), and every sum in them is a ufunc reduction along
+one row, so no bit depends on the block size, on the worker count or on
+the BLAS thread count. Each block is unwrapped and calibrated in place in the
 output rows, so the output may be the input's own array: a raw matrix
 handed over by its only holder (``core._hand_over``, as ``tsfr.process``
 does with a capture it reads itself) is calibrated in that array.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _require_stage, _row_blocks,
+from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _require_stage, _run_blocks,
                    _stage_output, _unwrap_axis)
 
 __all__ = [
@@ -128,11 +129,15 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
     # The rows are unwrapped over a handed-over input, else into a fresh
     # array, and the trend comes off in place, a block of rows at a time.
     u = _stage_output(phase)
-    for block in _row_blocks(*phase.shape):
-        rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
-        eps, tau = _endpoint_line(rows, m)
-        rows -= eps[:, None] * m[None, :]
-        rows -= tau[:, None]
+
+    def calibrate(blocks):
+        for block in blocks:
+            rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
+            eps, tau = _endpoint_line(rows, m)
+            rows -= eps[:, None] * m[None, :]
+            rows -= tau[:, None]
+
+    _run_blocks(calibrate, *phase.shape)
     u.setflags(write=False)
     return PhaseMatrix(u, Stage.CALIBRATED)
 
@@ -188,13 +193,17 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
     # of the unwrapped u, the handed-over input or a fresh array (a sum of two
     # floats does not depend on order).
     u = _stage_output(phase)
-    for block in _row_blocks(s, k_count):
-        rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
-        a, b = _line_fit(rows, x)
-        alpha = np.arctan(a)
-        r_first = a * x[0] + b
-        rows *= np.cos(alpha)[:, None]
-        rows += -x[None, :] * np.sin(alpha)[:, None]
-        rows -= r_first[:, None]
+
+    def calibrate(blocks):
+        for block in blocks:
+            rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
+            a, b = _line_fit(rows, x)
+            alpha = np.arctan(a)
+            r_first = a * x[0] + b
+            rows *= np.cos(alpha)[:, None]
+            rows += -x[None, :] * np.sin(alpha)[:, None]
+            rows -= r_first[:, None]
+
+    _run_blocks(calibrate, s, k_count)
     u.setflags(write=False)
     return PhaseMatrix(u, Stage.CALIBRATED)

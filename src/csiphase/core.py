@@ -44,6 +44,16 @@ with the same calls as an unblocked pass. A stage whose input matrix was
 handed over to it (``_hand_over``) computes in that matrix's array
 instead of allocating its output.
 
+Worker rule: a row-block pass (``_run_blocks``) uses every CPU in the
+process's affinity mask. Each of the n workers runs a contiguous share
+of the rows in blocks of ``_BLOCK / n`` cells with scratch of its own,
+so a pass holds the scratch of one serial pass whatever n is. Every
+block is local to its rows, so no byte depends on the CPU count; one
+CPU (``taskset -c 0``), or an input of one block, runs the serial pass
+on the calling thread. Workers call private kernels only, never a
+public function of the package, which a tracer may have wrapped with
+state that is not thread-safe.
+
 Flat-pass rule: an elementwise pass along rows runs as one ufunc call
 over the C-contiguous buffer of its row block, not as one numpy loop
 per row. Adjacent gaps are taken over the whole buffer (``_row_gaps``),
@@ -55,8 +65,12 @@ their order sets the output bits; every byte is that of a pass per row.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +111,11 @@ def _check_grid(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be 2-D (symbols x subcarriers), got shape {values.shape}")
     _check_shape(values.shape, name)
     # A row block at a time, so the mask of one block exists, not an S x K one.
-    for rows in _row_blocks(*values.shape):
-        _check_finite(values[rows], name, rows.start)
+    def check(blocks):
+        for rows in blocks:
+            _check_finite(values[rows], name, rows.start)
+
+    _run_blocks(check, *values.shape)
 
 
 def _as_row(values, name: str, min_size: int = 1) -> np.ndarray:
@@ -164,15 +181,142 @@ def _row_blocks(
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    system has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Threads a row-block pass runs on, the caller's included.
+_WORKERS = _cpus()
+
+
+# Stack of a helper thread, which runs numpy's loops under a few Python
+# frames: far less than the usual 8 MiB default, which would be address
+# space taken from the arrays of a process under an address-space limit.
+# It is set only while a helper starts.
+_STACK = 1 << 20
+
+
+class _Pool:
+    """Helper threads that run the tasks of one queue, started as passes
+    first need them and kept for later passes."""
+
+    def __init__(self) -> None:
+        self.tasks = queue.SimpleQueue()
+        self._started = 0
+        self._lock = threading.Lock()
+
+    def helpers(self, wanted: int) -> int:
+        """Start helpers until ``wanted`` run; return how many of them a
+        pass may use: ``wanted``, or fewer when a thread cannot start."""
+        with self._lock:
+            while self._started < wanted:
+                thread = threading.Thread(target=self._serve, name="csiphase-rows", daemon=True)
+                try:
+                    size = threading.stack_size(_STACK)
+                    try:
+                        thread.start()
+                    finally:
+                        threading.stack_size(size)
+                except RuntimeError:
+                    break
+                self._started += 1
+            return min(self._started, wanted)
+
+    def _serve(self) -> None:
+        while True:
+            self.tasks.get()()
+
+
+_pool = _Pool()
+
+
+def _new_pool() -> None:
+    """A forked child has none of its parent's threads: it starts its own."""
+    global _pool
+    _pool = _Pool()
+
+
+os.register_at_fork(after_in_child=_new_pool)
+
+
+def _run_share(context, task, blocks: list[slice], errors: list, index: int, done) -> None:
+    """Run ``task(blocks)`` in ``context``, keep its error in ``errors[index]``
+    and report ``index`` as done."""
+    try:
+        context.run(task, blocks)
+    except BaseException as error:
+        errors[index] = error
+    finally:
+        done.put(index)
+
+
+def _run_blocks(task, rows: int, length: int, block: int | None = None) -> None:
+    """Run a row-block pass, ``task(blocks)``, on every worker thread.
+
+    ``task`` runs its own loop over the row slices ``blocks`` and sizes
+    its scratch by the first of them; every block it runs is local to its
+    rows, so the blocks may run in any order and on any thread. A pass of
+    one block (``_row_blocks(rows, length, block)``), or with one
+    worker, is one call over those blocks: the serial pass.
+
+    Otherwise the rows are cut into blocks of ``block / n`` cells for
+    ``n`` workers, and each worker runs ``task`` on a contiguous share of
+    them with its own scratch, so the pass holds the scratch of the serial
+    one; rows too long for a worker's share of a block are run by fewer
+    workers, or serially. The caller runs the first share and waits for
+    the rest, which run in copies of its context, so numpy's ``errstate``
+    reaches them. If shares fail, the error of the lowest one is raised:
+    as each share runs its rows in order, that is the error the serial
+    pass raises, at the first bad row. When no helper thread can start,
+    the caller runs every block itself. ``task`` must not start a pass:
+    its share would wait for helpers that may all be waiting too.
+    """
+    cells = _BLOCK if block is None else block
+    blocks = _row_blocks(rows, length, cells)
+    workers = min(_WORKERS, cells // length)
+    if len(blocks) == 1 or workers < 2:
+        task(blocks)
+        return
+    blocks = _row_blocks(rows, length, cells // workers)
+    workers = 1 + _pool.helpers(min(workers, len(blocks)) - 1)
+    parts = [blocks[i * len(blocks) // workers : (i + 1) * len(blocks) // workers]
+             for i in range(workers)]
+    errors: list = [None] * workers
+    done = queue.SimpleQueue()
+    for index in range(1, workers):
+        _pool.tasks.put(functools.partial(
+            _run_share, contextvars.copy_context(), task, parts[index], errors, index, done
+        ))
+    _run_share(contextvars.copy_context(), task, parts[0], errors, 0, done)
+    for _ in range(workers):
+        done.get()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _cartesian_blocks(
-    a: np.ndarray, p: np.ndarray, name: str, out: np.ndarray | None = None, first_row: int = 0
+    a: np.ndarray,
+    p: np.ndarray,
+    name: str,
+    out: np.ndarray | None = None,
+    first_row: int = 0,
+    blocks: list[slice] | None = None,
 ):
-    """Yield ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks, in order.
+    """Yield ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks, in order:
+    the row slices ``blocks``, by default every row in blocks of
+    ``_FILL_BLOCK`` cells.
 
     Each block is a run of complex rows: rows of ``out`` when it is given,
-    otherwise one scratch buffer reused for every block. A non-finite
-    cell raises ``ValueError`` with its global row and column, the rows
-    of ``a`` and ``p`` starting at row ``first_row``.
+    otherwise one scratch buffer, sized by the first block, reused for
+    every block. A non-finite cell raises ``ValueError`` with its global
+    row and column, the rows of ``a`` and ``p`` starting at row
+    ``first_row``.
 
     Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed zeros
     included. numpy forms 1j*x as (x*0.0 - 0.0) + (x + 0.0)j, and
@@ -181,8 +325,9 @@ def _cartesian_blocks(
     not the strided .real/.imag views. Every operation is elementwise, so
     the block size changes no bit.
     """
-    blocks = _row_blocks(*a.shape, _FILL_BLOCK)
-    shape = (blocks[0].stop, a.shape[1])
+    if blocks is None:
+        blocks = _row_blocks(*a.shape, _FILL_BLOCK)
+    shape = (blocks[0].stop - blocks[0].start, a.shape[1])
     buf, cos = np.empty(shape), np.empty(shape)
     scratch = np.empty(shape, dtype=np.complex128) if out is None else None
     for rows in blocks:
@@ -328,8 +473,12 @@ class CsiMatrix(_Grid):
         if angles is None:  # another thread formed both views since this read began
             return vars(self)["values"]
         values = np.empty(self.shape, dtype=np.complex128)
-        for _ in _cartesian_blocks(self._amplitude, angles, self._what, values):
-            pass
+
+        def fill(blocks):
+            for _ in _cartesian_blocks(self._amplitude, angles, self._what, values, blocks=blocks):
+                pass
+
+        _run_blocks(fill, *self.shape, _FILL_BLOCK)
         values.setflags(write=False)
         return self._keep("values", values)
 
@@ -338,8 +487,14 @@ class CsiMatrix(_Grid):
         """Amplitude and principal phase, formed once."""
         if self._amplitude is None:
             values = self.values
-            blocks = ((rows, values[rows]) for rows in _row_blocks(*self.shape))
-            return self._keep("_polar", _polar_blocks(blocks, self.shape))
+            amplitude, phase = np.empty(self.shape), np.empty(self.shape)
+
+            def split(blocks):
+                for rows in blocks:
+                    _polar_block(values[rows], amplitude[rows], phase[rows])
+
+            _run_blocks(split, *self.shape)
+            return self._keep("_polar", _polar_views(amplitude, phase))
         angles = self._angles
         if angles is None:  # another thread formed both views since this read began
             return vars(self)["_polar"]
@@ -361,18 +516,29 @@ class CsiMatrix(_Grid):
             cache.pop("_angles", None)
         return view
 
-    def _row_blocks(self):
-        """The complex values as consecutive blocks of rows.
+    def _write(self, write) -> None:
+        """Write the complex values through ``write``, a CSIF payload
+        writer (``io._csif_writer``).
 
-        A matrix whose values are formed yields them in one block; an
-        unformed one yields checked blocks of one reused scratch buffer
-        and stays unformed.
+        A matrix whose values are formed writes them in one block. An
+        unformed one fills checked row blocks of scratch and stays
+        unformed: into a pipe in order, and into a regular file on every
+        worker (``_run_blocks``), each writing its blocks at their rows.
         """
         angles = self._angles  # read first: once it is dropped, the values exist
         if "values" in vars(self):
-            yield self.values
+            write(self.values)
+            return
+
+        def fill(blocks):
+            cells = _cartesian_blocks(self._amplitude, angles, self._what, blocks=blocks)
+            for rows, block in zip(blocks, cells):
+                write(block, rows.start)
+
+        if write.seekable:
+            _run_blocks(fill, *self.shape, _FILL_BLOCK)
         else:
-            yield from _cartesian_blocks(self._amplitude, angles, self._what)
+            fill(_row_blocks(*self.shape, _FILL_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -657,6 +823,19 @@ def _unwrap_axis(
     out[..., 0] = first
     if not np.isfinite(out).all():
         _check_gaps(out[..., 1:], "unwrapping", first_row)
+    return out
+
+
+def _unwrap_rows(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`_unwrap_axis` of every row of an S x K matrix into ``out``,
+    which may be ``values`` itself, a row block at a time on every worker
+    (:func:`_run_blocks`)."""
+
+    def unwrap_blocks(blocks):
+        for rows in blocks:
+            _unwrap_axis(values[rows], out=out[rows], first_row=rows.start)
+
+    _run_blocks(unwrap_blocks, *values.shape)
     return out
 
 

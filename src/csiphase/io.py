@@ -95,22 +95,52 @@ def _payload_dtype(flags: int) -> np.dtype:
     return np.dtype("<c16" if flags == _FLAG_COMPLEX else "<f8")
 
 
+class _PayloadWriter:
+    """Writes row blocks of an S x K payload to a CSIF file opened for
+    writing, whose header is written.
+
+    ``write(block)`` appends a block; the caller writes exactly the
+    declared rows, in order. ``write(block, row)`` writes a block at its
+    first row ``row``: into a regular file (``seekable``) with
+    ``os.pwrite`` at the row's offset, so blocks may come in any order and
+    from any thread; into a pipe it appends, so the rows must come in
+    order. A contiguous block of the payload's dtype is written from its
+    own buffer, so no copy is made.
+    """
+
+    def __init__(self, fh, dtype: np.dtype, columns: int) -> None:
+        self._fh, self._dtype = fh, dtype
+        self._row_bytes = columns * dtype.itemsize
+        self.seekable = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if self.seekable:
+            fh.flush()  # the header, before any block is written past it
+
+    def __call__(self, block: np.ndarray, row: int | None = None) -> None:
+        data = np.ascontiguousarray(block, dtype=self._dtype).view(np.uint8)
+        if row is None or not self.seekable:
+            self._fh.write(data)
+            return
+        data, offset = memoryview(data).cast("B"), _HEADER.size + row * self._row_bytes
+        while data:
+            written = os.pwrite(self._fh.fileno(), data, offset)
+            data, offset = data[written:], offset + written
+
+
 @contextlib.contextmanager
 def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_COMPLEX):
     """Open ``path`` as a CSIF file of an S x K payload of the kind
-    ``flags`` names, write its header, and give a function that appends
-    row blocks; the caller writes exactly the declared rows, in order.
+    ``flags`` names, write its header, and give a :class:`_PayloadWriter`
+    of the payload's row blocks.
 
-    A contiguous block of the payload's dtype is written from its own
-    buffer, so no copy is made. Any error inside the ``with`` block
-    removes the partial file; a target that is not a regular file (a
-    pipe, /dev/stdout) is never removed.
+    Any error inside the ``with`` block removes the partial file; a
+    target that is not a regular file (a pipe, /dev/stdout) is never
+    removed.
     """
     dtype = _payload_dtype(flags)
     with open(path, "wb") as fh:
         try:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, *shape))
-            yield lambda block: fh.write(np.ascontiguousarray(block, dtype=dtype).view(np.uint8))
+            yield _PayloadWriter(fh, dtype, shape[1])
         except BaseException:
             fh.close()
             if Path(path).is_file():
@@ -126,19 +156,21 @@ def write_csif(path: str | Path, matrix) -> None:
 
     Writes stream: a matrix from ``recompose`` whose values have not
     been read is written row block by row block as the blocks are
-    formed, and its values stay unformed; any other payload is written
-    from its own buffer. Either way no copy of the whole payload is made.
-    A non-finite cell found while streaming raises ``ValueError`` and,
-    like any error during the write, leaves no file behind.
+    formed, and its values stay unformed; into a regular file the blocks
+    are formed and written on every worker thread
+    (``core._run_blocks``), into a pipe in order. Any other payload is
+    written from its own buffer. Either way no copy of the whole payload
+    is made. A non-finite cell found while streaming raises
+    ``ValueError`` naming the first one, and, like any error during the
+    write, leaves no file behind.
     """
     if isinstance(matrix, CsiMatrix):
-        shape, flags, blocks = matrix.shape, _FLAG_COMPLEX, matrix._row_blocks()
-    else:
-        arr, flags = _payload_array(matrix)
-        shape, blocks = arr.shape, (arr,)
-    with _csif_writer(path, shape, flags) as write:
-        for block in blocks:
-            write(block)
+        with _csif_writer(path, matrix.shape) as write:
+            matrix._write(write)
+        return
+    arr, flags = _payload_array(matrix)
+    with _csif_writer(path, arr.shape, flags) as write:
+        write(arr)
 
 
 def _read_header(fh) -> tuple[np.dtype, int, int]:

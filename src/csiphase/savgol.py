@@ -83,8 +83,10 @@ from .core import (
     _hand_over,
     _require_stage,
     _row_blocks,
+    _run_blocks,
     _stage_output,
     _unwrap_axis,
+    _unwrap_rows,
 )
 
 __all__ = [
@@ -226,6 +228,7 @@ def _correlate_rows(
     out: np.ndarray | None = None,
     spectrum: np.ndarray | None = None,
     inverse: np.ndarray | None = None,
+    product: np.ndarray | None = None,
 ) -> np.ndarray:
     """Valid correlation of every row of a (signals, length) stack with
     unit column stride with one kernel:
@@ -240,7 +243,9 @@ def _correlate_rows(
     ``_kernel_spectrum(weights, length)`` in ``spectrum``, and on the FFT
     path a C-contiguous (signals, ``_fast_length(length)``) buffer in
     ``inverse``, which may hold ``arr`` itself: the FFT path
-    inverse-transforms into it once ``arr`` is transformed.
+    inverse-transforms into it once ``arr`` is transformed. Such a caller
+    may pass a (signals, ``_fast_length(length) // 2 + 1``) complex buffer
+    in ``product`` too, which the FFT path takes the rows' spectra in.
     """
     w = weights.size
     length = arr.shape[1]
@@ -253,7 +258,7 @@ def _correlate_rows(
         # The window view's strides keep numpy off BLAS: each sum runs in order.
         np.matmul(sliding_window_view(arr, w, axis=1), weights, out=out[:, pad : shape[1] - pad])
         return out
-    product = np.fft.rfft(arr, _fast_length(length), axis=1)
+    product = np.fft.rfft(arr, _fast_length(length), axis=1, out=product)
     product *= spectrum
     valid = _valid_correlation(product, w, length, inverse)
     del product
@@ -356,14 +361,19 @@ def _smooth_rows(
     too short for the window are copied unchanged, and warned of
     ``stacklevel`` frames up.
 
-    A block of rows at a time is copied into one reused buffer (a gather,
-    for the strided tracks of sg_time) and unwrapped there; its edges are
+    A block of rows at a time, on every worker (``core._run_blocks``), is
+    copied into the worker's reused buffer (a gather, for the strided
+    tracks of sg_time) and unwrapped there; its edges are
     fitted and its correlation written into ``out``. For the FFT path the
     buffer is ``_fast_length`` columns wide and takes the block's inverse
     transform over its unwrapped rows, so the block's spectrum is its only
-    other scratch. The unwrapped rows lie packed at the start of the
-    buffer, C-contiguous whatever its width, so the unwrap runs over one
-    contiguous buffer; they are read only before the inverse is written.
+    other scratch; the unwrap takes its gaps in the spectrum's buffer
+    before the spectrum is taken there. The unwrapped rows lie packed at
+    the start of the buffer, C-contiguous whatever its width, so the
+    unwrap runs over one contiguous buffer; they are read only before the
+    inverse is written. Each worker allocates the buffer and the spectrum
+    once, for its first block, so its scratch is the same through its
+    share.
     """
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
@@ -372,16 +382,26 @@ def _smooth_rows(
         out[...] = rows
         return out
     kernel = sg_design(resolved)
-    blocks = _row_blocks(*rows.shape)
     spectrum = _kernel_spectrum(kernel.coefficients, length)
-    scratch = np.empty((blocks[0].stop, length if spectrum is None else _fast_length(length)))
-    for block in blocks:
-        inverse = scratch[: block.stop - block.start]
-        u = inverse.reshape(-1)[: inverse.shape[0] * length].reshape(-1, length)
-        u[...] = rows[block]
-        _unwrap_axis(u, out=u, first_row=block.start)
-        _fit_edges(out[block], u, kernel)
-        _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum, inverse)
+    width = length if spectrum is None else _fast_length(length)
+
+    def smooth(blocks):
+        count = blocks[0].stop - blocks[0].start
+        scratch = np.empty((count, width))
+        products = None if spectrum is None else np.empty((count, width // 2 + 1), np.complex128)
+        for block in blocks:
+            inverse = scratch[: block.stop - block.start]
+            u = inverse.reshape(-1)[: inverse.shape[0] * length].reshape(-1, length)
+            u[...] = rows[block]
+            # On the FFT path the unwrap takes its gaps in the block's spectrum buffer.
+            gaps = None if products is None else products.view(np.float64).reshape(-1)[: u.size]
+            _unwrap_axis(u, out=u, first_row=block.start, gaps=gaps)
+            _fit_edges(out[block], u, kernel)
+            product = None if products is None else products[: u.shape[0]]
+            _correlate_rows(u, kernel.coefficients, resolved.half, out[block], spectrum, inverse,
+                            product)
+
+    _run_blocks(smooth, *rows.shape)
     return out
 
 
@@ -480,9 +500,7 @@ def _unwrap_grid(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         if not np.isfinite(out[rows]).all():
             # named as along a track: its symbols are the columns of its row
             _check_gaps(out[1 : rows.stop].T, "unwrapping")
-    for block in _row_blocks(*out.shape):
-        _unwrap_axis(out[block], out=out[block], first_row=block.start)
-    return out
+    return _unwrap_rows(out, out)
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)

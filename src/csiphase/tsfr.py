@@ -61,6 +61,7 @@ from .core import (
     _row_blocks,
     _row_gaps,
     _unwrap_axis,
+    _unwrap_rows,
     decompose,
     recompose,
 )
@@ -293,13 +294,11 @@ def tsfr(
     _smooth_rows(phi.T, None, order, fraction, "time axis", stacklevel=4, out=phi.T)
     # Each block of symbols is unwrapped across subcarriers, then walked, in
     # place; the gap buffer of the unwraps is gone before the marks exist.
-    blocks = _row_blocks(s, k)
-    for rows in blocks:
-        _unwrap_axis(phi[rows], out=phi[rows], first_row=rows.start)
+    _unwrap_rows(phi, phi)
     exceed = np.empty((s, k), dtype=bool)
     down = np.empty(s, dtype=np.int64)
     up = np.empty(s, dtype=np.int64)
-    for rows in blocks:
+    for rows in _row_blocks(s, k):
         low, high = _rebuild_rows(phi[rows].T, d[rows])
         np.logical_or(low.T, high.T, out=exceed[rows])
         # The masks are disjoint, so the two counts sum to the marks per symbol.

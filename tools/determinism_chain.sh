@@ -4,10 +4,13 @@
 # Usage, from the root of a checkout: tools/determinism_chain.sh OUT
 #
 # The benchmark compares repetitions inside one process; this runs the
-# chain in fresh processes three times, into OUT/a, OUT/b and OUT/c, and
-# requires identical bytes: a and b with the default OpenBLAS
-# threads, c with one thread. Every stage sums along one row or one track,
-# never through BLAS, so the thread count changes no byte. The shapes where
+# chain in fresh processes four times, into OUT/a, OUT/b, OUT/c and OUT/d,
+# and requires identical bytes: a and b with the default OpenBLAS threads
+# and a worker thread per CPU of the affinity mask, c with one OpenBLAS
+# thread, and d also pinned to one CPU (taskset -c 0), where every row-block
+# pass runs serially. Every stage sums along one row or one track, never
+# through BLAS, and each row or track is summed on one thread, so neither
+# thread count changes a byte. The shapes where
 # BLAS products used to round by thread count are covered: every lrr-based
 # method on a 2500x242 VHT80 capture (n_fft 256, subcarriers -122..-2 and
 # 2..122), and lrr+sg2d, bivariate and separable, on a 4000x256 capture.
@@ -41,8 +44,9 @@ set -euo pipefail
 det=${1:?usage: tools/determinism_chain.sh OUT}
 mkdir -p "$det"
 
+pin=""  # a command that runs the CLI pinned to CPUs, for run d
 csiphase() {
-  PYTHONPATH=src python -m csiphase "$@"
+  PYTHONPATH=src $pin python -m csiphase "$@"
 }
 
 awk 'BEGIN { for (s = 0; s < 2000; s++) print (s % 3 ? "walk" : "sit, \"still\"") }' > "$det/labels.txt"
@@ -50,10 +54,11 @@ printf 'n_fft = 64\nsubcarriers = -26:-1\npaths = 0:1, 3:0.4+0.2j\ngain_drift_de
 awk 'BEGIN { printf "n_fft = 256\nsubcarriers = -122"; for (m = -121; m <= 122; m++) if (m < -1 || m > 1) printf ", %d", m; print "" }' > "$det/vht80.txt"
 printf 'n_fft = 512\n' > "$det/wide.txt"
 printf 'n_fft = 128\n' > "$det/n128.txt"
-for run in a b c; do
+for run in a b c d; do
   out="$det/$run"
   mkdir -p "$out"
   if [ "$run" = c ]; then export OPENBLAS_NUM_THREADS=1; fi
+  if [ "$run" = d ]; then pin="taskset -c 0"; fi
   csiphase synth --symbols 2000 --subcarriers 52 --seed 7 -o "$out/cap"
   csiphase process -i "$out/cap.meas.csif" -o "$out/clean.csif" --method tsfr --report "$out/report.txt" --verify-amplitude
   csiphase process -i "$out/cap.meas.csif" -o "$out/sg2d.csif" --method lrr+sg2d --report "$out/sg2d.txt"
@@ -130,4 +135,6 @@ for run in a b c; do
   csiphase process -i "$out/wide.meas.csif" -o "$out/wide.sg2d.csif" --method lrr+sg2d --report "$out/wide.sg2d.txt"
   csiphase process -i "$out/wide.meas.csif" -o "$out/wide.sg2d_sep.csif" --method lrr+sg2d --separable --report "$out/wide.sg2d_sep.txt"
 done
-for f in "$det"/a/*; do cmp "$f" "$det/b/$(basename "$f")"; cmp "$f" "$det/c/$(basename "$f")"; done
+for f in "$det"/a/*; do
+  for run in b c d; do cmp "$f" "$det/$run/$(basename "$f")"; done
+done
