@@ -20,10 +20,10 @@ row by row (one OFDM symbol at a time) after unwrapping the row:
 Both work a block of rows at a time, on every worker thread
 (``core._run_blocks``), and every sum in them is a ufunc reduction along
 one row, so no bit depends on the block size, on the worker count or on
-the BLAS thread count. Each block is unwrapped and calibrated in place in the
-output rows, so the output may be the input's own array: a raw matrix
-handed over by its only holder (``core._hand_over``, as ``tsfr.process``
-does with a capture it reads itself) is calibrated in that array.
+the BLAS thread count. The kernels (``_lt_rows``, ``_lrr_rows``) unwrap
+and calibrate each block in place in its rows of ``out``, so ``out`` may
+be the input itself: ``tsfr.process`` calibrates a capture it reads in
+the array read. The public functions calibrate into a fresh array.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PhaseMatrix, Stage, SubcarrierMap, _as_row, _require_stage, _run_blocks,
-                   _stage_output, _unwrap_axis)
+                   _sealed, _unwrap_axis)
 
 __all__ = [
     "LtFit",
@@ -107,6 +107,22 @@ def lt_fit(row: np.ndarray, smap: SubcarrierMap) -> LtFit:
     return LtFit(epsilon=float(epsilon), tau=float(tau))
 
 
+def _lt_rows(src: np.ndarray, out: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Unwrap every row of ``src`` into ``out``, which may be ``src``, and
+    subtract its endpoint line over the indices ``m`` and its mean, a
+    block of rows at a time on every worker."""
+
+    def calibrate(blocks):
+        for block in blocks:
+            rows = _unwrap_axis(src[block], out=out[block], first_row=block.start)
+            eps, tau = _endpoint_line(rows, m)
+            rows -= eps[:, None] * m[None, :]
+            rows -= tau[:, None]
+
+    _run_blocks(calibrate, *src.shape)
+    return out
+
+
 def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
     """Remove the endpoint-slope linear trend from every symbol row.
 
@@ -120,26 +136,12 @@ def lt_calibrate(phase: PhaseMatrix, smap: SubcarrierMap) -> PhaseMatrix:
         smap: physical indices of the K columns.
 
     Returns:
-        Calibrated-stage phase matrix of the same shape, in the array of
-        ``phase`` when that was handed over (``core._hand_over``).
+        Calibrated-stage phase matrix of the same shape.
     """
     _require_stage(phase, "lt_calibrate", Stage.RAW)
     smap._check_length(phase.subcarriers)
-    m = smap.m.astype(np.float64)
-    # The rows are unwrapped over a handed-over input, else into a fresh
-    # array, and the trend comes off in place, a block of rows at a time.
-    u = _stage_output(phase)
-
-    def calibrate(blocks):
-        for block in blocks:
-            rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
-            eps, tau = _endpoint_line(rows, m)
-            rows -= eps[:, None] * m[None, :]
-            rows -= tau[:, None]
-
-    _run_blocks(calibrate, *phase.shape)
-    u.setflags(write=False)
-    return PhaseMatrix(u, Stage.CALIBRATED)
+    out = _lt_rows(phase.values, np.empty(phase.shape), smap.m.astype(np.float64))
+    return _sealed(PhaseMatrix, out, Stage.CALIBRATED)
 
 
 def regress_symbol(row: np.ndarray) -> RegressionFit:
@@ -152,6 +154,40 @@ def regress_symbol(row: np.ndarray) -> RegressionFit:
     a, b = _line_fit(row, np.arange(1, row.size + 1, dtype=np.float64))
     a, b = float(a), float(b)
     return RegressionFit(a=a, b=b, alpha=float(np.arctan(a)), r1=a + b)
+
+
+def _abscissa(abscissa, k: int) -> np.ndarray:
+    """The regression abscissa over K columns: ``abscissa`` checked, or
+    the ordinal index 1..K when it is None."""
+    if abscissa is None:
+        return np.arange(1, k + 1, dtype=np.float64)
+    x = np.asarray(abscissa, dtype=np.float64)
+    if x.ndim != 1 or x.size != k:
+        raise ValueError(f"abscissa of shape {x.shape} does not match matrix columns {k}")
+    if not np.isfinite(x).all() or (np.diff(x) <= 0).any():
+        raise ValueError("abscissa must be finite and strictly increasing")
+    return x
+
+
+def _lrr_rows(src: np.ndarray, out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unwrap every row of ``src`` into ``out``, which may be ``src``, fit
+    its line over the abscissa ``x`` and rotate it out, a block of rows at
+    a time on every worker."""
+
+    # -x * sin(alpha) + u * cos(alpha) - r_first, rotated in each block's rows
+    # of the unwrapped u (a sum of two floats does not depend on order).
+    def calibrate(blocks):
+        for block in blocks:
+            rows = _unwrap_axis(src[block], out=out[block], first_row=block.start)
+            a, b = _line_fit(rows, x)
+            alpha = np.arctan(a)
+            r_first = a * x[0] + b
+            rows *= np.cos(alpha)[:, None]
+            rows += -x[None, :] * np.sin(alpha)[:, None]
+            rows -= r_first[:, None]
+
+    _run_blocks(calibrate, *src.shape)
+    return out
 
 
 def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> PhaseMatrix:
@@ -173,37 +209,8 @@ def lrr_calibrate(phase: PhaseMatrix, abscissa: np.ndarray | None = None) -> Pha
             is the ordinal index 1..K.
 
     Returns:
-        Calibrated-stage phase matrix of the same shape, in the array of
-        ``phase`` when that was handed over (``core._hand_over``).
+        Calibrated-stage phase matrix of the same shape.
     """
     _require_stage(phase, "lrr_calibrate", Stage.RAW)
-    s, k_count = phase.shape
-    if abscissa is None:
-        x = np.arange(1, k_count + 1, dtype=np.float64)
-    else:
-        x = np.asarray(abscissa, dtype=np.float64)
-        if x.ndim != 1 or x.size != k_count:
-            raise ValueError(
-                f"abscissa of shape {x.shape} does not match matrix columns {k_count}"
-            )
-        if not np.isfinite(x).all() or (np.diff(x) <= 0).any():
-            raise ValueError("abscissa must be finite and strictly increasing")
-
-    # -x * sin(alpha) + u * cos(alpha) - r_first, rotated in each block's rows
-    # of the unwrapped u, the handed-over input or a fresh array (a sum of two
-    # floats does not depend on order).
-    u = _stage_output(phase)
-
-    def calibrate(blocks):
-        for block in blocks:
-            rows = _unwrap_axis(phase.values[block], out=u[block], first_row=block.start)
-            a, b = _line_fit(rows, x)
-            alpha = np.arctan(a)
-            r_first = a * x[0] + b
-            rows *= np.cos(alpha)[:, None]
-            rows += -x[None, :] * np.sin(alpha)[:, None]
-            rows -= r_first[:, None]
-
-    _run_blocks(calibrate, s, k_count)
-    u.setflags(write=False)
-    return PhaseMatrix(u, Stage.CALIBRATED)
+    x = _abscissa(abscissa, phase.subcarriers)
+    return _sealed(PhaseMatrix, _lrr_rows(phase.values, np.empty(phase.shape), x), Stage.CALIBRATED)

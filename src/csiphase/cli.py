@@ -10,15 +10,15 @@ Every command opens its input once, through ``io.CsifReader``, and a
 complex input is split into amplitude and phase as it is read, so no
 command holds a complex input and a pipe (``-i /dev/stdin``) gives the
 bytes its file gives. Zero cells are where the amplitude is zero; their
-phase is 0. A command alone holds what it reads, so it computes in it:
-``stats`` reads the phase alone and calibrates (``ds``, ``diffhist``) or
-runs ``tsfr`` (``exceed``) in it. So does ``process`` on a regular file,
-which it then reads a second time through the same descriptor, forming
-each row block's amplitude again as it writes the block's output rows, so
-it holds no S x K amplitude. A pipe, or an input that the output
-replaces, is read once, amplitude beside phase, by ``tsfr.process``.
-Either way every method runs in the raw phase array read, and the bytes
-are the same. A file whose size or modification time changed between
+phase is 0. A command alone holds the raw phase it reads, so it runs the
+method's stage kernels in that array (``tsfr._run``): ``stats`` reads
+the phase alone and calibrates it (``ds``, ``diffhist``) or runs
+``tsfr`` in it (``exceed``). So does ``process`` on a regular file, which
+it then reads a second time through the same descriptor, forming each
+row block's amplitude again as it writes the block's output rows, so it
+holds no S x K amplitude. A pipe, or an input that the output replaces,
+is read once, amplitude beside phase. Either way the bytes are the
+same. A file whose size or modification time changed between
 the two reads is refused. ``process --verify-amplitude`` keeps a digest
 of each block's amplitude from the first read and compares the second
 read's with it, so it needs a regular file that is not the output.
@@ -46,25 +46,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib import lrr_calibrate
 from .core import (
     PhaseMatrix,
     Stage,
-    SubcarrierMap,
     _cartesian_blocks,
     _check_finite,
-    _hand_over,
     _row_blocks,
+    _sealed,
+    recompose,
 )
 from .io import CsifReader, _csif_writer, write_csif, write_table
 from .stats import diff_histogram, ds_series, exceedance_profile
 from .synth import gen_dataset, load_scenario
-from .tsfr import METHODS, _route, process, tsfr
+from .tsfr import METHODS, _run
 
-# Not called here, as every command reads its input through CsifReader;
-# both stay names of this module because perfbench/tracer.py wraps them.
+# Not called here, as every command reads its input through CsifReader and
+# runs its method through _run; they stay names of this module because
+# perfbench/tracer.py wraps them.
 from .core import decompose  # noqa: F401
 from .io import read_csif  # noqa: F401
+from .tsfr import process, tsfr  # noqa: F401
 
 __all__ = ["main"]
 
@@ -128,8 +129,8 @@ def _write_report(path: str, args, columns, shape) -> None:
 def _cmd_process(args) -> int:
     # A regular file is read twice; a pipe cannot be, nor an input that the
     # output replaces, so those are read once.
-    info = os.stat(args.input)
-    twice = stat.S_ISREG(info.st_mode) and not _same_file(info, args.output)
+    replaced = os.path.exists(args.output) and os.path.samefile(args.input, args.output)
+    twice = stat.S_ISREG(os.stat(args.input).st_mode) and not replaced
     if args.verify_amplitude and not twice:
         print(
             f"error: --verify-amplitude re-reads the input, so {args.input} must be a "
@@ -137,20 +138,31 @@ def _cmd_process(args) -> int:
             file=sys.stderr,
         )
         return 2
+    digests = [] if args.verify_amplitude else None
+
+    def first_read(rows, amplitude):
+        _check_finite(amplitude, "amplitude matrix", rows.start)
+        if digests is not None:
+            digests.append(hashlib.sha256(amplitude).digest())
+
     with CsifReader(args.input) as reader:
         # Named by main if memory runs out, in the read of the payload too.
         args.input_shape = shape = reader.shape
-        settings = dict(
-            smap=SubcarrierMap.contiguous(shape[1]) if args.abscissa == "physical" else None,
-            sg_order=args.sg_order,
-            sg_fraction=args.sg_frac,
-            abscissa=args.abscissa,
-            separable=args.separable,
+        amplitude, raw = (None, reader._phase(first_read)) if twice else reader._pair()
+        # CSIF v1 carries no map: the physical abscissa is the ordinal one.
+        phase, report = _run(args.method, raw, raw, order=args.sg_order,
+                             fraction=args.sg_frac, separable=args.separable)
+        # The report's per-symbol columns; its exceedance marks go before the
+        # output is written.
+        columns = None if report is None else (
+            report.mu, report.sigma, report.d,
+            report.clamped_down, report.clamped_up, report.modified_fraction,
         )
+        del report
         if twice:
-            columns = _process_in_two_passes(reader, args, settings)
+            _write_from_a_second_read(reader, args, phase, digests)
         else:
-            columns = _process_in_one_pass(reader, args, settings)
+            write_csif(args.output, recompose(amplitude, _sealed(PhaseMatrix, phase)))
     if args.report is not None:
         _write_report(args.report, args, columns, shape)
     if args.verify_amplitude:
@@ -159,57 +171,15 @@ def _cmd_process(args) -> int:
     return 0
 
 
-def _same_file(info: os.stat_result, path: str) -> bool:
-    """Whether ``path`` names the file ``info`` describes, also through a
-    hard link or a symlink."""
-    try:
-        other = os.stat(path)
-    except OSError:
-        return False
-    return (other.st_dev, other.st_ino) == (info.st_dev, info.st_ino)
-
-
-def _report_columns(report):
-    """The per-symbol columns of the report file, in line order, or None
-    for a method without a report; the S x K exceedance marks are left."""
-    return None if report is None else (
-        report.mu, report.sigma, report.d,
-        report.clamped_down, report.clamped_up, report.modified_fraction,
-    )
-
-
-def _process_in_one_pass(reader: CsifReader, args, settings) -> tuple | None:
-    """A pipe, or a file that the output replaces, is read once: process
-    reads the pair, and the output is written from it once all is read."""
-    output, report = process(reader, args.method, **settings)
-    columns = _report_columns(report)
-    del report  # the exceedance marks go before the output is written
-    write_csif(args.output, output)
-    return columns
-
-
-def _process_in_two_passes(reader: CsifReader, args, settings) -> tuple | None:
-    """A regular file is read twice through its one descriptor, so no S x K
-    amplitude is held. The first pass reads the phase alone, checking each
-    block's amplitude as ``read`` does, and the method runs in that array.
-    The second pass forms each block's amplitude again and writes its rows
-    of the output, ``np.abs`` being the amplitude rule of the read and the
-    fill being elementwise, so the bytes are those of the one-pass run.
-
-    The file must not change in between: ``CsifReader._rewind`` refuses a
-    new size or modification time, and with ``--verify-amplitude`` each
-    block's amplitude digest in the second pass must equal the first's.
+def _write_from_a_second_read(reader: CsifReader, args, phase: np.ndarray, digests) -> None:
+    """Write the output from a second read of a regular file through its
+    one descriptor, which forms each block's amplitude again (``np.abs``,
+    the amplitude rule of the read) and writes its rows of the output from
+    it and ``phase``: the bytes of the one-pass run, with no S x K
+    amplitude held. ``CsifReader._rewind`` refuses a file that changed
+    since the first read, and so does a block's amplitude digest that is
+    not the one in ``digests`` (``--verify-amplitude``).
     """
-    digests = [] if args.verify_amplitude else None
-
-    def first_read(rows, amplitude):
-        _check_finite(amplitude, "amplitude matrix", rows.start)
-        if digests is not None:
-            digests.append(hashlib.sha256(amplitude).digest())
-
-    phase, report = _route(_read_phase(reader, first_read), args.method, **settings)
-    columns = _report_columns(report)
-    del report  # the exceedance marks go before the second read
     reader._rewind()
     s, k = reader.shape
     amplitude = np.empty((_row_blocks(s, k)[0].stop, k))  # one block, reused
@@ -221,29 +191,20 @@ def _process_in_two_passes(reader: CsifReader, args, settings) -> tuple | None:
                     f"amplitude self-check failed: rows {rows.start}-{rows.stop - 1} of "
                     f"{args.input} read a different amplitude the second time"
                 )
-            for values in _cartesian_blocks(a, phase.values[rows], "CSI matrix",
+            for values in _cartesian_blocks(a, phase[rows], "CSI matrix",
                                             first_row=rows.start):
                 write(values)
             del values  # its fill scratch goes before the next block's is made
-    return columns
-
-
-def _read_phase(reader: CsifReader, each_amplitude=None) -> PhaseMatrix:
-    """The raw phase of a complex input, handed over to the next stage,
-    which computes in it; no S x K amplitude is formed. ``each_amplitude``,
-    when given, is called with each block's (``CsifReader._phase``)."""
-    raw = reader._phase(each_amplitude)
-    _hand_over(raw)
-    return raw
 
 
 def _calibrated_phase(path: str) -> PhaseMatrix:
-    """Complex input is calibrated with lrr; real input is taken as calibrated."""
+    """Complex input is calibrated with lrr in the phase array read; real
+    input is taken as calibrated."""
     with CsifReader(path) as reader:
         if not reader.complex:
             return PhaseMatrix(reader.values(), Stage.CALIBRATED)
-        raw = _read_phase(reader)
-    return lrr_calibrate(raw)
+        raw = reader._phase()
+    return _sealed(PhaseMatrix, _run("lrr", raw, raw)[0], Stage.CALIBRATED)
 
 
 def _cmd_stats(args) -> int:
@@ -275,8 +236,8 @@ def _cmd_stats(args) -> int:
         print(f"stats: ds for {series.d.size} symbols -> {args.output}")
     else:
         with CsifReader(args.input) as reader:
-            raw = _read_phase(reader)
-        _, report = tsfr(raw)
+            raw = reader._phase()
+        _, report = _run("tsfr", raw, raw)
         profile = exceedance_profile(report)
         write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))
         print(f"stats: exceed {int(profile.sum())} flags over {profile.size} subcarriers -> {args.output}")

@@ -34,15 +34,15 @@ A ``CsiMatrix`` forms each of its views once, when it is first read:
   pays for the sin/cos of every cell.
 * ``shape``, ``symbols`` and ``subcarriers`` never form a view.
 
-Working-set rule for every stage of the package: a stage allocates its
-output plus at most one S x K temporary, and computes in the buffers it
-has just allocated. Passes that are local to one row or one track (the
+Working-set rule for every stage of the package: a stage kernel computes
+from a plain float64 array ``src`` into ``out``, which may be ``src``
+(the array its caller has just read) or a fresh one, plus at most one
+S x K temporary. Passes that are local to one row or one track (the
 unwraps, the smoothing correlations, the gap statistics) run a block of
 about ``_BLOCK`` cells at a time, so their scratch stays at a few blocks
 whatever S is; a matrix of at most ``_BLOCK`` cells runs as one block,
-with the same calls as an unblocked pass. A stage whose input matrix was
-handed over to it (``_hand_over``) computes in that matrix's array
-instead of allocating its output.
+with the same calls as an unblocked pass. A container's arrays stay
+read-only for its whole life; a result goes into one uncopied (``_sealed``).
 
 Worker rule: a row-block pass (``_run_blocks``) uses every CPU in the
 process's affinity mask. Each of the n workers runs a contiguous share
@@ -367,34 +367,12 @@ def _freeze(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def _hand_over(matrix: "_Grid") -> np.ndarray:
-    """Hand the values of ``matrix``, which the caller alone holds, to the
-    next stage, and return them writable.
-
-    A container's values are read-only, so that containers keep them
-    uncopied. A caller that has just read or computed a matrix that
-    nothing else holds may instead let the next stage compute its output
-    in that array: it is made writable in place when it owns its data, as
-    then no other array views it. A stage given a handed-over matrix
-    (:func:`_stage_output`: ``lt_calibrate``, ``lrr_calibrate`` and the
-    smoothers) writes its output over its values and hands the array,
-    read-only again, to its own result; the matrix is spent. Values that
-    view another array are returned as a writable copy, and the matrix
-    is left as it was.
-    """
-    values = matrix.values
-    if not values.flags.owndata:
-        return values.copy()
-    values.setflags(write=True)
-    return values
-
-
-def _stage_output(matrix: "_Grid") -> np.ndarray:
-    """The array a stage writes its output in: the values of ``matrix`` if
-    its holder handed them over (:func:`_hand_over`), else a fresh array of
-    its shape."""
-    values = matrix.values
-    return values if values.flags.writeable else np.empty(values.shape)
+def _sealed(container, values: np.ndarray, *args):
+    """``container(values, *args)`` around ``values``, an array the caller
+    has just computed and alone holds, marked read-only so that the
+    container keeps it uncopied."""
+    values.setflags(write=False)
+    return container(values, *args)
 
 
 def _require_stage(phase: "PhaseMatrix", op: str, *allowed: Stage) -> None:
@@ -638,10 +616,8 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
 
 
 def _polar_views(amplitude: np.ndarray, phase: np.ndarray) -> tuple[AmplitudeMatrix, PhaseMatrix]:
-    """The decomposed pair, handing over the two arrays uncopied."""
-    amplitude.setflags(write=False)
-    phase.setflags(write=False)
-    return AmplitudeMatrix(amplitude), PhaseMatrix(phase, Stage.RAW)
+    """The decomposed pair, keeping the two arrays uncopied."""
+    return _sealed(AmplitudeMatrix, amplitude), _sealed(PhaseMatrix, phase, Stage.RAW)
 
 
 def _polar_block(values: np.ndarray, a: np.ndarray, p: np.ndarray) -> None:
@@ -668,13 +644,14 @@ def _polar_blocks(
 ):
     """Amplitude and principal phase of complex values that come as
     ``(rows, values)`` row blocks covering ``shape`` in order, each split
-    straight into its rows of the two outputs by :func:`_polar_block`.
+    straight into its rows of the two outputs by :func:`_polar_block`:
+    the amplitude matrix and the raw phase as a new plain array.
 
-    Without ``keep_amplitude`` only the raw-stage phase matrix is returned:
-    each block's amplitude goes to a block of scratch, so a caller that
-    wants the phase alone never holds an S x K amplitude. Such a caller
-    may still look at each block's amplitude: ``each_amplitude(rows, a)``
-    is called with it once the block is split.
+    Without ``keep_amplitude`` the amplitude is None: each block's
+    amplitude goes to a block of scratch, so a caller that wants the phase
+    alone never holds an S x K amplitude. Such a caller may still look at
+    each block's amplitude: ``each_amplitude(rows, a)`` is called with it
+    once the block is split.
     """
     amplitude = np.empty(shape) if keep_amplitude else None
     phase = np.empty(shape)
@@ -684,11 +661,8 @@ def _polar_blocks(
         if each_amplitude is not None:
             each_amplitude(rows, a)
         del a  # a block of scratch goes before the next is made
-    del values  # a file's last block: its scratch goes before the arrays are checked
-    if amplitude is None:
-        phase.setflags(write=False)
-        return PhaseMatrix(phase, Stage.RAW)
-    return _polar_views(amplitude, phase)
+    del values  # a file's last block: its scratch goes before the amplitude is checked
+    return (None if amplitude is None else _sealed(AmplitudeMatrix, amplitude)), phase
 
 
 def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix]:

@@ -38,10 +38,12 @@ from .core import (
     AmplitudeMatrix,
     CsiMatrix,
     PhaseMatrix,
+    Stage,
     _check_finite,
     _check_shape,
     _polar_blocks,
     _row_blocks,
+    _sealed,
 )
 
 __all__ = [
@@ -223,7 +225,8 @@ class CsifReader:
     * :meth:`read`, which splits a complex payload into amplitude and
       principal phase a row block of about ``core._BLOCK`` cells at a
       time, as it is read, so the complex payload never exists whole,
-      and refuses a real payload (``_phase`` keeps the phase alone);
+      and refuses a real payload (``_pair`` gives the phase as a plain
+      array, and ``_phase`` gives it alone);
     * :meth:`blocks`, which yields the payload's row blocks as read;
     * :meth:`values`, which reads the whole payload, complex or real, as
       one array.
@@ -317,15 +320,21 @@ class CsifReader:
             ValueError: the payload is real, naming the file; read a
                 real payload with :meth:`values`.
         """
+        amplitude, phase = self._pair()
+        return amplitude, _sealed(PhaseMatrix, phase, Stage.RAW)
+
+    def _pair(self) -> tuple[AmplitudeMatrix, np.ndarray]:
+        """:meth:`read`, with the raw phase as a new plain array, which the
+        caller alone holds and may compute in."""
         return _polar_blocks(self._checked_blocks(), self.shape)
 
-    def _phase(self, each_amplitude=None) -> PhaseMatrix:
-        """``read()[1]``, bit for bit, without an S x K amplitude: each
-        block's amplitude goes to a block of scratch, after
+    def _phase(self, each_amplitude=None) -> np.ndarray:
+        """The raw phase of :meth:`_pair`, bit for bit, without an S x K
+        amplitude: each block's amplitude goes to a block of scratch, after
         ``each_amplitude(rows, amplitude)`` is called with it when given."""
         return _polar_blocks(
             self._checked_blocks(), self.shape, keep_amplitude=False, each_amplitude=each_amplitude
-        )
+        )[1]
 
     def _rewind(self) -> None:
         """Seek back to the start of a regular file's payload, to read it

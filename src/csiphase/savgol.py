@@ -36,13 +36,14 @@ projection matrix is built and no loop runs over cells. Designs are
 cached per order and window(s), and their arrays are read-only.
 
 An axis shorter than its window (an explicit ``SgSpec``, or any window
-its fraction gives) passes through unchanged, copied into the output in
-1-D, with one :class:`DegenerateWindowWarning` from ``_warn_degenerate``
-naming it.
+its fraction gives) passes through unchanged, copied into the output,
+with one :class:`DegenerateWindowWarning` from ``_warn_degenerate``
+naming it and blaming the first caller outside the package.
 
-Each smoother writes one S x K array: that of a handed-over input
-(``core._hand_over``), else a fresh one. Every pass runs a block of
-about ``core._BLOCK`` cells at a time, so its scratch stays at a few
+Each smoother kernel (``_smooth_rows``, ``_smooth_time``,
+``_smooth_grid``) writes one S x K array, ``out``, which may be its
+input; the public functions pass a fresh one. Every pass runs a block
+of about ``core._BLOCK`` cells at a time, so its scratch stays at a few
 blocks whatever S is:
 
 * The 1-D passes unwrap each block of rows (tracks for ``sg_time``,
@@ -66,6 +67,8 @@ thread count.
 from __future__ import annotations
 
 import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -80,11 +83,10 @@ from .core import (
     _as_row,
     _check_gaps,
     _freeze,
-    _hand_over,
     _require_stage,
     _row_blocks,
     _run_blocks,
-    _stage_output,
+    _sealed,
     _unwrap_axis,
     _unwrap_rows,
 )
@@ -333,10 +335,17 @@ def _resolve_spec(
     return SgSpec(order, w) if w is not None else None
 
 
-def _warn_degenerate(what: str, length: int, spec: SgSpec | None, stacklevel: int = 3) -> None:
+# The package's directory, whose frames a warning does not blame.
+_PACKAGE = os.path.dirname(__file__)
+
+
+def _warn_degenerate(what: str, length: int, spec: SgSpec | None) -> None:
     """Warn that an axis is shorter than the explicit ``spec``, or than any
-    window when it is None; by default the caller's caller is blamed."""
+    window when it is None, blaming the first caller outside the package."""
     window = "any valid window" if spec is None else f"window {spec.window}"
+    frame, stacklevel = sys._getframe(1), 2
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
+        frame, stacklevel = frame.f_back, stacklevel + 1
     warnings.warn(
         f"{what} of size {length} is shorter than {window}; returning the input unchanged",
         DegenerateWindowWarning,
@@ -353,13 +362,11 @@ def _smooth_rows(
     order: int,
     fraction: float,
     what: str,
-    stacklevel: int,
     out: np.ndarray,
 ) -> np.ndarray:
     """Unwrap and smooth every row with the window resolved for the row
     length, into ``out``, which may be ``rows`` itself, in any layout. Rows
-    too short for the window are copied unchanged, and warned of
-    ``stacklevel`` frames up.
+    too short for the window are copied unchanged, and warned of.
 
     A block of rows at a time, on every worker (``core._run_blocks``), is
     copied into the worker's reused buffer (a gather, for the strided
@@ -378,7 +385,7 @@ def _smooth_rows(
     length = rows.shape[1]
     resolved = _resolve_spec(spec, order, fraction, length)
     if resolved is None:
-        _warn_degenerate(what, length, spec, stacklevel=stacklevel)
+        _warn_degenerate(what, length, spec)
         out[...] = rows
         return out
     kernel = sg_design(resolved)
@@ -405,6 +412,15 @@ def _smooth_rows(
     return out
 
 
+def _smooth_time(src: np.ndarray, out: np.ndarray, spec: SgSpec | None, order: int,
+                 fraction: float) -> np.ndarray:
+    """:func:`sg_time` of ``src`` into ``out``, which may be ``src``."""
+    if src.shape[0] < 3:
+        raise ValueError(f"time smoothing needs at least 3 symbols, got {src.shape[0]}")
+    _smooth_rows(src.T, spec, order, fraction, "time axis", out=out.T)
+    return out
+
+
 def sg_time(
     phase: PhaseMatrix,
     spec: SgSpec | None = None,
@@ -417,8 +433,7 @@ def sg_time(
     Each column is unwrapped, then filtered with a window derived from
     the number of symbols (fraction of S, rounded, forced odd, at least
     3) unless an explicit :class:`SgSpec` is given. The tracks are
-    smoothed straight into an S x K array: the array of a handed-over
-    ``phase`` (``core._hand_over``), else a fresh one.
+    smoothed straight into a fresh S x K array.
 
     Args:
         phase: matrix to smooth; must not already be rebuilt.
@@ -430,13 +445,8 @@ def sg_time(
         Time-smoothed-stage matrix of the same shape.
     """
     _require_stage(phase, "sg_time", *_SMOOTHABLE)
-    s = phase.symbols
-    if s < 3:
-        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    out = _stage_output(phase)
-    _smooth_rows(phase.values.T, spec, order, fraction, "time axis", stacklevel=4, out=out.T)
-    out.setflags(write=False)
-    return PhaseMatrix(out, Stage.TIME_SMOOTHED)
+    out = _smooth_time(phase.values, np.empty(phase.shape), spec, order, fraction)
+    return _sealed(PhaseMatrix, out, Stage.TIME_SMOOTHED)
 
 
 def sg_freq(
@@ -451,14 +461,12 @@ def sg_freq(
     The same row pass as ``sg_time``, on the matrix itself instead of its
     transpose: rows are unwrapped and filtered with a window derived from
     the number of subcarriers. The stage tag is kept (frequency smoothing
-    is a side step, not a position on the time-processing ladder). A
-    handed-over ``phase`` (``core._hand_over``) is smoothed in its own array.
+    is a side step, not a position on the time-processing ladder).
     """
     _require_stage(phase, "sg_freq", *_SMOOTHABLE)
-    out = _stage_output(phase)
-    _smooth_rows(phase.values, spec, order, fraction, "frequency axis", stacklevel=4, out=out)
-    out.setflags(write=False)
-    return PhaseMatrix(out, phase.stage)
+    out = _smooth_rows(phase.values, spec, order, fraction, "frequency axis",
+                       out=np.empty(phase.shape))
+    return _sealed(PhaseMatrix, out, phase.stage)
 
 
 def _unwrap_grid(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -542,8 +550,7 @@ def sg_2d(
     K, each as in the 1-D filters) and evaluated at the cell. Edge cells
     anchor the window inside the matrix and evaluate the fit at their own
     offset, mirroring the 1-D edge policy. Columns are unwrapped first,
-    then rows. A handed-over ``phase`` (``core._hand_over``) is smoothed
-    in its own array.
+    then rows.
 
     Args:
         phase: matrix to smooth; must not already be rebuilt.
@@ -559,12 +566,18 @@ def sg_2d(
         Time-smoothed-stage matrix of the same shape.
     """
     _require_stage(phase, "sg_2d", *_SMOOTHABLE)
+    out = _smooth_grid(phase.values, np.empty(phase.shape), spec, order, fraction, freq_spec,
+                       separable)
+    return _sealed(PhaseMatrix, out, Stage.TIME_SMOOTHED)
+
+
+def _smooth_grid(src: np.ndarray, out: np.ndarray, spec: SgSpec | None, order: int,
+                 fraction: float, freq_spec: SgSpec | None, separable: bool) -> np.ndarray:
+    """:func:`sg_2d` of ``src`` into ``out``, which may be ``src``."""
     if separable:
-        # Only this call holds the time-smoothed matrix: sg_freq smooths in its array.
-        smoothed = sg_time(phase, spec, order=order, fraction=fraction)
-        _hand_over(smoothed)
-        return sg_freq(smoothed, freq_spec, order=order, fraction=fraction)
-    s, k = phase.shape
+        _smooth_time(src, out, spec, order, fraction)
+        return _smooth_rows(out, freq_spec, order, fraction, "frequency axis", out=out)
+    s, k = src.shape
     if s < 3:
         raise ValueError(f"2-D smoothing needs at least 3 symbols, got {s}")
     row_spec = _resolve_spec(spec, order, fraction, s)
@@ -572,9 +585,8 @@ def sg_2d(
     if row_spec is None or col_spec is None:
         failed = ("time axis", s, spec) if row_spec is None else ("frequency axis", k, freq_spec)
         _warn_degenerate(*failed)
-        values = phase.values
-        values.setflags(write=False)  # handed over or not, the result keeps it uncopied
-        return PhaseMatrix(values, Stage.TIME_SMOOTHED)
+        out[...] = src
+        return out
     if row_spec.order != col_spec.order:
         raise ValueError(
             f"time and frequency windows must share one polynomial order, "
@@ -583,12 +595,12 @@ def sg_2d(
 
     w_r, w_c = row_spec.window, col_spec.window
     l_r, l_c = row_spec.half, col_spec.half
-    # The grid is unwrapped and smoothed in one S x K array, the handed-over
-    # input's or a fresh one. Every cell is read before it is written: the
-    # left band's fits go in once its tracks are transformed, those of the
-    # other three bands are kept until the end, and the interior cells of a
-    # track are written once every window that reads it is transformed.
-    x = _unwrap_grid(phase.values, _stage_output(phase))
+    # The grid is unwrapped and smoothed in the one S x K array out. Every
+    # cell is read before it is written: the left band's fits go in once its
+    # tracks are transformed, those of the other three bands are kept until
+    # the end, and the interior cells of a track are written once every
+    # window that reads it is transformed.
+    x = _unwrap_grid(src, out)
     rows, cols, fit = _design_2d(row_spec.order, w_r, w_c)
     nc = k - w_c + 1
 
@@ -655,8 +667,7 @@ def sg_2d(
     x[:l_r] = np.einsum("at,kt->ak", rows[:l_r], coef[0])
     x[s - l_r :] = np.einsum("at,kt->ak", rows[l_r + 1 :], coef[1])
     x[l_r : s - l_r, k - l_c :] = right
-    x.setflags(write=False)
-    return PhaseMatrix(x, Stage.TIME_SMOOTHED)
+    return x
 
 
 def _interior_blocks(tracks: int, n: int, halo: int, min_rows: int) -> list[slice]:

@@ -19,24 +19,22 @@ gaps beyond it are clamped to exactly +/- d_s:
 
 A row whose gaps all satisfy the threshold passes through bit for bit.
 
-The chain keeps to the package's working-set rule (a stage allocates its
-output plus at most one S x K temporary; see :mod:`csiphase.core`) with
-one S x K phase array: the one the calibration has just written, a fresh
-one or the raw phase's own when that was handed over. The subcarrier
-tracks are smoothed over it, and the rebuild then takes one row block
-of symbols at a time (see ``core._row_blocks``): every block is
-unwrapped across subcarriers in one call, then each block's clamps are
-marked and it is walked, all in place. The block's clamp masks give its
-rows of the S x K exceedance marks and its clamp counts, so beyond a
-few blocks of scratch no K x S mask, transposed copy or second phase
-array exists. Every array handed to a container is one just allocated,
-marked read-only, so the container keeps it uncopied.
+The chain is the paper's: ``lrr`` sanitization, time smoothing, rebuild;
+the other methods are prefixes or variants of it. :func:`_run` runs a
+method's stage kernels from the raw phase into one S x K array (see the
+working-set rule of :mod:`csiphase.core`). The rebuild takes one row
+block of symbols at a time: every block is unwrapped across subcarriers
+in one call, then its clamps are marked and it is walked, all in place.
+The block's clamp masks give its rows of the S x K exceedance marks and
+its clamp counts, so beyond a few blocks of scratch no K x S mask,
+transposed copy or second phase array exists.
 
-:func:`process` bundles every calibration route in this package behind
-one entry point and always hands the untouched amplitude back to the
-reconstruction, so only the phase differs between methods. Its phase
-half, ``_route``, also serves the CLI, which reads a file's amplitude
-again as it writes the output instead of holding it.
+:func:`process` bundles every method behind one entry point and always
+hands the untouched amplitude back to the reconstruction, so only the
+phase differs between methods. Given a reader, it runs the stages in the
+phase array it reads; given a matrix or a pair, in a fresh array. The
+CLI runs :func:`_run` on the phase it reads, and reads a file's
+amplitude again as it writes the output instead of holding it.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .calib import lrr_calibrate, lt_calibrate
+from .calib import _abscissa, _lrr_rows, _lt_rows
 from .core import (
     AmplitudeMatrix,
     CsiMatrix,
@@ -56,17 +54,22 @@ from .core import (
     SubcarrierMap,
     _as_row,
     _freeze,
-    _hand_over,
     _require_stage,
     _row_blocks,
     _row_gaps,
+    _sealed,
     _unwrap_axis,
     _unwrap_rows,
     decompose,
     recompose,
 )
 from .io import CsifReader
-from .savgol import _smooth_rows, sg_2d, sg_freq, sg_time
+from .savgol import _smooth_grid, _smooth_rows, _smooth_time
+
+# Not called here, as every method runs its kernels through _run; they stay
+# names of this module because perfbench/tracer.py wraps them.
+from .calib import lrr_calibrate, lt_calibrate  # noqa: F401
+from .savgol import sg_2d, sg_freq, sg_time  # noqa: F401
 
 __all__ = [
     "GapThreshold",
@@ -261,39 +264,11 @@ def rebuild_symbol(smoothed_row: np.ndarray, d: float) -> np.ndarray:
     return track[:, 0]
 
 
-def tsfr(
-    phase: PhaseMatrix,
-    *,
-    order: int = 2,
-    fraction: float = 0.1,
-    abscissa: np.ndarray | None = None,
-) -> tuple[PhaseMatrix, TsfrReport]:
-    """Full two-step chain: regression calibration, time smoothing, rebuild.
-
-    Args:
-        phase: raw-stage phase matrix; calibrated in its own array when
-            its holder handed it over (``core._hand_over``).
-        order: polynomial order of the time smoother.
-        fraction: window fraction of S for the time smoother.
-        abscissa: optional regression abscissa forwarded to the
-            calibration step.
-
-    Returns:
-        (rebuilt, report): the rebuilt-stage phase matrix and the
-        per-symbol account of what the rebuild did.
-    """
-    calibrated = lrr_calibrate(phase, abscissa)
-    mu, sigma, d = _unwrapped_gap_stats(calibrated.values)
-    s, k = calibrated.shape
-    if s < 3:
-        raise ValueError(f"time smoothing needs at least 3 symbols, got {s}")
-    # Nothing else holds the calibrated matrix: the chain runs in its array.
-    phi = _hand_over(calibrated)
-    del calibrated
-    # sg_time's smoothing of the subcarrier tracks, written over them.
-    _smooth_rows(phi.T, None, order, fraction, "time axis", stacklevel=4, out=phi.T)
-    # Each block of symbols is unwrapped across subcarriers, then walked, in
-    # place; the gap buffer of the unwraps is gone before the marks exist.
+def _rebuild(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray, d: np.ndarray) -> TsfrReport:
+    """Rebuild every symbol row of the smoothed phase ``phi`` in place
+    against its threshold ``d``, and report it with ``mu`` and ``sigma``;
+    the gap buffer of the row unwraps is gone before the marks exist."""
+    s, k = phi.shape
     _unwrap_rows(phi, phi)
     exceed = np.empty((s, k), dtype=bool)
     down = np.empty(s, dtype=np.int64)
@@ -306,19 +281,69 @@ def tsfr(
         high.sum(axis=0, out=up[rows])
         del low, high  # before the next block's are made
     modified = (down + up) / (k - 1)
-    # Just allocated here: read-only hands them to the containers uncopied.
-    for handed in (phi, exceed, modified, down, up):
-        handed.setflags(write=False)
-    report = TsfrReport(
-        mu=mu,
-        sigma=sigma,
-        d=d,
-        exceedance=exceed,
-        modified_fraction=modified,
-        clamped_down=down,
-        clamped_up=up,
-    )
-    return PhaseMatrix(phi, Stage.REBUILT), report
+    # Just allocated here: read-only, the report keeps them uncopied.
+    for computed in (exceed, modified, down, up):
+        computed.setflags(write=False)
+    return TsfrReport(mu=mu, sigma=sigma, d=d, exceedance=exceed, modified_fraction=modified,
+                      clamped_down=down, clamped_up=up)
+
+
+def tsfr(
+    phase: PhaseMatrix,
+    *,
+    order: int = 2,
+    fraction: float = 0.1,
+    abscissa: np.ndarray | None = None,
+) -> tuple[PhaseMatrix, TsfrReport]:
+    """Full two-step chain: regression calibration, time smoothing, rebuild.
+
+    Args:
+        phase: raw-stage phase matrix.
+        order: polynomial order of the time smoother.
+        fraction: window fraction of S for the time smoother.
+        abscissa: optional regression abscissa forwarded to the
+            calibration step.
+
+    Returns:
+        (rebuilt, report): the rebuilt-stage phase matrix and the
+        per-symbol account of what the rebuild did.
+    """
+    _require_stage(phase, "tsfr", Stage.RAW)
+    rebuilt, report = _run("tsfr", phase.values, x=abscissa, order=order, fraction=fraction)
+    return _sealed(PhaseMatrix, rebuilt, Stage.REBUILT), report
+
+
+def _run(method: str, src: np.ndarray, out: np.ndarray | None = None, *,
+         m: np.ndarray | None = None, x: np.ndarray | None = None, order: int = 2,
+         fraction: float = 0.1, separable: bool = False) -> tuple[np.ndarray, TsfrReport | None]:
+    """Run the stage kernels of ``method`` on the raw phase ``src`` in
+    ``out``: ``src`` itself where the caller alone holds it, else (None) a
+    fresh array. "raw" has no stage and returns ``src``. "lt" fits over
+    the indices ``m``, the others by ``lrr`` over the abscissa ``x`` (each
+    1..K when None), and smooth with the window of ``order`` and
+    ``fraction``. Returns ``(phase, report)``, the rebuild's report for
+    "tsfr" and None for the others.
+    """
+    if method == "raw":
+        return src, None
+    if out is None:
+        out = np.empty(src.shape)
+    k = src.shape[1]
+    if method == "lt":
+        return _lt_rows(src, out, _abscissa(m, k)), None
+    _lrr_rows(src, out, _abscissa(x, k))
+    if method == "lrr+sgfreq":
+        _smooth_rows(out, None, order, fraction, "frequency axis", out=out)
+    elif method == "lrr+sgtime":
+        _smooth_time(out, out, None, order, fraction)
+    elif method == "lrr+sg2d":
+        _smooth_grid(out, out, None, order, fraction, None, separable)
+    elif method == "tsfr":
+        # The thresholds are those of the calibrated rows, before smoothing.
+        stats = _unwrapped_gap_stats(out)
+        _smooth_time(out, out, None, order, fraction)
+        return out, _rebuild(out, *stats)
+    return out, None
 
 
 class ProcessResult(NamedTuple):
@@ -342,14 +367,10 @@ def process(
     route, and the result is recomposed with the original amplitude,
     which is handed through untouched.
 
-    ``process`` writes only into arrays it has allocated or read itself.
-    Given an open reader, it reads the pair with ``CsifReader.read`` and
-    alone holds the raw phase, so the calibration (``lt``, ``lrr``, and
-    the ``lrr`` inside ``tsfr``) runs in that array instead of a fresh
-    one. A matrix or pair the caller holds is never written: its phase is
-    calibrated into a fresh array. Either way the smoother of
-    ``lrr+sgfreq``, ``lrr+sgtime`` and ``lrr+sg2d`` then runs in the
-    calibrated array, and every output byte is the same.
+    Given an open reader, ``process`` reads the pair and alone holds the
+    raw phase, so the method runs in that array. A matrix or pair the
+    caller holds is never written: the method runs in a fresh array.
+    Either way every output byte is the same.
 
     Args:
         csi: complex CSI matrix; its decomposed ``(amplitude, phase)``
@@ -378,76 +399,27 @@ def process(
         raise ValueError(f"abscissa must be 'ordinal' or 'physical', got {abscissa!r}")
     if abscissa == "physical" and smap is None:
         raise ValueError("the physical abscissa needs a subcarrier map")
-    if isinstance(csi, tuple):
-        amplitude, raw = csi
-        if not (isinstance(amplitude, AmplitudeMatrix) and isinstance(raw, PhaseMatrix)):
+    if isinstance(csi, CsifReader):
+        # Only this call holds the phase it reads: the method runs in that array.
+        amplitude, raw = csi._pair()
+        out = raw
+    else:
+        amplitude, phase = csi if isinstance(csi, tuple) else decompose(csi)
+        if not (isinstance(amplitude, AmplitudeMatrix) and isinstance(phase, PhaseMatrix)):
             raise TypeError("expected an (AmplitudeMatrix, PhaseMatrix) pair")
-        if amplitude.shape != raw.shape:
+        if amplitude.shape != phase.shape:
             raise ValueError(
-                f"amplitude shape {amplitude.shape} does not match phase shape {raw.shape}"
+                f"amplitude shape {amplitude.shape} does not match phase shape {phase.shape}"
             )
-        _require_stage(raw, "process", Stage.RAW)
-    elif isinstance(csi, CsifReader):
-        amplitude, raw = csi.read()
-        if method != "raw":
-            # Only this call holds what it read: the calibration runs in that array.
-            _hand_over(raw)
-    else:
-        amplitude, raw = decompose(csi)
-    out_phase, report = _route(
-        raw, method, smap=smap, sg_order=sg_order, sg_fraction=sg_fraction,
-        abscissa=abscissa, separable=separable,
-    )
-    return ProcessResult(output=recompose(amplitude, out_phase), report=report)
-
-
-def _route(
-    raw: PhaseMatrix,
-    method: str,
-    *,
-    smap: SubcarrierMap | None,
-    sg_order: int,
-    sg_fraction: float,
-    abscissa: str,
-    separable: bool,
-) -> tuple[PhaseMatrix, TsfrReport | None]:
-    """The phase half of :func:`process`: push the raw-stage phase ``raw``
-    through ``method``, with settings :func:`process` has checked.
-
-    A handed-over ``raw`` (``core._hand_over``) is calibrated in its own
-    array; otherwise the calibration allocates one. Either way the
-    smoother of ``lrr+sgfreq``, ``lrr+sgtime`` and ``lrr+sg2d`` then runs
-    in the calibrated array. ``raw`` itself is returned for "raw".
-
-    Returns:
-        ``(out_phase, report)``; ``report`` is None for every method
-        except "tsfr".
-    """
+        _require_stage(phase, "process", Stage.RAW)
+        raw, out = phase.values, None
+    m = None
     if smap is not None:
-        smap._check_length(raw.subcarriers)
-
-    x = smap.m.astype(np.float64) if abscissa == "physical" else None
-    report: TsfrReport | None = None
-
-    if method == "raw":
-        out_phase = raw
-    elif method == "lt":
-        out_phase = lt_calibrate(raw, smap if smap is not None else SubcarrierMap.contiguous(raw.subcarriers))
-    elif method == "lrr":
-        out_phase = lrr_calibrate(raw, x)
-    elif method != "tsfr":
-        # Only this call holds the calibrated matrix: the smoother runs in its array.
-        calibrated = lrr_calibrate(raw, x)
-        _hand_over(calibrated)
-        if method == "lrr+sgfreq":
-            out_phase = sg_freq(calibrated, order=sg_order, fraction=sg_fraction)
-        elif method == "lrr+sgtime":
-            out_phase = sg_time(calibrated, order=sg_order, fraction=sg_fraction)
-        else:
-            out_phase = sg_2d(
-                calibrated, order=sg_order, fraction=sg_fraction, separable=separable
-            )
-    else:
-        out_phase, report = tsfr(raw, order=sg_order, fraction=sg_fraction, abscissa=x)
-
-    return out_phase, report
+        smap._check_length(raw.shape[1])
+        m = smap.m.astype(np.float64)
+    phase, report = _run(
+        method, raw, out, m=m, x=m if abscissa == "physical" else None, order=sg_order,
+        fraction=sg_fraction, separable=separable,
+    )
+    # recompose keeps the phase's values alone, not its stage tag.
+    return ProcessResult(output=recompose(amplitude, _sealed(PhaseMatrix, phase)), report=report)

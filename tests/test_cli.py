@@ -271,8 +271,8 @@ def test_process_out_of_memory_exits_5_with_one_line(tmp_path, capsys, monkeypat
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    # A regular file is processed by the method's phase route alone.
-    monkeypatch.setattr("csiphase.cli._route", exhausted)
+    # A regular file's phase is read alone, and the method runs in it.
+    monkeypatch.setattr("csiphase.cli._run", exhausted)
     code, out, err = run(
         capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
         "--method", "tsfr",
@@ -306,7 +306,7 @@ def test_stats_out_of_memory_names_the_table(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 GiB")
 
-    monkeypatch.setattr("csiphase.cli.tsfr", exhausted)
+    monkeypatch.setattr("csiphase.cli._run", exhausted)
     code, _, err = run(capsys, "stats", "exceed", "-i", str(meas), "-o", str(tmp_path / "e.csv"))
     assert code == 5
     assert err == "error: out of memory in stats exceed\n"
@@ -396,14 +396,14 @@ def test_process_in_place_gives_the_bytes_of_a_separate_output(tmp_path, capsys,
 
 def change_after_the_first_read(monkeypatch, change):
     """Run ``change`` once the method has run on the first read of the input."""
-    route = csiphase_cli._route
+    run_stages = csiphase_cli._run
 
-    def route_then_change(*args, **kwargs):
-        result = route(*args, **kwargs)
+    def run_then_change(*args, **kwargs):
+        result = run_stages(*args, **kwargs)
         change()
         return result
 
-    monkeypatch.setattr(csiphase_cli, "_route", route_then_change)
+    monkeypatch.setattr(csiphase_cli, "_run", run_then_change)
 
 
 @pytest.mark.parametrize("change", ["size", "modification time"])

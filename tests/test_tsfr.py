@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import csiphase.core as core
-from csiphase.calib import lrr_calibrate
+from csiphase.calib import lrr_calibrate, lt_calibrate
 from csiphase.core import (
     CsiMatrix,
     PhaseMatrix,
@@ -20,7 +20,7 @@ from csiphase.core import (
     unwrap,
 )
 from csiphase.io import CsifReader, read_csif, write_csif
-from csiphase.savgol import DegenerateWindowWarning, sg_time
+from csiphase.savgol import DegenerateWindowWarning, sg_2d, sg_freq, sg_time
 from csiphase.tsfr import (
     METHODS,
     GapThreshold,
@@ -581,19 +581,49 @@ def test_process_of_a_reader_is_process_of_what_it_reads(tmp_path, symbols, meth
     assert output_bytes(owned) == output_bytes(paired) == output_bytes(whole)
 
 
-@pytest.mark.parametrize("method", METHODS)
+# Each public stage, given a raw or a calibrated phase matrix.
+STAGE_CALLS = {
+    "lt_calibrate": lambda raw, _: lt_calibrate(raw, SubcarrierMap.contiguous(raw.subcarriers)),
+    "lrr_calibrate": lambda raw, _: lrr_calibrate(raw),
+    "sg_time": lambda _, calibrated: sg_time(calibrated),
+    "sg_freq": lambda _, calibrated: sg_freq(calibrated),
+    "sg_2d": lambda _, calibrated: sg_2d(calibrated),
+    "sg_2d-separable": lambda _, calibrated: sg_2d(calibrated, separable=True),
+    "tsfr": lambda raw, _: tsfr(raw),
+}
+
+
+def report_arrays(report):
+    """Every array of a rebuild report, or none for a method without one."""
+    return [] if report is None else [
+        getattr(report, name) for name in TsfrReport.__dataclass_fields__
+    ]
+
+
+@pytest.mark.parametrize("method", [*METHODS, *(f"{name}()" for name in STAGE_CALLS)])
 def test_process_never_writes_what_its_caller_holds(method):
+    # Nor does any public stage: a container's arrays stay read-only for its
+    # whole life, in the input and in the result alike.
     csi = random_csi(np.random.default_rng(14), s=2600, k=52)
     amplitude, phase = decompose(csi)
     recomposed = recompose(amplitude, phase)
-    held = [csi.values, amplitude.values, phase.values,
+    calibrated = lrr_calibrate(phase)
+    held = [csi.values, amplitude.values, phase.values, calibrated.values,
             *(matrix.values for matrix in decompose(recomposed))]
     kept = [array.copy() for array in held]
-    for given in (csi, (amplitude, phase), recomposed):
-        process(given, method)
+    made = []
+    if method in METHODS:
+        for given in (csi, (amplitude, phase), recomposed):
+            output, report = process(given, method)
+            made += [output._angles, *report_arrays(report)]
+    else:
+        result = STAGE_CALLS[method.removesuffix("()")](phase, calibrated)
+        matrix, report = result if isinstance(result, tuple) else (result, None)
+        made += [matrix.values, *report_arrays(report)]
     for array, before in zip(held, kept):
         assert array.tobytes() == before.tobytes()
         assert not array.flags.writeable
+    assert not any(array.flags.writeable for array in made)
 
 
 def test_process_raw_is_a_faithful_round_trip():
