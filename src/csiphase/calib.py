@@ -22,8 +22,8 @@ Both work a block of rows at a time, on every worker thread
 one row, so no bit depends on the block size, on the worker count or on
 the BLAS thread count. The kernels (``_lt_rows``, ``_lrr_rows``) unwrap
 and calibrate each block in place in its rows of ``out``, so ``out`` may
-be the input itself: ``tsfr.process`` calibrates a capture it reads in
-the array read. The public functions calibrate into a fresh array.
+be the input itself: the CLI calibrates a capture it reads in the
+array read. The public functions calibrate into a fresh array.
 """
 
 from __future__ import annotations

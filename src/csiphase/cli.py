@@ -11,37 +11,31 @@ complex input is split into amplitude and phase as it is read, so no
 command holds a complex input and a pipe (``-i /dev/stdin``) gives the
 bytes its file gives. Zero cells are where the amplitude is zero; their
 phase is 0. A command alone holds the raw phase it reads, so it runs the
-method's stage kernels in that array (``tsfr._run``): ``stats`` reads
-the phase alone and calibrates it (``ds``, ``diffhist``) or runs
-``tsfr`` in it (``exceed``). So does ``process`` on a regular file, which
-it then reads a second time through the same descriptor, forming each
-row block's amplitude again as it writes the block's output rows, so it
-holds no S x K amplitude. A pipe, or an input that the output replaces,
-is read once, amplitude beside phase. Either way the bytes are the
-same. A file whose size or modification time changed between
-the two reads is refused. ``process --verify-amplitude`` keeps a digest
-of each block's amplitude from the first read and compares the second
-read's with it, so it needs a regular file that is not the output.
-``process --report`` writes the report a row block of symbols at a time.
+method's stage kernels in that array (``tsfr._run``). ``process`` reads
+a regular file twice through the one descriptor, the phase alone and
+then each row block's amplitude again as it writes the block's output
+rows, so it holds no S x K amplitude; in place too, as ``io`` renames
+the output over the input once written. A pipe or a device is read once,
+amplitude beside phase, to the same bytes. A file whose size or
+modification time changed between the reads is refused, and so, with
+``--verify-amplitude``, is a block whose amplitude digest changed.
 
-Exit codes are a stable contract: 0 success, 2 usage errors (among
-them ``--verify-amplitude`` on an input that is not a regular file, or
-that is the output file), 3 I/O failures, 4 data or format errors
-(among them an input that changed between the reads of ``process``), 5
-out of memory. Out of memory prints one line, no traceback, naming the
-subcommand and, for ``process``, the method and the input's shape.
-Outputs never embed timestamps, so equal inputs and flags give
-byte-identical files.
+Status lines, and one ``warning:`` line per axis a smoother passes
+through, go to stderr, so an output may be ``/dev/stdout``. Exit codes:
+0 success, 2 usage errors (among them ``--verify-amplitude`` on a pipe
+or a device), 3 I/O failures, 4 data or format errors (among them an
+input that changed between the reads), 5 out of memory, one line naming
+the subcommand and, for ``process``, the method and the input's shape.
+No output embeds a timestamp: equal inputs and flags give equal bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import re
-import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +50,7 @@ from .core import (
     recompose,
 )
 from .io import CsifReader, _csif_writer, write_csif, write_table
+from .savgol import DegenerateWindowWarning
 from .stats import diff_histogram, ds_series, exceedance_profile
 from .synth import gen_dataset, load_scenario
 from .tsfr import METHODS, _run
@@ -93,10 +88,8 @@ def _cmd_synth(args) -> int:
     )
     base = re.sub(r"\.csif$", "", str(args.output))
     gen_dataset(channel, imp, args.symbols, out=base)
-    print(
-        f"synth: wrote {base}.true.csif and {base}.meas.csif "
-        f"(S={args.symbols}, K={len(imp.smap)}, seed={args.seed})"
-    )
+    print(f"synth: wrote {base}.true.csif and {base}.meas.csif "
+          f"(S={args.symbols}, K={len(imp.smap)}, seed={args.seed})", file=sys.stderr)
     return 0
 
 
@@ -127,17 +120,6 @@ def _write_report(path: str, args, columns, shape) -> None:
 
 
 def _cmd_process(args) -> int:
-    # A regular file is read twice; a pipe cannot be, nor an input that the
-    # output replaces, so those are read once.
-    replaced = os.path.exists(args.output) and os.path.samefile(args.input, args.output)
-    twice = stat.S_ISREG(os.stat(args.input).st_mode) and not replaced
-    if args.verify_amplitude and not twice:
-        print(
-            f"error: --verify-amplitude re-reads the input, so {args.input} must be a "
-            f"regular file, not a pipe, a device or the output file",
-            file=sys.stderr,
-        )
-        return 2
     digests = [] if args.verify_amplitude else None
 
     def first_read(rows, amplitude):
@@ -146,9 +128,14 @@ def _cmd_process(args) -> int:
             digests.append(hashlib.sha256(amplitude).digest())
 
     with CsifReader(args.input) as reader:
+        # A regular file is read twice, also in place; a pipe or a device once.
+        if args.verify_amplitude and not reader._regular:
+            print(f"error: --verify-amplitude re-reads the input, so {args.input} must be a "
+                  "regular file, not a pipe or a device", file=sys.stderr)
+            return 2
         # Named by main if memory runs out, in the read of the payload too.
         args.input_shape = shape = reader.shape
-        amplitude, raw = (None, reader._phase(first_read)) if twice else reader._pair()
+        amplitude, raw = (None, reader._phase(first_read)) if reader._regular else reader._pair()
         # CSIF v1 carries no map: the physical abscissa is the ordinal one.
         phase, report = _run(args.method, raw, raw, order=args.sg_order,
                              fraction=args.sg_frac, separable=args.separable)
@@ -159,15 +146,15 @@ def _cmd_process(args) -> int:
             report.clamped_down, report.clamped_up, report.modified_fraction,
         )
         del report
-        if twice:
+        if reader._regular:
             _write_from_a_second_read(reader, args, phase, digests)
         else:
             write_csif(args.output, recompose(amplitude, _sealed(PhaseMatrix, phase)))
     if args.report is not None:
         _write_report(args.report, args, columns, shape)
     if args.verify_amplitude:
-        print("amplitude check: ok (bit-identical)")
-    print(f"process: {args.method} on {shape[0]}x{shape[1]} -> {args.output}")
+        print("amplitude check: ok (bit-identical)", file=sys.stderr)
+    print(f"process: {args.method} on {shape[0]}x{shape[1]} -> {args.output}", file=sys.stderr)
     return 0
 
 
@@ -219,7 +206,8 @@ def _cmd_stats(args) -> int:
                 f"fitted_std={hist.fitted_std:.17g}",
             ),
         )
-        print(f"stats: diffhist {hist.counts.sum()} gaps in {args.bins} bins -> {args.output}")
+        print(f"stats: diffhist {hist.counts.sum()} gaps in {args.bins} bins -> {args.output}",
+              file=sys.stderr)
     elif args.table == "ds":
         labels = None
         if args.labels is not None:
@@ -233,14 +221,15 @@ def _cmd_stats(args) -> int:
         if labels is not None:
             columns += (labels,)
         write_table(args.output, ("s", "d", "label")[: len(columns)], columns, comments=comments)
-        print(f"stats: ds for {series.d.size} symbols -> {args.output}")
+        print(f"stats: ds for {series.d.size} symbols -> {args.output}", file=sys.stderr)
     else:
         with CsifReader(args.input) as reader:
             raw = reader._phase()
         _, report = _run("tsfr", raw, raw)
         profile = exceedance_profile(report)
         write_table(args.output, ("k", "count"), (np.arange(1, profile.size + 1), profile))
-        print(f"stats: exceed {int(profile.sum())} flags over {profile.size} subcarriers -> {args.output}")
+        print(f"stats: exceed {int(profile.sum())} flags over {profile.size} subcarriers "
+              f"-> {args.output}", file=sys.stderr)
     return 0
 
 
@@ -321,10 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    show = warnings.showwarning
+
+    def show_warning(message, category, *where, **kwargs):  # one line per pass-through
+        if not issubclass(category, DegenerateWindowWarning):
+            return show(message, category, *where, **kwargs)
+        print(f"warning: {message}", file=sys.stderr)
+
     try:
         # The package reports every overflow it meets as a ValueError, which
         # is printed below; numpy's own warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = show_warning
             return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ Two formats live here:
   Writes stream: no copy of the whole payload is made, and a matrix
   from ``recompose`` is written in row blocks as its cartesian values
   are formed, without ever holding them all. One block writer serves
-  ``write_csif`` and the streamed ``synth.gen_dataset``; an error during
-  a write leaves no partial file behind. Reads can stream too:
+  ``write_csif`` and the streamed ``synth.gen_dataset``; it renames its
+  file into place when done, so an error leaves the target as it was.
+  Reads can stream too:
   :class:`CsifReader` opens a file once, knows its shape from the
   header before the payload is read, and splits a complex payload into
   amplitude and principal phase a row block at a time as it is read,
@@ -134,19 +135,26 @@ def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_CO
     ``flags`` names, write its header, and give a :class:`_PayloadWriter`
     of the payload's row blocks.
 
-    Any error inside the ``with`` block removes the partial file; a
-    target that is not a regular file (a pipe, /dev/stdout) is never
-    removed.
+    A regular or new target is written to a partial file beside the file
+    it resolves to, which replaces that file when the ``with`` block ends
+    without error and is removed otherwise, so the old target stays whole
+    (it may be the input being read). Any other target (a pipe,
+    /dev/stdout, /dev/null) is written in place.
     """
     dtype = _payload_dtype(flags)
-    with open(path, "wb") as fh:
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    partial = path if in_place else f"{target}.partial"
+    with open(partial, "wb") as fh:
         try:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, *shape))
             yield _PayloadWriter(fh, dtype, shape[1])
+            fh.close()  # a failed flush is an error of the write too
+            if not in_place:
+                os.replace(partial, target)
         except BaseException:
-            fh.close()
-            if Path(path).is_file():
-                Path(path).unlink()
+            if not in_place:
+                os.unlink(partial)
             raise
 
 
@@ -163,8 +171,8 @@ def write_csif(path: str | Path, matrix) -> None:
     (``core._run_blocks``), into a pipe in order. Any other payload is
     written from its own buffer. Either way no copy of the whole payload
     is made. A non-finite cell found while streaming raises
-    ``ValueError`` naming the first one, and, like any error during the
-    write, leaves no file behind.
+    ``ValueError`` naming the first one, and, like any error, leaves
+    ``path`` as it was; a hard link to a replaced file keeps its bytes.
     """
     if isinstance(matrix, CsiMatrix):
         with _csif_writer(path, matrix.shape) as write:
@@ -224,18 +232,16 @@ class CsifReader:
 
     * :meth:`read`, which splits a complex payload into amplitude and
       principal phase a row block of about ``core._BLOCK`` cells at a
-      time, as it is read, so the complex payload never exists whole,
-      and refuses a real payload (``_pair`` gives the phase as a plain
-      array, and ``_phase`` gives it alone);
+      time, as it is read, so the complex payload never exists whole
+      (``_pair`` gives the phase as a plain array, ``_phase`` alone);
     * :meth:`blocks`, which yields the payload's row blocks as read;
-    * :meth:`values`, which reads the whole payload, complex or real, as
-      one array.
+    * :meth:`values`, which reads the whole payload as one array.
 
-    The file is opened once, so a pipe (``/dev/stdin``) reads like a
-    regular file. Use the reader as a context manager; it closes the file
-    on exit. On a regular file every error is raised as by
-    :func:`read_csif`; on a pipe, where the size is learned only by
-    reading, a bad cell is reported before a truncation that follows it.
+    A pipe (``/dev/stdin``) reads like a regular file. Use the reader as a
+    context manager; it closes the file on exit. On a regular file every
+    error is raised as by :func:`read_csif`; on a pipe, where the size is
+    learned only by reading, a bad cell is reported before a truncation
+    that follows it.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -248,7 +254,8 @@ class CsifReader:
             # A regular file's size is checked before its payload is read, so
             # a header that declares more than the file holds allocates nothing.
             self._info = os.fstat(self._fh.fileno())
-            if stat.S_ISREG(self._info.st_mode):
+            self._regular = stat.S_ISREG(self._info.st_mode)
+            if self._regular:
                 _check_payload(self._info.st_size - _HEADER.size, self._expected)
         except BaseException:
             self._fh.close()

@@ -298,11 +298,18 @@ def sg_apply(v: np.ndarray, spec: SgSpec) -> np.ndarray:
     return out[0]
 
 
+def _check_window(order: int, fraction: float) -> None:
+    """Raise unless order >= 0 and the window fraction is positive and finite."""
+    if order < 0:
+        raise ValueError(f"polynomial order must be >= 0, got {order}")
+    if not 0.0 < fraction < np.inf:
+        raise ValueError(f"window fraction must be positive and finite, got {fraction}")
+
+
 def _window_from_fraction(length: int, order: int, fraction: float) -> int | None:
     """Odd window length for a dimension of the given size, or None if the
     dimension is too short to support any valid window."""
-    if not 0.0 < fraction < np.inf:
-        raise ValueError(f"window fraction must be positive and finite, got {fraction}")
+    _check_window(order, fraction)
     # Any fraction >= 1 asks for the whole dimension.
     w = round(min(fraction, 1.0) * length)
     if w % 2 == 0:

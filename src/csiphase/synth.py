@@ -312,7 +312,7 @@ def _write_dataset(channel: ChannelSpec, imp: ImpairmentSpec, symbols: int, out)
     clean block's buffer and written to ``<out>.meas.csif``. The scratch
     is a few blocks of ``core._BLOCK`` cells whatever S is. A non-finite
     cell raises ``ValueError`` with its global row and column, as the
-    in-memory matrices do, and leaves neither file behind.
+    in-memory matrices do, and leaves both paths as they were.
     """
     base = _path_responses(channel, symbols, imp.smap)
     shape = (symbols, len(imp.smap))

@@ -31,10 +31,10 @@ transposed copy or second phase array exists.
 
 :func:`process` bundles every method behind one entry point and always
 hands the untouched amplitude back to the reconstruction, so only the
-phase differs between methods. Given a reader, it runs the stages in the
-phase array it reads; given a matrix or a pair, in a fresh array. The
-CLI runs :func:`_run` on the phase it reads, and reads a file's
-amplitude again as it writes the output instead of holding it.
+phase differs between methods. It takes a matrix or a pair, which it
+never writes, and runs the stages in a fresh array. The CLI runs
+:func:`_run` on the phase it reads, and reads a file's amplitude again
+as it writes the output instead of holding it.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from .core import (
     decompose,
     recompose,
 )
-from .io import CsifReader
-from .savgol import _smooth_grid, _smooth_rows, _smooth_time
+from .savgol import _check_window, _smooth_grid, _smooth_rows, _smooth_time
 
 # Not called here, as every method runs its kernels through _run; they stay
 # names of this module because perfbench/tracer.py wraps them.
@@ -321,9 +320,10 @@ def _run(method: str, src: np.ndarray, out: np.ndarray | None = None, *,
     fresh array. "raw" has no stage and returns ``src``. "lt" fits over
     the indices ``m``, the others by ``lrr`` over the abscissa ``x`` (each
     1..K when None), and smooth with the window of ``order`` and
-    ``fraction``. Returns ``(phase, report)``, the rebuild's report for
-    "tsfr" and None for the others.
+    ``fraction``, which every method checks. Returns ``(phase, report)``,
+    the rebuild's report for "tsfr" and None for the others.
     """
+    _check_window(order, fraction)
     if method == "raw":
         return src, None
     if out is None:
@@ -352,7 +352,7 @@ class ProcessResult(NamedTuple):
 
 
 def process(
-    csi: CsiMatrix | tuple[AmplitudeMatrix, PhaseMatrix] | CsifReader,
+    csi: CsiMatrix | tuple[AmplitudeMatrix, PhaseMatrix],
     method: str,
     *,
     smap: SubcarrierMap | None = None,
@@ -364,20 +364,15 @@ def process(
     """Run one named calibration route end to end on a complex CSI matrix.
 
     The matrix is decomposed, the phase is pushed through the chosen
-    route, and the result is recomposed with the original amplitude,
-    which is handed through untouched.
-
-    Given an open reader, ``process`` reads the pair and alone holds the
-    raw phase, so the method runs in that array. A matrix or pair the
-    caller holds is never written: the method runs in a fresh array.
-    Either way every output byte is the same.
+    route in a fresh array, and the result is recomposed with the
+    original amplitude, which is handed through untouched; the matrix or
+    pair is never written. ``process(reader.read(), ...)`` of an open
+    ``io.CsifReader`` gives the bytes of ``process(read_csif(path), ...)``
+    without the complex values ever existing whole.
 
     Args:
-        csi: complex CSI matrix; its decomposed ``(amplitude, phase)``
-            pair with a raw-stage phase, as ``decompose`` returns it; or
-            an open ``io.CsifReader`` of a complex CSIF file, whose
-            payload is read here, decomposed as it is read, so its
-            complex values never exist whole.
+        csi: complex CSI matrix, or its decomposed ``(amplitude, phase)``
+            pair with a raw-stage phase, as ``decompose`` returns it.
         method: one of ``METHODS``: "raw" (decompose/recompose only),
             "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr".
         smap: physical subcarrier map; required for "lt" and for the
@@ -399,26 +394,20 @@ def process(
         raise ValueError(f"abscissa must be 'ordinal' or 'physical', got {abscissa!r}")
     if abscissa == "physical" and smap is None:
         raise ValueError("the physical abscissa needs a subcarrier map")
-    if isinstance(csi, CsifReader):
-        # Only this call holds the phase it reads: the method runs in that array.
-        amplitude, raw = csi._pair()
-        out = raw
-    else:
-        amplitude, phase = csi if isinstance(csi, tuple) else decompose(csi)
-        if not (isinstance(amplitude, AmplitudeMatrix) and isinstance(phase, PhaseMatrix)):
-            raise TypeError("expected an (AmplitudeMatrix, PhaseMatrix) pair")
-        if amplitude.shape != phase.shape:
-            raise ValueError(
-                f"amplitude shape {amplitude.shape} does not match phase shape {phase.shape}"
-            )
-        _require_stage(phase, "process", Stage.RAW)
-        raw, out = phase.values, None
+    amplitude, phase = csi if isinstance(csi, tuple) else decompose(csi)
+    if not (isinstance(amplitude, AmplitudeMatrix) and isinstance(phase, PhaseMatrix)):
+        raise TypeError("expected an (AmplitudeMatrix, PhaseMatrix) pair")
+    if amplitude.shape != phase.shape:
+        raise ValueError(
+            f"amplitude shape {amplitude.shape} does not match phase shape {phase.shape}"
+        )
+    _require_stage(phase, "process", Stage.RAW)
     m = None
     if smap is not None:
-        smap._check_length(raw.shape[1])
+        smap._check_length(phase.subcarriers)
         m = smap.m.astype(np.float64)
     phase, report = _run(
-        method, raw, out, m=m, x=m if abscissa == "physical" else None, order=sg_order,
+        method, phase.values, m=m, x=m if abscissa == "physical" else None, order=sg_order,
         fraction=sg_fraction, separable=separable,
     )
     # recompose keeps the phase's values alone, not its stage tag.

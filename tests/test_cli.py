@@ -1,5 +1,7 @@
 """Command-line behavior: flags, exit codes, file outputs, determinism."""
 
+import errno
+import itertools
 import os
 import shutil
 import subprocess
@@ -12,10 +14,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import csiphase.cli as csiphase_cli
+import csiphase.io as csiphase_io
 from csiphase.cli import _write_report, main
 from csiphase.core import CsiMatrix, PhaseMatrix, Stage
 from csiphase.io import read_csif, write_csif
-from csiphase.tsfr import METHODS, TsfrReport
+from csiphase.tsfr import METHODS, TsfrReport, process
 
 
 def run(capsys, *argv):
@@ -52,9 +55,9 @@ def test_synth_writes_pair_and_summary(tmp_path, capsys):
         "-o", str(tmp_path / "x"),
     )
     assert code == 0
-    assert err == ""
-    assert out.count("\n") == 1
-    assert "S=25" in out and "K=12" in out and "seed=0" in out
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "S=25" in err and "K=12" in err and "seed=0" in err
     true = read_csif(tmp_path / "x.true.csif")
     meas = read_csif(tmp_path / "x.meas.csif")
     assert true.shape == (25, 12)
@@ -92,9 +95,9 @@ def test_synth_missing_output_flag_is_a_usage_error(capsys):
 
 
 def test_synth_default_dimensions(tmp_path, capsys):
-    code, out, _ = run(capsys, "synth", "-o", str(tmp_path / "d"))
+    code, _, err = run(capsys, "synth", "-o", str(tmp_path / "d"))
     assert code == 0
-    assert "S=1000" in out and "K=30" in out
+    assert "S=1000" in err and "K=30" in err
     assert read_csif(tmp_path / "d.meas.csif").shape == (1000, 30)
 
 
@@ -111,11 +114,11 @@ def test_synth_scenario_file_controls_the_model(tmp_path, capsys):
         "gamma = 0\n"
         "noise_sigma = 0\n"
     )
-    code, out, _ = run(
+    code, _, err = run(
         capsys, "synth", "--spec", str(spec), "--symbols", "60", "-o", str(tmp_path / "s"),
     )
     assert code == 0
-    assert "K=7" in out
+    assert "K=7" in err
     true = read_csif(tmp_path / "s.true.csif")
     assert true.shape == (60, 7)
     # The drift makes rows differ.
@@ -194,11 +197,11 @@ def test_synth_whose_tilt_overflows_fails_with_one_line_and_leaves_no_file(tmp_p
 def test_process_raw_round_trip(tmp_path, capsys):
     meas, _ = make_pair(tmp_path, capsys)
     out_path = tmp_path / "out.csif"
-    code, out, _ = run(
+    code, _, err = run(
         capsys, "process", "-i", str(meas), "-o", str(out_path), "--method", "raw",
     )
     assert code == 0
-    assert "raw" in out
+    assert "raw" in err
     original = read_csif(meas)
     processed = read_csif(out_path)
     assert_allclose(processed.values, original.values, rtol=1e-12, atol=1e-14)
@@ -243,15 +246,29 @@ def test_process_real_payload_is_a_data_error(tmp_path, capsys):
     assert "complex" in err
 
 
-@pytest.mark.parametrize("fraction", ["inf", "nan"])
-def test_process_nonfinite_window_fraction_is_a_data_error(tmp_path, capsys, fraction):
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--sg-frac", "inf", "window fraction must be positive and finite, got inf"),
+     ("--sg-frac", "nan", "window fraction must be positive and finite, got nan"),
+     ("--sg-frac", "-5", "window fraction must be positive and finite, got -5.0"),
+     ("--sg-order", "-1", "polynomial order must be >= 0, got -1")],
+    ids=["inf", "nan", "negative", "negative-order"],
+)
+def test_process_nonfinite_window_fraction_is_a_data_error(
+    tmp_path, capsys, method, flag, value, message
+):
+    # Every method checks the smoothing settings, those that do not smooth
+    # too, so no report records a setting that could not have run.
     meas, _ = make_pair(tmp_path, capsys)
-    code, _, err = run(
+    code, out, err = run(
         capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
-        "--method", "lrr+sgtime", "--sg-frac", fraction,
+        "--method", method, flag, value, "--report", str(tmp_path / "o.txt"),
     )
     assert code == 4
-    assert "window fraction" in err
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "o.csif").exists() and not (tmp_path / "o.txt").exists()
 
 
 def test_process_huge_window_fraction_smooths_the_whole_capture(tmp_path, capsys):
@@ -314,12 +331,12 @@ def test_stats_out_of_memory_names_the_table(tmp_path, capsys, monkeypatch):
 
 def test_process_verify_amplitude_passes_and_reports(tmp_path, capsys):
     meas, _ = make_pair(tmp_path, capsys)
-    code, out, _ = run(
+    code, _, err = run(
         capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
         "--method", "tsfr", "--verify-amplitude",
     )
     assert code == 0
-    assert "amplitude check: ok" in out
+    assert "amplitude check: ok" in err
 
 
 def csiphase(stdin: bytes, *argv):
@@ -361,27 +378,38 @@ def test_verify_amplitude_on_a_pipe_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("link", ["same path", "hard link", "symlink"])
-def test_verify_amplitude_in_place_is_a_usage_error(tmp_path, capsys, link):
-    # The output would replace the input before the check reads it again.
+def test_verify_amplitude_in_place_gives_the_bytes_of_the_file_run(tmp_path, capsys, link):
+    # The output is renamed over the file its path names once it is written,
+    # so the check reads the input whole a second time.
     meas, _ = make_pair(tmp_path, capsys)
     before = meas.read_bytes()
+    code, _, _ = run(capsys, "process", "-i", str(meas), "-o", str(tmp_path / "o.csif"),
+                     "--method", "tsfr", "--verify-amplitude")
+    assert code == 0
+    expected = (tmp_path / "o.csif").read_bytes()
     output = meas
     if link != "same path":
         output = tmp_path / "alias.csif"
         (os.link if link == "hard link" else os.symlink)(meas, output)
+    names = sorted(os.listdir(tmp_path))
     code, out, err = run(capsys, "process", "-i", str(meas), "-o", str(output),
                          "--method", "tsfr", "--verify-amplitude")
-    assert code == 2
+    assert code == 0
     assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and "re-reads the input" in lines[0] and str(meas) in lines[0]
-    assert meas.read_bytes() == before
+    assert err.splitlines() == ["amplitude check: ok (bit-identical)",
+                                f"process: tsfr on 40x16 -> {output}"]
+    assert output.read_bytes() == expected
+    # A hard link is a name of its own, which the rename moves to the output:
+    # the input's name keeps the input bytes. A symlink still names the input.
+    assert meas.read_bytes() == (before if link == "hard link" else expected)
+    assert output.is_symlink() == (link == "symlink")
+    assert sorted(os.listdir(tmp_path)) == names
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_process_in_place_gives_the_bytes_of_a_separate_output(tmp_path, capsys, method):
-    # In place the input is read once, as a pipe is; into another file it is
-    # read twice. 5000x16 is two row blocks.
+    # The input is read twice either way: in place, the output replaces it
+    # only once written. 5000x16 is two row blocks.
     meas, _ = make_pair(tmp_path, capsys, symbols=5000, subcarriers=16)
     target = tmp_path / "in_place.csif"
     shutil.copyfile(meas, target)
@@ -392,6 +420,108 @@ def test_process_in_place_gives_the_bytes_of_a_separate_output(tmp_path, capsys,
         assert code == 0
     assert target.read_bytes() == (tmp_path / "o.csif").read_bytes()
     assert (tmp_path / "in_place.txt").read_bytes() == (tmp_path / "o.txt").read_bytes()
+
+
+def fail_after_the_first_block(monkeypatch):
+    """Make every CSIF block write after the first raise ENOSPC."""
+    write = csiphase_io._PayloadWriter.__call__
+    calls = itertools.count()
+
+    def write_then_fail(self, block, row=None):
+        if next(calls):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write(self, block, row)
+
+    monkeypatch.setattr(csiphase_io._PayloadWriter, "__call__", write_then_fail)
+
+
+@pytest.mark.parametrize(
+    "case", ["process in place", "process over a file", "write_csif", "synth over the pair"]
+)
+def test_a_failing_write_leaves_every_existing_target_as_it_was(
+    tmp_path, capsys, monkeypatch, case
+):
+    # Each target is written beside its path and renamed over it only once
+    # whole; a failed write removes what it wrote and nothing else.
+    meas, true = make_pair(tmp_path, capsys, symbols=5000, subcarriers=16)
+    other = tmp_path / "other.csif"
+    shutil.copyfile(true, other)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    fail_after_the_first_block(monkeypatch)
+    if case == "write_csif":
+        output = process(read_csif(meas), "lrr").output
+        with pytest.raises(OSError, match="No space left on device"):
+            write_csif(other, output)
+    else:
+        argv = {
+            "process in place": ["process", "-i", str(meas), "-o", str(meas)],
+            "process over a file": ["process", "-i", str(meas), "-o", str(other)],
+            "synth over the pair": ["synth", "--symbols", "5000", "--subcarriers", "16",
+                                    "--seed", "3", "-o", str(tmp_path / "demo")],
+        }[case]
+        if argv[0] == "process":
+            argv += ["--method", "tsfr", "--verify-amplitude"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_an_output_into_a_pipe_or_a_device_is_written_in_place(tmp_path, capsys):
+    # /dev/stdout of a pipe resolves to no file, so it is written as given.
+    meas, _ = make_pair(tmp_path, capsys, symbols=300, subcarriers=20)
+    for argv in (["process", "--method", "tsfr"], ["stats", "ds"]):
+        file_out = tmp_path / f"{argv[0]}.out"
+        code, _, _ = run(capsys, *argv, "-i", str(meas), "-o", str(file_out))
+        assert code == 0
+        for target in ("/dev/stdout", "/dev/null"):
+            proc = csiphase(b"", *argv, "-i", str(meas), "-o", target)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == (file_out.read_bytes() if target == "/dev/stdout" else b"")
+            assert proc.stderr.decode().count("\n") == 1  # the status line
+
+
+def test_process_into_a_pipe_feeds_the_next_command(tmp_path, capsys):
+    # csiphase process -o /dev/stdout | csiphase stats exceed -i /dev/stdin:
+    # no status line follows the payload into the pipe.
+    meas, _ = make_pair(tmp_path, capsys, symbols=300, subcarriers=16)
+    code, _, _ = run(capsys, "process", "-i", str(meas), "-o", str(tmp_path / "lrr.csif"),
+                     "--method", "lrr")
+    assert code == 0
+    code, _, _ = run(capsys, "stats", "exceed", "-i", str(tmp_path / "lrr.csif"),
+                     "-o", str(tmp_path / "file.csv"))
+    assert code == 0
+    producer = csiphase(b"", "process", "-i", str(meas), "-o", "/dev/stdout", "--method", "lrr")
+    assert producer.returncode == 0, producer.stderr
+    consumer = csiphase(producer.stdout, "stats", "exceed", "-i", "/dev/stdin",
+                        "-o", str(tmp_path / "pipe.csv"))
+    assert consumer.returncode == 0, consumer.stderr
+    assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "method,shape,axes",
+    [("lrr+sgtime", (3, 8), ["time axis of size 3"]),
+     ("lrr+sg2d", (3, 4), ["time axis of size 3", "frequency axis of size 4"])],
+    ids=["lrr+sgtime-3x8", "lrr+sg2d-3x4"],
+)
+def test_a_smoothing_pass_through_is_one_warning_line(tmp_path, method, shape, axes):
+    # One line per axis passed through, in a fresh process, where a warning
+    # would otherwise name a frame of runpy.
+    capture = tmp_path / "short.csif"
+    values = np.exp(1j * np.random.default_rng(5).uniform(-3, 3, shape))
+    write_csif(capture, CsiMatrix(values))
+    output = tmp_path / "o.csif"
+    proc = csiphase(b"", "process", "-i", str(capture), "-o", str(output),
+                    "--method", method, "--sg-order", "3", "--separable")
+    assert proc.returncode == 0
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        *(f"warning: {axis} is shorter than any valid window; returning the input unchanged"
+          for axis in axes),
+        f"process: {method} on {shape[0]}x{shape[1]} -> {output}",
+    ]
 
 
 def change_after_the_first_read(monkeypatch, change):

@@ -31,14 +31,19 @@
 # every stats table (ds, with and without labels, exceed and diffhist) read
 # a capture piped into /dev/stdin as they read its file, to the byte.
 # process reads a regular file twice, the phase alone and then the blocks
-# the output is formed from, and a pipe or an input the output replaces
-# (-i X -o X) once, with the amplitude beside the phase: the pipe and
-# in-place runs (tsfr and lrr) give the bytes of the file runs, and so does
-# --verify-amplitude on every method's file run.
+# the output is formed from, and a pipe once, with the amplitude beside the
+# phase. A CSIF output is renamed over its path once written, so an input
+# the output replaces (-i X -o X, also through a symlink) is read twice too,
+# and --verify-amplitude runs in place. The pipe and in-place runs (tsfr and
+# lrr, tsfr --verify-amplitude, tsfr through a symlink) give the bytes of the
+# file runs, and so does --verify-amplitude on every method's file run. An
+# output into a pipe (-o /dev/stdout) is written as given, and carries no
+# status line: process into /dev/stdout piped into stats ds gives ds.csv.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
 # and its parent, say) are compared by running the script in each and
-# comparing the two OUT trees file by file with cmp.
+# comparing the two OUT trees file by file with cmp; a file that only the
+# newer script writes has nothing to be compared with.
 set -euo pipefail
 
 det=${1:?usage: tools/determinism_chain.sh OUT}
@@ -101,9 +106,20 @@ for run in a b c d; do
   cmp "$out/report.inplace.txt" "$out/report.txt"
   cmp "$out/lrr.inplace.csif" "$out/lrr.csif"
   cmp "$out/lrr.inplace.txt" "$out/lrr.txt"
+  cp "$out/cap.meas.csif" "$out/clean.inplace_verify.csif"
+  csiphase process -i "$out/clean.inplace_verify.csif" -o "$out/clean.inplace_verify.csif" --method tsfr --report "$out/report.inplace_verify.txt" --verify-amplitude
+  cmp "$out/clean.inplace_verify.csif" "$out/clean.csif"
+  cmp "$out/report.inplace_verify.txt" "$out/report.txt"
+  cp "$out/cap.meas.csif" "$out/clean.link_target.csif"
+  ln -sf clean.link_target.csif "$out/clean.link.csif"
+  csiphase process -i "$out/clean.link.csif" -o "$out/clean.link.csif" --method tsfr
+  test -L "$out/clean.link.csif"
+  cmp "$out/clean.link_target.csif" "$out/clean.csif"
   csiphase stats diffhist -i "$out/clean.csif" -o "$out/diffhist.csv"
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds_labels.csv" --labels "$det/labels.txt"
   cat "$out/clean.csif" | csiphase stats ds -i /dev/stdin -o "$out/ds.pipe.csv"
+  csiphase process -i "$out/cap.meas.csif" -o /dev/stdout --method tsfr | csiphase stats ds -i /dev/stdin -o "$out/ds.stdout.csv"
+  cmp "$out/ds.stdout.csv" "$out/ds.csv"
   cat "$out/clean.csif" | csiphase stats ds -i /dev/stdin -o "$out/ds_labels.pipe.csv" --labels "$det/labels.txt"
   cat "$out/clean.csif" | csiphase stats diffhist -i /dev/stdin -o "$out/diffhist.pipe.csv"
   for table in ds ds_labels diffhist; do
