@@ -7,18 +7,20 @@ Three subcommands compose the library for scripts:
 * ``stats`` turns phase matrices and rebuild reports into CSV tables.
 
 Every command opens its input once, through ``io.CsifReader``, and a
-complex input is split into amplitude and phase as it is read, so no
-command holds a complex input and a pipe (``-i /dev/stdin``) gives the
-bytes its file gives. Zero cells are where the amplitude is zero; their
-phase is 0. A command alone holds the raw phase it reads, so it runs the
-method's stage kernels in that array (``tsfr._run``). ``process`` reads
-a regular file twice through the one descriptor, the phase alone and
-then each row block's amplitude again as it writes the block's output
-rows, so it holds no S x K amplitude; in place too, as ``io`` renames
-the output over the input once written. A pipe or a device is read once,
-amplitude beside phase, to the same bytes. A file whose size or
+complex input is split into amplitude and phase as it is read, each
+block's amplitude checked, so no command holds a complex input and a
+pipe (``-i /dev/stdin``) gives the bytes its file gives. Zero cells are
+where the amplitude is zero; their phase is 0. A command alone holds the
+raw phase it reads, so it runs the method's stage kernels in that array
+(``tsfr._run``). ``process`` then writes its output from one loop over
+``(rows, amplitude)`` row blocks: a regular file is read a second time
+through the one descriptor, each block's amplitude formed again, so no
+S x K amplitude is held, also in place, as ``io`` renames the output
+over the input once written; a pipe or a device is read once, its
+amplitude held beside the phase, to the same bytes. A file whose size or
 modification time changed between the reads is refused, and so, with
-``--verify-amplitude``, is a block whose amplitude digest changed.
+``--verify-amplitude``, is a block whose amplitude digest changed. Every
+output, CSIF, report or table, replaces a regular file only once whole.
 
 Status lines, and one ``warning:`` line per axis a smoother passes
 through, go to stderr, so an output may be ``/dev/stdout``. Exit codes:
@@ -40,26 +42,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    PhaseMatrix,
-    Stage,
-    _cartesian_blocks,
-    _check_finite,
-    _row_blocks,
-    _sealed,
-    recompose,
-)
-from .io import CsifReader, _csif_writer, write_csif, write_table
+from .core import PhaseMatrix, Stage, _cartesian_blocks, _row_blocks, _sealed
+from .io import CsifReader, _csif_writer, _replacing, write_table
 from .savgol import DegenerateWindowWarning
 from .stats import diff_histogram, ds_series, exceedance_profile
 from .synth import gen_dataset, load_scenario
 from .tsfr import METHODS, _run
 
-# Not called here, as every command reads its input through CsifReader and
-# runs its method through _run; they stay names of this module because
-# perfbench/tracer.py wraps them.
+# Not called here, as every command reads its input through CsifReader,
+# runs its method through _run and writes through _csif_writer; they stay
+# names of this module because perfbench/tracer.py wraps them.
 from .core import decompose  # noqa: F401
-from .io import read_csif  # noqa: F401
+from .io import read_csif, write_csif  # noqa: F401
 from .tsfr import process, tsfr  # noqa: F401
 
 __all__ = ["main"]
@@ -98,7 +92,7 @@ def _write_report(path: str, args, columns, shape) -> None:
     report's per-symbol arrays in line order (None for a method without a
     report), formatted a row block of symbols at a time
     (``core._row_blocks`` of the S x K input) and written a symbol at a
-    time, so no text block is held."""
+    time, so no text block is held, by ``io._replacing``."""
     lines = [
         f"report_version={_REPORT_VERSION}",
         f"method={args.method}",
@@ -109,7 +103,7 @@ def _write_report(path: str, args, columns, shape) -> None:
         f"abscissa={args.abscissa}",
         f"separable={'true' if args.separable else 'false'}",
     ]
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
         if columns is None:
             return
@@ -120,22 +114,18 @@ def _write_report(path: str, args, columns, shape) -> None:
 
 
 def _cmd_process(args) -> int:
-    digests = [] if args.verify_amplitude else None
-
-    def first_read(rows, amplitude):
-        _check_finite(amplitude, "amplitude matrix", rows.start)
-        if digests is not None:
-            digests.append(hashlib.sha256(amplitude).digest())
-
     with CsifReader(args.input) as reader:
-        # A regular file is read twice, also in place; a pipe or a device once.
         if args.verify_amplitude and not reader._regular:
             print(f"error: --verify-amplitude re-reads the input, so {args.input} must be a "
                   "regular file, not a pipe or a device", file=sys.stderr)
             return 2
         # Named by main if memory runs out, in the read of the payload too.
         args.input_shape = shape = reader.shape
-        amplitude, raw = (None, reader._phase(first_read)) if reader._regular else reader._pair()
+        # A regular file is read twice, also in place; a pipe or a device once,
+        # its amplitude held beside the phase.
+        held = None if reader._regular else np.empty(shape)
+        digests = [] if args.verify_amplitude else None
+        raw = reader._phase(held, digests)
         # CSIF v1 carries no map: the physical abscissa is the ordinal one.
         phase, report = _run(args.method, raw, raw, order=args.sg_order,
                              fraction=args.sg_frac, separable=args.separable)
@@ -146,42 +136,32 @@ def _cmd_process(args) -> int:
             report.clamped_down, report.clamped_up, report.modified_fraction,
         )
         del report
-        if reader._regular:
-            _write_from_a_second_read(reader, args, phase, digests)
+        if held is None:
+            # The second read forms each block's amplitude again by the
+            # read's rule, np.abs, into one reused block.
+            reader._rewind()
+            scratch = np.empty((_row_blocks(*shape)[0].stop, shape[1]))
+            amplitudes = ((rows, np.abs(block, out=scratch[: rows.stop - rows.start]))
+                          for rows, block in reader.blocks())
         else:
-            write_csif(args.output, recompose(amplitude, _sealed(PhaseMatrix, phase)))
+            amplitudes = ((rows, held[rows]) for rows in _row_blocks(*shape))
+        with _csif_writer(args.output, shape) as write:
+            for i, (rows, amplitude) in enumerate(amplitudes):
+                if digests is not None and hashlib.sha256(amplitude).digest() != digests[i]:
+                    raise ValueError(
+                        f"amplitude self-check failed: rows {rows.start}-{rows.stop - 1} of "
+                        f"{args.input} read a different amplitude the second time"
+                    )
+                for values in _cartesian_blocks(amplitude, phase[rows], "CSI matrix",
+                                                first_row=rows.start):
+                    write(values)
+                del values  # its fill scratch goes before the next block's is made
     if args.report is not None:
         _write_report(args.report, args, columns, shape)
     if args.verify_amplitude:
         print("amplitude check: ok (bit-identical)", file=sys.stderr)
     print(f"process: {args.method} on {shape[0]}x{shape[1]} -> {args.output}", file=sys.stderr)
     return 0
-
-
-def _write_from_a_second_read(reader: CsifReader, args, phase: np.ndarray, digests) -> None:
-    """Write the output from a second read of a regular file through its
-    one descriptor, which forms each block's amplitude again (``np.abs``,
-    the amplitude rule of the read) and writes its rows of the output from
-    it and ``phase``: the bytes of the one-pass run, with no S x K
-    amplitude held. ``CsifReader._rewind`` refuses a file that changed
-    since the first read, and so does a block's amplitude digest that is
-    not the one in ``digests`` (``--verify-amplitude``).
-    """
-    reader._rewind()
-    s, k = reader.shape
-    amplitude = np.empty((_row_blocks(s, k)[0].stop, k))  # one block, reused
-    with _csif_writer(args.output, reader.shape) as write:
-        for i, (rows, block) in enumerate(reader.blocks()):
-            a = np.abs(block, out=amplitude[: rows.stop - rows.start])
-            if digests is not None and hashlib.sha256(a).digest() != digests[i]:
-                raise ValueError(
-                    f"amplitude self-check failed: rows {rows.start}-{rows.stop - 1} of "
-                    f"{args.input} read a different amplitude the second time"
-                )
-            for values in _cartesian_blocks(a, phase[rows], "CSI matrix",
-                                            first_row=rows.start):
-                write(values)
-            del values  # its fill scratch goes before the next block's is made
 
 
 def _calibrated_phase(path: str) -> PhaseMatrix:

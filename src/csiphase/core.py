@@ -21,9 +21,9 @@ A ``CsiMatrix`` forms each of its views once, when it is first read:
   pair, ``abs`` and the principal ``angle``, is formed on its first
   ``decompose`` and kept, so later decomposes return the same arrays;
   a decomposed matrix therefore holds twice its payload while it lives.
-  ``io.CsifReader`` applies the same rule (``_polar_block``) to a file
-  as it reads it, so a caller that wants only the pair never holds the
-  complex values.
+  ``io.CsifReader`` applies the same rule (``_polar_block``) to each row
+  block of a file as it reads it, keeping the amplitude whole or a block
+  at a time, so a reader never holds the complex values.
 * A matrix from ``recompose`` holds the amplitude and the phase it was
   recomposed from, nothing more. Its principal phase is folded on its
   first ``decompose``; its cartesian values are formed on first read,
@@ -637,32 +637,6 @@ def _polar_block(values: np.ndarray, a: np.ndarray, p: np.ndarray) -> None:
     np.arctan2(values.imag, values.real, out=p)
     np.copyto(p, np.pi, where=p == -np.pi)
     np.copyto(p, 0.0, where=a == 0.0)
-
-
-def _polar_blocks(
-    blocks, shape: tuple[int, int], keep_amplitude: bool = True, each_amplitude=None
-):
-    """Amplitude and principal phase of complex values that come as
-    ``(rows, values)`` row blocks covering ``shape`` in order, each split
-    straight into its rows of the two outputs by :func:`_polar_block`:
-    the amplitude matrix and the raw phase as a new plain array.
-
-    Without ``keep_amplitude`` the amplitude is None: each block's
-    amplitude goes to a block of scratch, so a caller that wants the phase
-    alone never holds an S x K amplitude. Such a caller may still look at
-    each block's amplitude: ``each_amplitude(rows, a)`` is called with it
-    once the block is split.
-    """
-    amplitude = np.empty(shape) if keep_amplitude else None
-    phase = np.empty(shape)
-    for rows, values in blocks:
-        a = np.empty(values.shape) if amplitude is None else amplitude[rows]
-        _polar_block(values, a, phase[rows])
-        if each_amplitude is not None:
-            each_amplitude(rows, a)
-        del a  # a block of scratch goes before the next is made
-    del values  # a file's last block: its scratch goes before the amplitude is checked
-    return (None if amplitude is None else _sealed(AmplitudeMatrix, amplitude)), phase
 
 
 def decompose(csi: CsiMatrix) -> tuple[AmplitudeMatrix, PhaseMatrix]:

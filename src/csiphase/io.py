@@ -9,16 +9,20 @@ Two formats live here:
   Writes stream: no copy of the whole payload is made, and a matrix
   from ``recompose`` is written in row blocks as its cartesian values
   are formed, without ever holding them all. One block writer serves
-  ``write_csif`` and the streamed ``synth.gen_dataset``; it renames its
-  file into place when done, so an error leaves the target as it was.
+  ``write_csif``, the streamed ``synth.gen_dataset`` and CLI ``process``.
   Reads can stream too:
   :class:`CsifReader` opens a file once, knows its shape from the
   header before the payload is read, and splits a complex payload into
   amplitude and principal phase a row block at a time as it is read,
-  with the bytes of ``decompose(read_csif(path))``, or keeps the phase
-  alone. As the file is opened once, a pipe reads like a regular file.
+  with the bytes of ``decompose(read_csif(path))``, keeping the
+  amplitude or each block's alone. As the file is opened once, a pipe
+  reads like a regular file.
 * CSV tables with 1-based ``s,k`` coordinates and 17-significant-digit
   values, so a CSIF -> CSV -> CSIF round trip is lossless.
+
+Every file written here, CSIF or text, is opened by :func:`_replacing`:
+a regular or new target is renamed into place when whole, so an error
+leaves it as it was.
 
 Readers reject malformed input instead of repairing it; the exception
 classes below say what was wrong and where.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import os
 import stat
 import struct
@@ -42,7 +47,7 @@ from .core import (
     Stage,
     _check_finite,
     _check_shape,
-    _polar_blocks,
+    _polar_block,
     _row_blocks,
     _sealed,
 )
@@ -130,10 +135,8 @@ class _PayloadWriter:
 
 
 @contextlib.contextmanager
-def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_COMPLEX):
-    """Open ``path`` as a CSIF file of an S x K payload of the kind
-    ``flags`` names, write its header, and give a :class:`_PayloadWriter`
-    of the payload's row blocks.
+def _replacing(path: str | Path, mode: str = "w", **kwargs):
+    """Open ``path`` for writing with ``open``'s ``mode`` and ``kwargs``.
 
     A regular or new target is written to a partial file beside the file
     it resolves to, which replaces that file when the ``with`` block ends
@@ -141,14 +144,12 @@ def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_CO
     (it may be the input being read). Any other target (a pipe,
     /dev/stdout, /dev/null) is written in place.
     """
-    dtype = _payload_dtype(flags)
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
     partial = path if in_place else f"{target}.partial"
-    with open(partial, "wb") as fh:
+    with open(partial, mode, **kwargs) as fh:
         try:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, *shape))
-            yield _PayloadWriter(fh, dtype, shape[1])
+            yield fh
             fh.close()  # a failed flush is an error of the write too
             if not in_place:
                 os.replace(partial, target)
@@ -156,6 +157,16 @@ def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_CO
             if not in_place:
                 os.unlink(partial)
             raise
+
+
+@contextlib.contextmanager
+def _csif_writer(path: str | Path, shape: tuple[int, int], flags: int = _FLAG_COMPLEX):
+    """Open ``path`` as a CSIF file of an S x K payload of the kind
+    ``flags`` names (by :func:`_replacing`), write its header, and give a
+    :class:`_PayloadWriter` of the payload's row blocks."""
+    with _replacing(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, flags, *shape))
+        yield _PayloadWriter(fh, _payload_dtype(flags), shape[1])
 
 
 def write_csif(path: str | Path, matrix) -> None:
@@ -233,7 +244,8 @@ class CsifReader:
     * :meth:`read`, which splits a complex payload into amplitude and
       principal phase a row block of about ``core._BLOCK`` cells at a
       time, as it is read, so the complex payload never exists whole
-      (``_pair`` gives the phase as a plain array, ``_phase`` alone);
+      (``_phase`` gives the phase as a plain array, the amplitude into
+      the caller's array or each block's into scratch);
     * :meth:`blocks`, which yields the payload's row blocks as read;
     * :meth:`values`, which reads the whole payload as one array.
 
@@ -327,21 +339,34 @@ class CsifReader:
             ValueError: the payload is real, naming the file; read a
                 real payload with :meth:`values`.
         """
-        amplitude, phase = self._pair()
-        return amplitude, _sealed(PhaseMatrix, phase, Stage.RAW)
+        amplitude = np.empty(self.shape)
+        phase = self._phase(amplitude)
+        return _sealed(AmplitudeMatrix, amplitude), _sealed(PhaseMatrix, phase, Stage.RAW)
 
-    def _pair(self) -> tuple[AmplitudeMatrix, np.ndarray]:
-        """:meth:`read`, with the raw phase as a new plain array, which the
-        caller alone holds and may compute in."""
-        return _polar_blocks(self._checked_blocks(), self.shape)
+    def _phase(self, amplitude: np.ndarray | None = None, digests=None) -> np.ndarray:
+        """The raw phase of :meth:`read`, bit for bit, as a new plain array,
+        which the caller alone holds and may compute in.
 
-    def _phase(self, each_amplitude=None) -> np.ndarray:
-        """The raw phase of :meth:`_pair`, bit for bit, without an S x K
-        amplitude: each block's amplitude goes to a block of scratch, after
-        ``each_amplitude(rows, amplitude)`` is called with it when given."""
-        return _polar_blocks(
-            self._checked_blocks(), self.shape, keep_amplitude=False, each_amplitude=each_amplitude
-        )[1]
+        Each row block is checked and split by ``core._polar_block`` as it
+        is read: its amplitude into its rows of ``amplitude``, an S x K
+        array, when given, else into a block of scratch, so no S x K
+        amplitude exists. Each block's amplitude is checked too (a finite
+        cell's magnitude may overflow), and its SHA-256 digest appended to
+        ``digests`` when given.
+        """
+        if not self.complex:
+            raise ValueError(f"{self._fh.name} holds a real payload, not complex CSI")
+        _check_shape(self.shape, "CSI matrix")
+        phase = np.empty(self.shape)
+        for rows, values in self.blocks():
+            _check_finite(values, "CSI matrix", rows.start)
+            a = np.empty(values.shape) if amplitude is None else amplitude[rows]
+            _polar_block(values, a, phase[rows])
+            _check_finite(a, "amplitude matrix", rows.start)
+            if digests is not None:
+                digests.append(hashlib.sha256(a).digest())
+            del a  # a block of scratch goes before the next is made
+        return phase
 
     def _rewind(self) -> None:
         """Seek back to the start of a regular file's payload, to read it
@@ -357,20 +382,6 @@ class CsifReader:
             raise ValueError(f"{self._fh.name} changed on disk while it was being read")
         self._fh.seek(_HEADER.size)
         self._seen = 0
-
-    def _checked_blocks(self):
-        """The complex payload's row blocks as read, each checked for
-        non-finite cells; a real payload is refused before any is read."""
-        if not self.complex:
-            raise ValueError(f"{self._fh.name} holds a real payload, not complex CSI")
-        _check_shape(self.shape, "CSI matrix")
-
-        def checked():
-            for rows, block in self.blocks():
-                _check_finite(block, "CSI matrix", rows.start)
-                yield rows, block
-
-        return checked()
 
 
 def read_csif(path: str | Path) -> CsiMatrix | np.ndarray:
@@ -518,11 +529,13 @@ def write_table(
     other cell with ``str``. Comment lines carry metadata (fitted
     moments, group means) without disturbing the column grid.
 
+    The file is written by :func:`_replacing`, so an error leaves a
+    regular ``path`` as it was.
+
     Raises:
-        ValueError: the columns differ in length; the file then ends
-            where the shortest column does.
+        ValueError: the columns differ in length.
     """
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.writelines(f"# {comment}\n" for comment in comments)
         writer = csv.writer(fh)
         writer.writerow(header)

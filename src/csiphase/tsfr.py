@@ -33,8 +33,8 @@ transposed copy or second phase array exists.
 hands the untouched amplitude back to the reconstruction, so only the
 phase differs between methods. It takes a matrix or a pair, which it
 never writes, and runs the stages in a fresh array. The CLI runs
-:func:`_run` on the phase it reads, and reads a file's amplitude again
-as it writes the output instead of holding it.
+:func:`_run` on the phase it reads, and forms the output's rows from
+each row block's amplitude as it writes them.
 """
 
 from __future__ import annotations
@@ -375,8 +375,8 @@ def process(
             pair with a raw-stage phase, as ``decompose`` returns it.
         method: one of ``METHODS``: "raw" (decompose/recompose only),
             "lt", "lrr", "lrr+sgfreq", "lrr+sgtime", "lrr+sg2d", "tsfr".
-        smap: physical subcarrier map; required for "lt" and for the
-            physical abscissa, defaulted to contiguous 1..K otherwise.
+        smap: physical subcarrier map, required for the physical
+            abscissa; without one, "lt" fits over the contiguous 1..K.
         sg_order: polynomial order of any smoothing step.
         sg_fraction: window fraction of any smoothing step.
         abscissa: "ordinal" to regress over k = 1..K, "physical" to

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, file outputs, determinism."""
 
+import builtins
 import errno
 import itertools
 import os
@@ -468,6 +469,46 @@ def test_a_failing_write_leaves_every_existing_target_as_it_was(
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+def fail_every_text_write(monkeypatch):
+    """Make every write to a file opened with mode "w" raise ENOSPC."""
+    real_open = open
+
+    def open_full(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if mode == "w":
+            def full(*_):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = fh.writelines = full
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_full)
+
+
+@pytest.mark.parametrize("command", [
+    ["process", "--method", "tsfr", "-o", "o.csif", "--report", "r.txt"],
+    ["stats", "ds", "-o", "ds.csv"],
+], ids=["process report", "stats table"])
+def test_a_failing_text_write_leaves_the_earlier_outputs_as_they_were(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Text outputs are written beside their path and renamed over it once
+    # whole, as CSIF outputs are: the report of a rerun that fails keeps the
+    # earlier run's bytes, though the CSIF output beside it was replaced.
+    meas, _ = make_pair(tmp_path, capsys)
+    argv = [str(tmp_path / a) if a.endswith((".csif", ".txt", ".csv")) else a
+            for a in command] + ["-i", str(meas)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    fail_every_text_write(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_an_output_into_a_pipe_or_a_device_is_written_in_place(tmp_path, capsys):
     # /dev/stdout of a pipe resolves to no file, so it is written as given.
     meas, _ = make_pair(tmp_path, capsys, symbols=300, subcarriers=20)
@@ -586,16 +627,19 @@ def test_verify_amplitude_refuses_a_block_read_differently_the_second_time(
     assert not (tmp_path / "o.csif").exists()
 
 
-def test_an_amplitude_beyond_the_float_range_is_one_error_line(tmp_path):
-    # Finite cells whose magnitude overflows: the file, read twice, and the
-    # pipe, read once, name the same cell.
+@pytest.mark.parametrize("command", [["process", "--method", "lrr"], ["stats", "ds"],
+                                     ["stats", "exceed"], ["stats", "diffhist"]])
+def test_an_amplitude_beyond_the_float_range_is_one_error_line(tmp_path, command):
+    # Finite cells whose magnitude overflows: every read of a complex payload
+    # checks its amplitude, so the file (which process reads twice) and the
+    # pipe, read once, name the same cell, whether the amplitude is written
+    # out or not.
     values = np.ones((2000, 8), dtype=complex)
     values[1500, 3] = complex(1.5e308, 1.5e308)
     capture = tmp_path / "big.csif"
     write_csif(capture, CsiMatrix(values))
     for path, stdin in ((str(capture), b""), ("/dev/stdin", capture.read_bytes())):
-        proc = csiphase(stdin, "process", "-i", path, "-o", str(tmp_path / "o.csif"),
-                        "--method", "lrr")
+        proc = csiphase(stdin, *command, "-i", path, "-o", str(tmp_path / "o.csif"))
         assert proc.returncode == 4
         assert proc.stderr.decode().splitlines() == [
             "error: amplitude matrix has a non-finite value at row 1500, column 3 (0-based)"

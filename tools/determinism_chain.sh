@@ -39,6 +39,9 @@
 # file runs, and so does --verify-amplitude on every method's file run. An
 # output into a pipe (-o /dev/stdout) is written as given, and carries no
 # status line: process into /dev/stdout piped into stats ds gives ds.csv.
+# Text outputs are renamed over their path too: process --report and
+# stats ds rerun over their own earlier outputs give the bytes of copies
+# taken before the rerun.
 #
 # The outputs depend only on the source tree, so two checkouts (a change
 # and its parent, say) are compared by running the script in each and
@@ -115,6 +118,10 @@ for run in a b c d; do
   csiphase process -i "$out/clean.link.csif" -o "$out/clean.link.csif" --method tsfr
   test -L "$out/clean.link.csif"
   cmp "$out/clean.link_target.csif" "$out/clean.csif"
+  for name in clean.csif report.txt ds.csv; do cp "$out/$name" "$out/first.$name"; done
+  csiphase process -i "$out/cap.meas.csif" -o "$out/clean.csif" --method tsfr --report "$out/report.txt"
+  csiphase stats ds -i "$out/clean.csif" -o "$out/ds.csv"
+  for name in clean.csif report.txt ds.csv; do cmp "$out/$name" "$out/first.$name"; done
   csiphase stats diffhist -i "$out/clean.csif" -o "$out/diffhist.csv"
   csiphase stats ds -i "$out/clean.csif" -o "$out/ds_labels.csv" --labels "$det/labels.txt"
   cat "$out/clean.csif" | csiphase stats ds -i /dev/stdin -o "$out/ds.pipe.csv"
