@@ -12,15 +12,17 @@ block's amplitude checked, so no command holds a complex input and a
 pipe (``-i /dev/stdin``) gives the bytes its file gives. Zero cells are
 where the amplitude is zero; their phase is 0. A command alone holds the
 raw phase it reads, so it runs the method's stage kernels in that array
-(``tsfr._run``). ``process`` then writes its output from one loop over
-``(rows, amplitude)`` row blocks: a regular file is read a second time
-through the one descriptor, each block's amplitude formed again, so no
-S x K amplitude is held, also in place, as ``io`` renames the output
-over the input once written; a pipe or a device is read once, its
-amplitude held beside the phase, to the same bytes. A file whose size or
-modification time changed between the reads is refused, and so, with
-``--verify-amplitude``, is a block whose amplitude digest changed. Every
-output, CSIF, report or table, replaces a regular file only once whole.
+(``tsfr._run``). ``process`` then runs the cartesian fill
+(``core._fill_cartesian``) on each ``(rows, amplitude)`` row block, on
+every worker into a regular file and in order into a pipe. A regular
+file is read a second time through the one descriptor, each block's
+amplitude formed again, so no S x K amplitude is held, also in place, as
+``io`` renames the output over the input once written; a pipe or a
+device is read once, its amplitude held beside the phase, to the same
+bytes. A file whose size or modification time changed between the reads
+is refused, and so, with ``--verify-amplitude``, is a block whose
+amplitude digest changed. Every output, CSIF, report or table, replaces
+a regular file only once whole.
 
 Status lines, and one ``warning:`` line per axis a smoother passes
 through, go to stderr, so an output may be ``/dev/stdout``. Exit codes:
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhaseMatrix, Stage, _cartesian_blocks, _row_blocks, _sealed
+from .core import PhaseMatrix, Stage, _fill_cartesian, _row_blocks, _sealed
 from .io import CsifReader, _csif_writer, _replacing, write_table
 from .savgol import DegenerateWindowWarning
 from .stats import diff_histogram, ds_series, exceedance_profile
@@ -152,10 +154,7 @@ def _cmd_process(args) -> int:
                         f"amplitude self-check failed: rows {rows.start}-{rows.stop - 1} of "
                         f"{args.input} read a different amplitude the second time"
                     )
-                for values in _cartesian_blocks(amplitude, phase[rows], "CSI matrix",
-                                                first_row=rows.start):
-                    write(values)
-                del values  # its fill scratch goes before the next block's is made
+                _fill_cartesian(amplitude, phase[rows], "CSI matrix", write, rows.start)
     if args.report is not None:
         _write_report(args.report, args, columns, shape)
     if args.verify_amplitude:

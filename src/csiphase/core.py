@@ -26,12 +26,12 @@ A ``CsiMatrix`` forms each of its views once, when it is first read:
   at a time, so a reader never holds the complex values.
 * A matrix from ``recompose`` holds the amplitude and the phase it was
   recomposed from, nothing more. Its principal phase is folded on its
-  first ``decompose``; its cartesian values are formed on first read,
-  in row blocks of ``_FILL_BLOCK`` cells, so a CSIF write of an unread
-  result streams them to the file without ever holding the whole
-  complex matrix. Once both views exist, the phase it was recomposed
-  from is dropped. A consumer that only decomposes the result never
-  pays for the sin/cos of every cell.
+  first ``decompose``; its cartesian values are formed on first read by
+  the one cartesian fill (``_fill_cartesian``), which a CSIF write of an
+  unread result, CLI ``process`` and ``synth`` share, so a write never
+  holds the whole complex matrix. Once both views exist, the phase
+  it was recomposed from is dropped. A consumer that only decomposes the
+  result never pays for the sin/cos of every cell.
 * ``shape``, ``symbols`` and ``subcarriers`` never form a view.
 
 Working-set rule for every stage of the package: a stage kernel computes
@@ -104,18 +104,6 @@ class Stage(enum.IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-
-def _check_grid(values: np.ndarray, name: str) -> None:
-    if values.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (symbols x subcarriers), got shape {values.shape}")
-    _check_shape(values.shape, name)
-    # A row block at a time, so the mask of one block exists, not an S x K one.
-    def check(blocks):
-        for rows in blocks:
-            _check_finite(values[rows], name, rows.start)
-
-    _run_blocks(check, *values.shape)
 
 
 def _as_row(values, name: str, min_size: int = 1) -> np.ndarray:
@@ -300,22 +288,14 @@ def _run_blocks(task, rows: int, length: int, block: int | None = None) -> None:
             raise error
 
 
-def _cartesian_blocks(
-    a: np.ndarray,
-    p: np.ndarray,
-    name: str,
-    out: np.ndarray | None = None,
-    first_row: int = 0,
-    blocks: list[slice] | None = None,
-):
-    """Yield ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks, in order:
-    the row slices ``blocks``, by default every row in blocks of
-    ``_FILL_BLOCK`` cells.
-
-    Each block is a run of complex rows: rows of ``out`` when it is given,
-    otherwise one scratch buffer, sized by the first block, reused for
-    every block. A non-finite cell raises ``ValueError`` with its global
-    row and column, the rows of ``a`` and ``p`` starting at row
+def _fill_cartesian(a: np.ndarray, p: np.ndarray, name: str, into, first_row: int = 0) -> None:
+    """Fill ``a*cos(p) + 1j*(a*sin(p))`` in checked row blocks of
+    ``_FILL_BLOCK`` cells into ``into``: an array of ``a``'s shape, or a
+    CSIF payload writer (``io._PayloadWriter``), called as ``into(block,
+    row)`` with a block of scratch and its global first row. It runs on
+    every worker (``_run_blocks``) into an array or a seekable writer, in
+    order into any other. A non-finite cell raises ``ValueError`` with its
+    global row and column, the rows of ``a`` and ``p`` starting at row
     ``first_row``.
 
     Filled in place, bit for bit a*cos(p) + 1j*(a*sin(p)), signed zeros
@@ -325,25 +305,32 @@ def _cartesian_blocks(
     not the strided .real/.imag views. Every operation is elementwise, so
     the block size changes no bit.
     """
-    if blocks is None:
-        blocks = _row_blocks(*a.shape, _FILL_BLOCK)
-    shape = (blocks[0].stop - blocks[0].start, a.shape[1])
-    buf, cos = np.empty(shape), np.empty(shape)
-    scratch = np.empty(shape, dtype=np.complex128) if out is None else None
-    for rows in blocks:
-        count = rows.stop - rows.start
-        block = scratch[:count] if out is None else out[rows]
-        a_rows, p_rows = a[rows], p[rows]
-        sin_rows, cos_rows = buf[:count], cos[:count]
-        np.sin(p_rows, out=sin_rows)
-        np.multiply(a_rows, sin_rows, out=block.imag)
-        np.multiply(block.imag, 0.0, out=sin_rows)
-        np.cos(p_rows, out=cos_rows)
-        cos_rows *= a_rows
-        np.add(cos_rows, sin_rows, out=block.real)
-        block.imag += 0.0
-        _check_finite(block, name, first_row + rows.start)
-        yield block
+    filled = isinstance(into, np.ndarray)
+
+    def fill(blocks):
+        shape = (blocks[0].stop - blocks[0].start, a.shape[1])
+        buf, cos = np.empty(shape), np.empty(shape)
+        scratch = None if filled else np.empty(shape, dtype=np.complex128)
+        for rows in blocks:
+            count = rows.stop - rows.start
+            block = into[rows] if filled else scratch[:count]
+            a_rows, p_rows = a[rows], p[rows]
+            sin_rows, cos_rows = buf[:count], cos[:count]
+            np.sin(p_rows, out=sin_rows)
+            np.multiply(a_rows, sin_rows, out=block.imag)
+            np.multiply(block.imag, 0.0, out=sin_rows)
+            np.cos(p_rows, out=cos_rows)
+            cos_rows *= a_rows
+            np.add(cos_rows, sin_rows, out=block.real)
+            block.imag += 0.0
+            _check_finite(block, name, first_row + rows.start)
+            if not filled:
+                into(block, first_row + rows.start)
+
+    if filled or into.seekable:
+        _run_blocks(fill, *a.shape, _FILL_BLOCK)
+    else:
+        fill(_row_blocks(*a.shape, _FILL_BLOCK))
 
 
 def _freeze(values, dtype=None) -> np.ndarray:
@@ -395,8 +382,22 @@ class _Grid:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=self._dtype)
-        _check_grid(values, self._what)
+        if values.ndim != 2:
+            raise ValueError(
+                f"{self._what} must be 2-D (symbols x subcarriers), got shape {values.shape}"
+            )
+        _check_shape(values.shape, self._what)
+        # A row block at a time, so the masks of one block exist, not S x K ones.
+        def check(blocks):
+            for rows in blocks:
+                self._check_rows(values[rows], rows.start)
+
+        _run_blocks(check, *values.shape)
         object.__setattr__(self, "values", _freeze(values))
+
+    def _check_rows(self, rows: np.ndarray, first_row: int) -> None:
+        """Raise unless every cell of a row block from row ``first_row`` is valid."""
+        _check_finite(rows, self._what, first_row)
 
     @property
     def symbols(self) -> int:
@@ -418,9 +419,9 @@ class CsiMatrix(_Grid):
     Each view is formed once, on its first read, and kept read-only:
 
     * ``values`` are given to a matrix built from values. A matrix built
-      by :func:`recompose` forms them from its amplitude (``_amplitude``)
-      and the phase it was recomposed from (``_angles``), in checked row
-      blocks.
+      by :func:`recompose` fills them (``_fill_cartesian``) from its
+      amplitude (``_amplitude``) and the phase it was recomposed from
+      (``_angles``).
     * ``_polar`` is what :func:`decompose` returns: the amplitude and
       the principal phase. A matrix built from values forms it from
       ``abs`` and ``angle`` of its values and holds it beside them, twice
@@ -428,8 +429,8 @@ class CsiMatrix(_Grid):
       and folds ``_angles`` into (-pi, pi].
 
     ``_angles`` is dropped once both views exist. ``shape``, ``symbols``,
-    ``subcarriers`` and ``io.write_csif`` form neither view (the writer
-    streams the blocks of unformed values to the file).
+    ``subcarriers`` and ``io.write_csif`` form neither view (the write
+    runs the same fill into the file).
     """
 
     _amplitude = None
@@ -451,12 +452,7 @@ class CsiMatrix(_Grid):
         if angles is None:  # another thread formed both views since this read began
             return vars(self)["values"]
         values = np.empty(self.shape, dtype=np.complex128)
-
-        def fill(blocks):
-            for _ in _cartesian_blocks(self._amplitude, angles, self._what, values, blocks=blocks):
-                pass
-
-        _run_blocks(fill, *self.shape, _FILL_BLOCK)
+        _fill_cartesian(self._amplitude, angles, self._what, values)
         values.setflags(write=False)
         return self._keep("values", values)
 
@@ -495,28 +491,13 @@ class CsiMatrix(_Grid):
         return view
 
     def _write(self, write) -> None:
-        """Write the complex values through ``write``, a CSIF payload
-        writer (``io._csif_writer``).
-
-        A matrix whose values are formed writes them in one block. An
-        unformed one fills checked row blocks of scratch and stays
-        unformed: into a pipe in order, and into a regular file on every
-        worker (``_run_blocks``), each writing its blocks at their rows.
-        """
+        """Write the values through ``write``, a CSIF payload writer: formed
+        ones in one block, unformed ones by ``_fill_cartesian``, which leaves them unformed."""
         angles = self._angles  # read first: once it is dropped, the values exist
         if "values" in vars(self):
-            write(self.values)
-            return
-
-        def fill(blocks):
-            cells = _cartesian_blocks(self._amplitude, angles, self._what, blocks=blocks)
-            for rows, block in zip(blocks, cells):
-                write(block, rows.start)
-
-        if write.seekable:
-            _run_blocks(fill, *self.shape, _FILL_BLOCK)
+            write(self.values, 0)
         else:
-            fill(_row_blocks(*self.shape, _FILL_BLOCK))
+            _fill_cartesian(self._amplitude, angles, self._what, write)
 
 
 @dataclass(frozen=True)
@@ -543,14 +524,15 @@ class AmplitudeMatrix(_Grid):
 
     _what = "amplitude matrix"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if (self.values < 0).any():
-            where = np.argwhere(self.values < 0)[0]
-            raise ValueError(
-                f"amplitude matrix has a negative value at row {where[0]}, "
-                f"column {where[1]} (0-based)"
-            )
+    def _check_rows(self, rows: np.ndarray, first_row: int) -> None:
+        """Finite and non-negative cells; the first bad row is named,
+        whichever fault it holds."""
+        if (rows < 0).any():
+            row, column = np.argwhere(rows < 0)[0]
+            _check_finite(rows[: row + 1], self._what, first_row)
+            raise ValueError(f"{self._what} has a negative value at row {first_row + row}, "
+                             f"column {column} (0-based)")
+        super()._check_rows(rows, first_row)
 
 
 @dataclass(frozen=True)

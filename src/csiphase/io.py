@@ -7,9 +7,9 @@ Two formats live here:
   followed by the matrix row-major as 64-bit floats, interleaved
   (re, im) pairs for complex payloads. Round trips are byte-identical.
   Writes stream: no copy of the whole payload is made, and a matrix
-  from ``recompose`` is written in row blocks as its cartesian values
-  are formed, without ever holding them all. One block writer serves
-  ``write_csif``, the streamed ``synth.gen_dataset`` and CLI ``process``.
+  from ``recompose`` is written a row block at a time by the one
+  cartesian fill (``core._fill_cartesian``), never held whole; the
+  streamed ``synth.gen_dataset`` and CLI ``process`` write theirs so.
   Reads can stream too:
   :class:`CsifReader` opens a file once, knows its shape from the
   header before the payload is read, and splits a complex payload into
@@ -107,13 +107,11 @@ class _PayloadWriter:
     """Writes row blocks of an S x K payload to a CSIF file opened for
     writing, whose header is written.
 
-    ``write(block)`` appends a block; the caller writes exactly the
-    declared rows, in order. ``write(block, row)`` writes a block at its
-    first row ``row``: into a regular file (``seekable``) with
-    ``os.pwrite`` at the row's offset, so blocks may come in any order and
-    from any thread; into a pipe it appends, so the rows must come in
-    order. A contiguous block of the payload's dtype is written from its
-    own buffer, so no copy is made.
+    ``write(block, row)`` writes a block at its first row ``row``: into a
+    regular file (``seekable``) with ``os.pwrite`` at the row's offset, so
+    blocks may come in any order and from any thread; into a pipe it
+    appends, so the rows must come in order. A contiguous block of the
+    payload's dtype is written from its own buffer, so no copy is made.
     """
 
     def __init__(self, fh, dtype: np.dtype, columns: int) -> None:
@@ -123,9 +121,9 @@ class _PayloadWriter:
         if self.seekable:
             fh.flush()  # the header, before any block is written past it
 
-    def __call__(self, block: np.ndarray, row: int | None = None) -> None:
+    def __call__(self, block: np.ndarray, row: int) -> None:
         data = np.ascontiguousarray(block, dtype=self._dtype).view(np.uint8)
-        if row is None or not self.seekable:
+        if not self.seekable:
             self._fh.write(data)
             return
         data, offset = memoryview(data).cast("B"), _HEADER.size + row * self._row_bytes
@@ -176,9 +174,9 @@ def write_csif(path: str | Path, matrix) -> None:
     ``AmplitudeMatrix`` and plain real arrays are flagged real.
 
     Writes stream: a matrix from ``recompose`` whose values have not
-    been read is written row block by row block as the blocks are
-    formed, and its values stay unformed; into a regular file the blocks
-    are formed and written on every worker thread
+    been read is written row block by row block as the cartesian fill
+    forms them, and its values stay unformed; into a regular file the
+    blocks are formed and written on every worker thread
     (``core._run_blocks``), into a pipe in order. Any other payload is
     written from its own buffer. Either way no copy of the whole payload
     is made. A non-finite cell found while streaming raises
@@ -191,7 +189,7 @@ def write_csif(path: str | Path, matrix) -> None:
         return
     arr, flags = _payload_array(matrix)
     with _csif_writer(path, arr.shape, flags) as write:
-        write(arr)
+        write(arr, 0)
 
 
 def _read_header(fh) -> tuple[np.dtype, int, int]:

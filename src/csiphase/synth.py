@@ -28,9 +28,10 @@ the paths in a fixed order, and the noise stream carries on from one row
 block to the next. So :func:`gen_dataset` given an ``out`` basename
 streams: each row block of about ``core._BLOCK`` cells is generated,
 written to ``<out>.true.csif``, split into amplitude and phase by the
-decompose rule, impaired, and filled back to cartesian values for
-``<out>.meas.csif``. No S x K array exists, and the files hold the bytes
-that ``io.write_csif`` writes for the in-memory pair at any block size.
+decompose rule, impaired, and filled back into ``<out>.meas.csif`` by
+the cartesian fill of ``io.write_csif`` (``core._fill_cartesian``).
+No S x K array exists, and the files hold the bytes that
+``io.write_csif`` writes for the in-memory pair.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .core import (
     PhaseMatrix,
     Stage,
     SubcarrierMap,
-    _cartesian_blocks,
     _check_finite,
+    _fill_cartesian,
     _freeze,
     _polar_block,
     _row_blocks,
@@ -308,8 +309,8 @@ def _write_dataset(channel: ChannelSpec, imp: ImpairmentSpec, symbols: int, out)
     """Write the pair of :func:`gen_dataset` a row block at a time.
 
     Each block of clean rows is written to ``<out>.true.csif``, split by
-    the decompose rule, impaired, filled back to cartesian values in the
-    clean block's buffer and written to ``<out>.meas.csif``. The scratch
+    the decompose rule, impaired, filled back to cartesian values in its
+    buffer on every worker and written to ``<out>.meas.csif``. The scratch
     is a few blocks of ``core._BLOCK`` cells whatever S is. A non-finite
     cell raises ``ValueError`` with its global row and column, as the
     in-memory matrices do, and leaves both paths as they were.
@@ -331,12 +332,12 @@ def _write_dataset(channel: ChannelSpec, imp: ImpairmentSpec, symbols: int, out)
             v, a, p, m = values[:count], amplitude[:count], phase[:count], measured[:count]
             _clean_rows(channel, base, rows, v)
             _check_finite(v, "CSI matrix", rows.start)
-            write_true(v)
+            write_true(v, rows.start)
             _polar_block(v, a, p)
             _impair_rows(p, rows, imp, rng, m, noise[:count])
             _check_finite(m, "phase matrix", rows.start)
-            for block in _cartesian_blocks(a, m, "CSI matrix", v, rows.start):
-                write_measured(block)
+            _fill_cartesian(a, m, "CSI matrix", v, rows.start)
+            write_measured(v, rows.start)
 
 
 def gen_dataset(

@@ -94,9 +94,26 @@ def test_phase_matrix_rejects_one_dimensional():
         PhaseMatrix(np.zeros(4))
 
 
-def test_amplitude_matrix_rejects_negative():
-    with pytest.raises(ValueError, match=r"negative value at row 0, column 1"):
-        AmplitudeMatrix(np.array([[1.0, -0.5], [0.0, 2.0]]))
+@pytest.mark.parametrize(
+    "negative, nan, message",
+    [
+        ((0, 1), None, "a negative value at row 0, column 1"),
+        ((10, 5), (2000, 3), "a negative value at row 10, column 5"),
+        ((2000, 3), (10, 5), "a non-finite value at row 10, column 5"),
+        ((7, 2), (7, 9), "a non-finite value at row 7, column 9"),
+    ],
+)
+def test_amplitude_matrix_rejects_negative(negative, nan, message):
+    # The sign is checked with finiteness in the row-block pass, so of two
+    # faults the one in the earlier row is named, also across row blocks;
+    # within one row the non-finite cell is named first.
+    values = np.ones((3000, 52))
+    values[negative] = -0.5
+    if nan is not None:
+        values[nan] = np.nan
+    with pytest.raises(ValueError) as error:
+        AmplitudeMatrix(values)
+    assert str(error.value) == f"amplitude matrix has {message} (0-based)"
 
 
 def test_stage_ordering():
@@ -316,6 +333,17 @@ def test_views_of_a_recomposed_matrix_do_not_depend_on_read_order(first):
     assert same_bytes(got_phase.values, phase.values)
     assert csi._angles is None and "_angles" not in vars(csi)
     assert reference._angles is None
+
+
+def test_a_view_formed_after_both_exist_returns_the_kept_one():
+    # The branch a read takes when another thread formed both views since
+    # it began, reached without timing: with both views kept and the
+    # recomposed phase dropped, each view's function returns the kept view.
+    csi = recompose(*awkward_pair(np.random.default_rng(25), 40, 8))
+    values, pair = csi.values, decompose(csi)
+    assert csi._angles is None
+    assert CsiMatrix.values.func(csi) is values
+    assert CsiMatrix._polar.func(csi) is pair
 
 
 def test_threads_forming_the_views_of_one_matrix_agree():

@@ -1,14 +1,16 @@
 """Row-block passes on several worker threads give the bytes of one.
 
 ``core._run_blocks`` deals the row blocks of a pass to ``core._WORKERS``
-threads in contiguous shares. Every method, ``decompose`` and the
-streamed CSIF write are run with one, two and three workers and compared
-byte for byte; errors name the first bad row whatever the worker count;
+threads in contiguous shares. Every method, ``decompose``, the streamed
+CSIF write and the cartesian fill of CLI ``process`` and ``synth`` are
+run with one, two and three workers and compared byte for byte; errors
+name the first bad row whatever the worker count;
 numpy's ``errstate`` reaches the workers; and a pass whose threads cannot
 start, or that runs in a forked child, still gives the same bytes.
 """
 
 import multiprocessing
+import os
 import threading
 import warnings
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import csiphase.core as core
+import csiphase.io as csiphase_io
 from csiphase.calib import lrr_calibrate
 from csiphase.cli import main
 from csiphase.core import (
@@ -79,6 +82,64 @@ def test_every_worker_count_gives_the_serial_bytes(tmp_path, monkeypatch, case):
         monkeypatch.setattr(core, "_WORKERS", workers)
         assert outputs(tmp_path, values, smap) == serial
     assert core._pool._started == 2  # three workers ran: the caller and two helpers
+
+
+def cli_outputs(tmp_path, capsys, capture):
+    """The bytes of CLI ``process`` lrr and tsfr of ``capture``, read from
+    the file and from a FIFO, and of a 3000x52 ``synth`` pair, all written
+    into regular files; and whether ``process`` wrote blocks from more
+    than one thread."""
+    got, threads = {}, set()
+    write = csiphase_io._PayloadWriter.__call__
+
+    def record(self, block, row):
+        threads.add(threading.get_ident())
+        write(self, block, row)
+
+    fifo = tmp_path / "in.fifo"
+    for method in ("lrr", "tsfr"):
+        for source in ("file", "fifo"):
+            path = capture
+            if source == "fifo":
+                os.mkfifo(fifo)
+                path = fifo
+                feed = threading.Thread(target=lambda: fifo.write_bytes(capture.read_bytes()),
+                                        daemon=True)
+                feed.start()
+            out = tmp_path / f"{method}.{source}.csif"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(csiphase_io._PayloadWriter, "__call__", record)
+                assert main(["process", "-i", str(path), "-o", str(out), "--method", method]) == 0
+            if source == "fifo":
+                feed.join(timeout=60)
+                assert not feed.is_alive()
+                fifo.unlink()
+            got[out.name] = out.read_bytes()
+    assert main(["synth", "--symbols", "3000", "--subcarriers", "52", "--seed", "5",
+                 "-o", str(tmp_path / "pair")]) == 0
+    for kind in ("true", "meas"):
+        got[kind] = (tmp_path / f"pair.{kind}.csif").read_bytes()
+    capsys.readouterr()
+    return got, len(threads) > 1
+
+
+def test_the_cli_fills_on_every_worker_to_the_serial_bytes(tmp_path, capsys, monkeypatch):
+    # A read block of 3000x52 holds four fill blocks, each worker's share
+    # of it two or more. Into a regular file, CLI process writes each fill
+    # block at its rows from whichever worker forms it; synth fills a read
+    # block on every worker and then writes it.
+    capture = tmp_path / "capture.csif"
+    write_csif(capture, CsiMatrix(CASES["blocks"][0]))
+    monkeypatch.setattr(core, "_WORKERS", 1)
+    serial, threaded = cli_outputs(tmp_path, capsys, capture)
+    assert not threaded
+    assert serial["lrr.fifo.csif"] == serial["lrr.file.csif"]
+    assert serial["tsfr.fifo.csif"] == serial["tsfr.file.csif"]
+    for workers in (2, 3):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        got, threaded = cli_outputs(tmp_path, capsys, capture)
+        assert got == serial
+        assert threaded
 
 
 def run_with(monkeypatch, workers, call):

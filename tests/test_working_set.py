@@ -130,6 +130,11 @@ STAGES = {
     "synth.apply_impairments": (
         3.2, lambda x: apply_impairments(CsiMatrix(x["true"].values), x["impairments"])
     ),  # was 7.00, then 4.00
+    # The sign is checked with finiteness a row block at a time, so the masks
+    # of a block exist, not an S x K one.
+    "AmplitudeMatrix of a kept array": (
+        0.025, lambda x: AmplitudeMatrix(x["amplitude"].values)
+    ),  # was 0.125
     "recompose": (0.01, lambda x: recompose(x["amplitude"], x["raw"])),  # was 2.00
     "decompose of a recomposed matrix": (
         1.5, lambda x: decompose(recompose(x["amplitude"], x["raw"]))

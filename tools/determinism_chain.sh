@@ -39,6 +39,9 @@
 # file runs, and so does --verify-amplitude on every method's file run. An
 # output into a pipe (-o /dev/stdout) is written as given, and carries no
 # status line: process into /dev/stdout piped into stats ds gives ds.csv.
+# The cartesian fill of an output runs on every worker into a regular file
+# and in order into a pipe: lrr and tsfr of the 10000x52 capture written
+# through /dev/stdout into cat give the bytes of their file runs.
 # Text outputs are renamed over their path too: process --report and
 # stats ds rerun over their own earlier outputs give the bytes of copies
 # taken before the rerun.
@@ -142,6 +145,11 @@ for run in a b c d; do
   csiphase synth --symbols 10000 --subcarriers 52 --seed 11 -o "$out/long"
   for method in tsfr lrr+sg2d lrr+sgfreq lrr+sgtime; do
     csiphase process -i "$out/long.meas.csif" -o "$out/long.$method.csif" --method "$method" --report "$out/long.$method.txt"
+  done
+  csiphase process -i "$out/long.meas.csif" -o "$out/long.lrr.csif" --method lrr
+  for method in lrr tsfr; do
+    csiphase process -i "$out/long.meas.csif" -o /dev/stdout --method "$method" | cat > "$out/long.$method.pipe.csif"
+    cmp "$out/long.$method.pipe.csif" "$out/long.$method.csif"
   done
   csiphase synth --spec "$det/vht80.txt" --symbols 2500 --seed 9 -o "$out/vht80"
   for method in lrr lrr+sgfreq lrr+sgtime lrr+sg2d tsfr; do
